@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from . import analytic, errors, estimation, kinetics, montecarlo, series, wavefunction
 from .analytic import NormalizedWindowModel, RatePair, WindowConfig
 from .estimation import FitResult, ModelComparison
-from .kinetics import IntegratorConfig, KineticsState
-from .montecarlo import EmissionRecord, PostSelectionSummary, SimConfig
+from .kinetics import IntegratorConfig
+from .montecarlo import PostSelectionSummary, SimConfig
 from .wavefunction import Grid1D, TwoParticleAmplitude
 
 __all__ = [
@@ -21,8 +21,8 @@ __all__ = [
     "analytic", "errors", "estimation", "kinetics", "montecarlo", "series",
     "wavefunction",
     "RatePair", "WindowConfig", "NormalizedWindowModel",
-    "KineticsState", "IntegratorConfig",
-    "EmissionRecord", "SimConfig", "PostSelectionSummary",
+    "IntegratorConfig",
+    "SimConfig", "PostSelectionSummary",
     "FitResult", "ModelComparison",
     "Grid1D", "TwoParticleAmplitude",
 ]

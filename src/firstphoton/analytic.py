@@ -148,11 +148,6 @@ class NormalizedWindowModel:
     alpha: float
 
 
-def first_emission_rate(rates: RatePair) -> float:
-    """Total rate at which an excited pair emits its first photon."""
-    return rates.gamma_f
-
-
 def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, float, float]:
     """Solve for the channel rates and combined first-emission rate.
 

@@ -16,12 +16,13 @@ Exit codes: 0 success, 2 invalid parameters, 3 invalid data,
 4 model inapplicable.
 
 A ``--config`` file supplies defaults as ``key = value`` lines (long
-flag names, ``-`` or ``_`` spelling); explicit flags win over the file.
+flag names, ``-`` or ``_`` spelling).  Its lines become flag tokens
+placed before the typed ones, so argparse checks them like typed flags
+and explicit flags win over the file.
 """
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -35,12 +36,6 @@ from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
                        "n0f-symmetric-input")
-
-CONFIG_KEYS = frozenset({
-    "gamma_a", "gamma_b", "tau", "mode", "window_variant", "seed", "n_pairs",
-    "workers", "kind", "out", "samples", "postselect", "t_max", "n_points",
-    "step", "t_end", "n_0", "rate_scale", "check", "n", "x_max", "t",
-})
 
 
 @dataclass(frozen=True)
@@ -141,20 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here as well")
     p.set_defaults(handler=cmd_wavefunction)
 
-    # subparsers resolve defaults in their own namespace, so config-file
-    # defaults must be pushed into each of them, not just the top level
     parser.command_parsers = dict(sub.choices)
     return parser
 
 
-def load_config(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    values = {}
+def load_config(path) -> list[tuple[str, str]]:
+    """Parse ``key = value`` lines into (flag, value) pairs.
+
+    '#' starts a comment, a key is a long flag name in ``-`` or ``_``
+    spelling, and matching quotes around a value are stripped.
+    """
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise InvalidParameterError(f"cannot read config file {path}: {exc}") from exc
+    pairs = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,16 +159,11 @@ def load_config(path) -> dict:
         if "=" not in line:
             raise InvalidParameterError(
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in CONFIG_KEYS:
-            raise InvalidParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        value = value.strip()
-        try:
-            values[key] = ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            values[key] = value
-    return values
+        key, _, value = (part.strip() for part in line.partition("="))
+        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
+            value = value[1:-1]
+        pairs.append(("--" + key.replace("_", "-"), value))
+    return pairs
 
 
 def _rates(args) -> RatePair:
@@ -182,21 +174,12 @@ def _window(args) -> WindowConfig:
     return WindowConfig(tau=args.tau, mode=args.mode)
 
 
-def _manifest_parameters(args) -> dict:
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("handler", "config"):
-            continue
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        params[key] = value
-    return params
-
-
 def _write_manifest(args, argv, outputs: list[str]) -> None:
+    parameters = {key: value for key, value in vars(args).items()
+                  if key not in ("handler", "config")}
     manifest = RunManifest(subcommand=args.subcommand,
                            argv=list(argv),
-                           parameters=_manifest_parameters(args),
+                           parameters=parameters,
                            outputs=[str(p) for p in outputs],
                            version=__version__)
     path = f"{outputs[0]}.manifest.json"
@@ -241,8 +224,7 @@ def cmd_simulate(args, argv) -> int:
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
                                   kind=args.kind, window=window, seed=args.seed)
     records = montecarlo.simulate(config, n_workers=args.workers)
-    write_table(args.out, list(montecarlo.RECORD_COLUMNS),
-                [records[name] for name in montecarlo.RECORD_COLUMNS])
+    montecarlo.write_records_csv(args.out, records)
 
     kept, summary = montecarlo.postselect(records, window)
     fractions = montecarlo.channel_fractions(records)
@@ -296,13 +278,10 @@ def cmd_discriminate(args, argv) -> int:
 def cmd_kinetics(args, argv) -> int:
     rates = _rates(args)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end, n_0=args.n_0)
-    states = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
-                                first_emission_scale=args.rate_scale)
-    header = ["t", *kinetics.STATE_FIELDS]
-    columns = [np.array([s.t for s in states])]
-    for name in kinetics.STATE_FIELDS:
-        columns.append(np.array([getattr(s, name) for s in states]))
-    write_table(args.out, header, columns)
+    traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
+                              first_emission_scale=args.rate_scale)
+    write_table(args.out, ["t", *kinetics.STATE_FIELDS],
+                [args.step * np.arange(len(traj)), *traj.T])
     _write_manifest(args, argv, [args.out])
     return 0
 
@@ -355,25 +334,47 @@ def cmd_wavefunction(args, argv) -> int:
     return 0
 
 
-def _extract_config_path(argv) -> str | None:
+def _with_config(parser, argv: list[str]) -> list[str]:
+    """argv with the ``--config`` file's lines as flags right after the
+    subcommand, so that argparse checks them and typed flags win.
+
+    ``true`` / ``false`` set or omit a switch.  A key that only other
+    subcommands take is skipped, so one file can serve them all; a key
+    that no subcommand takes is an error.
+    """
     mini = argparse.ArgumentParser(add_help=False)
     mini.add_argument("--config", default=None)
-    known, _ = mini.parse_known_args(argv)
-    return known.config
+    path = mini.parse_known_args(argv)[0].config
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    if not path or at is None or argv[at] not in parser.command_parsers:
+        return argv
+    options = {name: {flag: action
+                      for flag, action in p._option_string_actions.items()
+                      if action.dest not in ("help", "config")}
+               for name, p in parser.command_parsers.items()}
+    tokens = []
+    for flag, value in load_config(path):
+        action = options[argv[at]].get(flag)
+        if action is None:
+            if any(flag in other for other in options.values()):
+                continue
+            raise InvalidParameterError(f"{path}: unknown config key {flag[2:]!r}")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("true", "false"):
+            tokens += [flag] if value.lower() == "true" else []
+        else:
+            raise InvalidParameterError(
+                f"{path}: {flag[2:]} takes true or false, got {value!r}")
+    return argv[:at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
     try:
         parser = build_parser()
-        config_path = _extract_config_path(argv)
-        if config_path:
-            defaults = load_config(config_path)
-            parser.set_defaults(**defaults)
-            for command_parser in parser.command_parsers.values():
-                command_parser.set_defaults(**defaults)
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(_with_config(parser, argv))
         except SystemExit as exc:
             return int(exc.code or 0)
         return args.handler(args, argv)

@@ -9,9 +9,14 @@ come from the top 53 bits of each word, shifted into the open interval
 
 Work is split into chunks of a fixed size laid out on the pair-index
 grid, and chunk results are concatenated in index order, so the output
-is byte-identical for any worker count.  The scalar samplers consume
-whole counter blocks through the same bit path, so sampling pair p with
-a Generator advanced to block p reproduces row p of a bulk run.
+is byte-identical for any worker count.  The scalar samplers draw one
+counter block from a Generator and run it through the same kernel and
+record fill as a bulk chunk, so sampling pair p with a Generator
+advanced to block p reproduces row p of a bulk run.
+
+A record stores t_first, channel_first and t_second.  The CSV written
+by ``write_records_csv`` adds pair_id (the row index) and
+channel_second (the other channel), which follow from those.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -30,7 +35,7 @@ import numpy as np
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
                        WindowConfig)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import BinnedSeries, read_columns
+from .series import BinnedSeries, read_columns, write_table
 
 KIND_ENTANGLED = "entangled"
 KIND_PRODUCT = "product"
@@ -40,35 +45,12 @@ DRAWS_PER_PAIR = 4          # one Philox counter block per pair
 CHUNK_PAIRS = 1 << 16       # fixed so results do not depend on worker count
 
 RECORD_DTYPE = np.dtype([
-    ("pair_id", np.int64),
     ("t_first", np.float64),
     ("channel_first", "U1"),
     ("t_second", np.float64),
-    ("channel_second", "U1"),
 ])
 
-RECORD_COLUMNS = [name for name in RECORD_DTYPE.names]
-
-
-@dataclass(frozen=True)
-class EmissionRecord:
-    """Both photon times of one pair, ordered, with channel labels."""
-
-    pair_id: int
-    t_first: float
-    channel_first: str
-    t_second: float
-    channel_second: str
-
-    def __post_init__(self):
-        if not (0.0 <= self.t_first <= self.t_second):
-            raise InvalidDataError(
-                f"need 0 <= t_first <= t_second, got ({self.t_first}, {self.t_second})")
-        channels = {self.channel_first, self.channel_second}
-        if channels != {CHANNEL_A, CHANNEL_B}:
-            raise InvalidDataError(
-                f"the two photons must use distinct channels A and B, got "
-                f"({self.channel_first!r}, {self.channel_second!r})")
+RECORD_COLUMNS = ["pair_id", "t_first", "channel_first", "t_second", "channel_second"]
 
 
 @dataclass(frozen=True)
@@ -101,25 +83,20 @@ def _open_uniforms(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def _block_words(seed: int, start_pair: int, count: int) -> np.ndarray:
+def _philox(seed: int, pair_index: int) -> np.random.Philox:
     bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    if start_pair:
-        bitgen.advance(start_pair)     # one advance unit == one 4-word block
-    raw = bitgen.random_raw(count * DRAWS_PER_PAIR)
-    return raw.reshape(count, DRAWS_PER_PAIR)
+    if pair_index:
+        bitgen.advance(pair_index)     # one advance unit == one 4-word block
+    return bitgen
+
+
+def _block_words(seed: int, start_pair: int, count: int) -> np.ndarray:
+    return _philox(seed, start_pair).random_raw((count, DRAWS_PER_PAIR))
 
 
 def pair_generator(seed: int, pair_index: int = 0) -> np.random.Generator:
     """Generator positioned on the counter block of the given pair."""
-    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    if pair_index:
-        bitgen.advance(pair_index)
-    return np.random.Generator(bitgen)
-
-
-def _generator_uniforms(rng: np.random.Generator, n_words: int) -> np.ndarray:
-    words = rng.integers(0, 2 ** 64, size=n_words, dtype=np.uint64)
-    return _open_uniforms(words)
+    return np.random.Generator(_philox(seed, pair_index))
 
 
 def _entangled_times(rates: RatePair, u: np.ndarray):
@@ -143,14 +120,13 @@ def _product_times(rates: RatePair, u: np.ndarray):
 _KERNELS = {KIND_ENTANGLED: _entangled_times, KIND_PRODUCT: _product_times}
 
 
-def _assemble(start_pair: int, t_first, first_is_a, t_second) -> np.ndarray:
-    n = t_first.shape[0]
-    out = np.empty(n, dtype=RECORD_DTYPE)
-    out["pair_id"] = np.arange(start_pair, start_pair + n, dtype=np.int64)
+def _records(kind: str, rates: RatePair, words: np.ndarray) -> np.ndarray:
+    """Records of the pairs that own the given (n, 4) counter blocks."""
+    t_first, first_is_a, t_second = _KERNELS[kind](rates, _open_uniforms(words))
+    out = np.empty(t_first.shape[0], dtype=RECORD_DTYPE)
     out["t_first"] = t_first
     out["channel_first"] = np.where(first_is_a, CHANNEL_A, CHANNEL_B)
     out["t_second"] = t_second
-    out["channel_second"] = np.where(first_is_a, CHANNEL_B, CHANNEL_A)
     return out
 
 
@@ -162,12 +138,11 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
-    kernel = _KERNELS[config.kind]
 
     def run_chunk(start: int) -> np.ndarray:
         count = min(CHUNK_PAIRS, config.n_pairs - start)
-        u = _open_uniforms(_block_words(config.seed, start, count))
-        return _assemble(start, *kernel(config.rates, u))
+        return _records(config.kind, config.rates,
+                        _block_words(config.seed, start, count))
 
     starts = range(0, config.n_pairs, CHUNK_PAIRS)
     if n_workers == 1:
@@ -178,33 +153,19 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
 
 
-def _scalar_record(kind: str, rates: RatePair, rng: np.random.Generator,
-                   pair_id: int) -> EmissionRecord:
-    u = _generator_uniforms(rng, DRAWS_PER_PAIR).reshape(1, DRAWS_PER_PAIR)
-    t_first, first_is_a, t_second = _KERNELS[kind](rates, u)
-    first_a = bool(first_is_a[0])
-    return EmissionRecord(
-        pair_id=int(pair_id),
-        t_first=float(t_first[0]),
-        channel_first=CHANNEL_A if first_a else CHANNEL_B,
-        t_second=float(t_second[0]),
-        channel_second=CHANNEL_B if first_a else CHANNEL_A,
-    )
+def sample_entangled_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
+    """One entangled pair as a record row: exponential first photon at the
+    combined rate, channel chosen with probability gamma_i / gamma_f,
+    then the leftover atom relaxes at its own rate."""
+    return _records(KIND_ENTANGLED, rates,
+                    rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)))[0]
 
 
-def sample_entangled_pair(rates: RatePair, rng: np.random.Generator,
-                          pair_id: int = 0) -> EmissionRecord:
-    """One entangled pair: exponential first photon at the combined rate,
-    channel chosen with probability gamma_i / gamma_f, then the leftover
-    atom relaxes at its own rate."""
-    return _scalar_record(KIND_ENTANGLED, rates, rng, pair_id)
-
-
-def sample_product_pair(rates: RatePair, rng: np.random.Generator,
-                        pair_id: int = 0) -> EmissionRecord:
-    """One product-state pair: the atoms emit independently and the two
-    times are sorted into (t_first, t_second)."""
-    return _scalar_record(KIND_PRODUCT, rates, rng, pair_id)
+def sample_product_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
+    """One product-state pair as a record row: the atoms emit
+    independently and the two times are sorted into (t_first, t_second)."""
+    return _records(KIND_PRODUCT, rates,
+                    rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)))[0]
 
 
 def postselect(records: np.ndarray, window: WindowConfig):
@@ -260,20 +221,40 @@ def empirical_first_cdf(records: np.ndarray, grid: np.ndarray) -> BinnedSeries:
 
 
 def channel_fractions(records: np.ndarray) -> dict[str, float]:
-    """Fraction of first photons observed in each channel."""
+    """Fraction of first photons observed in each channel; labels other
+    than A and B, as in ``read_records_csv`` output, raise InvalidDataError."""
     n = int(records.shape[0])
     if n == 0:
         return {CHANNEL_A: 0.0, CHANNEL_B: 0.0}
-    frac_a = float(np.mean(records["channel_first"] == CHANNEL_A))
+    first = records["channel_first"]
+    is_a = first == CHANNEL_A
+    if not np.all(is_a | (first == CHANNEL_B)):
+        raise InvalidDataError("channel_first holds labels other than A and B")
+    frac_a = float(np.mean(is_a))
     return {CHANNEL_A: frac_a, CHANNEL_B: 1.0 - frac_a}
 
 
+def write_records_csv(path, records: np.ndarray) -> None:
+    """Write records as CSV with the columns of ``RECORD_COLUMNS``.
+
+    pair_id is the row index and channel_second the channel that the
+    first photon did not use.
+    """
+    first = records["channel_first"]
+    write_table(path, RECORD_COLUMNS, [
+        np.arange(records.shape[0], dtype=np.int64),
+        records["t_first"],
+        first,
+        records["t_second"],
+        np.where(first == CHANNEL_A, CHANNEL_B, CHANNEL_A),
+    ])
+
+
 def read_records_csv(path) -> np.ndarray:
-    """Load emission records; only the two time columns are mandatory."""
+    """Load t_first and t_second of a records file; channel_first is left
+    empty, so the result serves time statistics but not channel_fractions."""
     cols = read_columns(path, ["t_first", "t_second"])
-    n = cols["t_first"].size
-    out = np.zeros(n, dtype=RECORD_DTYPE)
-    out["pair_id"] = np.arange(n, dtype=np.int64)
+    out = np.zeros(cols["t_first"].size, dtype=RECORD_DTYPE)
     out["t_first"] = cols["t_first"]
     out["t_second"] = cols["t_second"]
     if np.any(out["t_first"] < 0.0) or np.any(out["t_second"] < out["t_first"]):

@@ -110,13 +110,6 @@ def quadrature_norm(psi: TwoParticleAmplitude) -> float:
     return float(np.sqrt(inner(psi, psi).real))
 
 
-def normalized(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
-    norm = quadrature_norm(psi)
-    if norm == 0.0:
-        raise InvalidDataError("cannot normalize a zero amplitude")
-    return TwoParticleAmplitude(grid=psi.grid, values=psi.values / norm)
-
-
 def exchanged(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
     """The particle-exchanged amplitude Psi(y, x)."""
     return TwoParticleAmplitude(grid=psi.grid, values=psi.values.T.copy())

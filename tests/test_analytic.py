@@ -19,10 +19,10 @@ times_st = st.floats(min_value=0.0, max_value=50.0,
 
 class TestRatePair:
     def test_combined_rate(self, rates_ref):
-        assert an.first_emission_rate(rates_ref) == 2.5
+        assert rates_ref.gamma_f == 2.5
 
     def test_symmetric_under_swap(self, rates_ref):
-        assert an.first_emission_rate(rates_ref.swapped()) == 2.5
+        assert rates_ref.swapped().gamma_f == 2.5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_rates(self, bad):

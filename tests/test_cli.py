@@ -258,6 +258,72 @@ class TestConfigFile:
                      "--out", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("switch, n_samples", [("false", 2), ("true", 4)])
+    def test_switch_values(self, tmp_path, capsys, switch, n_samples):
+        samples = tmp_path / "records.csv"
+        samples.write_text("t_first,t_second\n0.1,0.9\n0.2,1.5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"postselect = {switch}\ntau = 0.25\n")
+        out = tmp_path / "fit.json"
+        code, payload = run_json(capsys, ["fit", "--config", str(cfg),
+                                          "--samples", str(samples), "--out", str(out)])
+        assert code == 0
+        assert payload["n_samples"] == n_samples
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert manifest["parameters"]["postselect"] is (switch == "true")
+
+    @pytest.mark.parametrize("command, line", [
+        ("simulate", "gamma_a = [1, 2]"),
+        ("kinetics", "step = [1]"),
+        ("simulate", "mode = bogus"),
+        ("simulate", "n-pairs = 1.5"),
+        ("fit", "postselect = maybe"),
+    ])
+    def test_bad_values_are_parameter_errors(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t_first\n0.5\n")
+        flags = {"fit": ["--samples", str(samples)]}.get(
+            command, ["--out", str(tmp_path / "x.csv")])
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        capsys.readouterr()
+
+    def test_required_flags_from_file(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t_first\n0.5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"check = 'n0f-antisymmetric'\nn = 64\n"
+                       f"samples = {samples}\nout = \"{tmp_path / 'curves.csv'}\"\n")
+        code, payload = run_json(capsys, ["wavefunction", "--config", str(cfg)])
+        assert code == 0 and payload["passed"] is True
+        code, payload = run_json(capsys, ["fit", "--config", str(cfg)])
+        assert code == 0 and payload["n_samples"] == 1
+        assert main(["analytic", "--config", str(cfg)]) == 0
+        assert (tmp_path / "curves.csv").exists()
+
+    def test_one_file_serves_every_subcommand(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_pairs = 10\nseed = 3\nstep = 0.01\nt-end = 1\n"
+                       "gamma_a = 2.0\n")
+        argv = ["fit", "--config", str(cfg), "--samples", str(records),
+                "--out", str(tmp_path / "fit.json")]
+        assert main(["simulate", "--config", str(cfg), "--out", str(records)]) == 0
+        assert main(argv) == 0
+        assert main(["kinetics", "--config", str(cfg),
+                     "--out", str(tmp_path / "kin.csv")]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "records.csv.summary.json").read_text())
+        assert summary["n_pairs"] == 10 and summary["gamma_a"] == 2.0
+        manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+        assert manifest["argv"] == argv
+        assert "n_pairs" not in manifest["parameters"]
+        assert "step" not in manifest["parameters"]
+        assert manifest["parameters"]["gamma_a"] == 2.0
+        kin = read_columns(tmp_path / "kin.csv", ["t"])
+        assert kin["t"].shape == (101,)
+
 
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):

@@ -18,18 +18,16 @@ class TestDerivative:
         state = kn.initial_state(1.0)
         d = kn.derivative(state, rates_ref)
         # all pairs excited: first emissions only
-        assert d == pytest.approx((-2.5, 1.5, 1.0, 1.0, 1.5, 2.5), rel=1e-15)
+        assert tuple(d) == pytest.approx((-2.5, 1.5, 1.0, 1.0, 1.5, 2.5), rel=1e-15)
 
     def test_zero_state(self, rates_ref):
-        state = kn.KineticsState(t=0.0, n_e=0.0, n_a=0.0, n_b=0.0,
-                                 cap_n_a=0.0, cap_n_b=0.0, cap_n_f=0.0)
-        assert kn.derivative(state, rates_ref) == (0.0,) * 6
+        state = np.zeros(6)
+        assert tuple(kn.derivative(state, rates_ref)) == (0.0,) * 6
 
     @given(n_e=pop_st, n_a=pop_st, n_b=pop_st)
     def test_conservation_identities_hold_pointwise(self, n_e, n_a, n_b):
         rates = RatePair(1.0, 1.5)
-        state = kn.KineticsState(t=0.0, n_e=n_e, n_a=n_a, n_b=n_b,
-                                 cap_n_a=0.1, cap_n_b=0.2, cap_n_f=0.3)
+        state = np.array([n_e, n_a, n_b, 0.1, 0.2, 0.3])
         d_ne, d_na, d_nb, d_ca, d_cb, d_cf = kn.derivative(state, rates)
         assert 2 * d_ne + d_na + d_nb + d_ca + d_cb == pytest.approx(0.0, abs=1e-12)
         assert d_cf + d_ne == pytest.approx(0.0, abs=1e-12)
@@ -40,8 +38,7 @@ class TestDerivative:
         # the first-emission rates can be scaled jointly without breaking
         # either identity; the combined rate is not an independent dial
         rates = RatePair(1.0, 1.5)
-        state = kn.KineticsState(t=0.0, n_e=n_e, n_a=n_a, n_b=n_b,
-                                 cap_n_a=0.0, cap_n_b=0.0, cap_n_f=0.0)
+        state = np.array([n_e, n_a, n_b, 0.0, 0.0, 0.0])
         d = kn.derivative(state, rates, first_emission_scale=scale)
         assert 2 * d[0] + d[1] + d[2] + d[3] + d[4] == pytest.approx(0.0, abs=1e-12)
         assert d[5] + d[0] == pytest.approx(0.0, abs=1e-12)
@@ -69,9 +66,9 @@ class TestIntegratorConfig:
 class TestIntegrate:
     def test_matches_closed_forms(self, rates_ref):
         config = kn.IntegratorConfig(step=2e-3, t_end=4.0, n_0=1.0)
-        states = kn.integrate(kn.initial_state(1.0), rates_ref, config)
-        assert len(states) == config.n_steps + 1
-        t = np.array([s.t for s in states])
+        traj = kn.integrate(kn.initial_state(1.0), rates_ref, config)
+        assert traj.shape == (config.n_steps + 1, 6)
+        t = config.step * np.arange(len(traj))
         worst = 0.0
         for field, closed in [
             ("n_e", np.exp(-2.5 * t)),
@@ -81,15 +78,15 @@ class TestIntegrate:
             ("cap_n_b", 1.0 - np.exp(-1.5 * t)),
             ("cap_n_f", 1.0 - np.exp(-2.5 * t)),
         ]:
-            got = np.array([getattr(s, field) for s in states])
+            got = traj[:, kn.STATE_FIELDS.index(field)]
             worst = max(worst, float(np.max(np.abs(got - closed))))
         assert worst < 1e-9
 
     def test_conservation_along_trajectory(self, rates_ref):
         config = kn.IntegratorConfig(step=4e-3, t_end=4.0, n_0=3.0)
-        states = kn.integrate(kn.initial_state(3.0), rates_ref, config)
-        for s in states[:: 100]:
-            excitation, first = kn.conservation_defects(s, 3.0)
+        traj = kn.integrate(kn.initial_state(3.0), rates_ref, config)
+        for row in traj[:: 100]:
+            excitation, first = kn.conservation_defects(row, 3.0)
             assert abs(excitation) < 1e-9 * 3.0
             assert abs(first) < 1e-9 * 3.0
 
@@ -98,9 +95,9 @@ class TestIntegrate:
         steps = [4e-3, 2e-3, 1e-3]
         for h in steps:
             config = kn.IntegratorConfig(step=h, t_end=4.0)
-            states = kn.integrate(kn.initial_state(1.0), rates_ref, config)
-            t = np.array([s.t for s in states])
-            n_e = np.array([s.n_e for s in states])
+            traj = kn.integrate(kn.initial_state(1.0), rates_ref, config)
+            t = h * np.arange(len(traj))
+            n_e = traj[:, 0]
             errors.append(float(np.max(np.abs(n_e - np.exp(-2.5 * t)))))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(np.abs(orders - 4.0) < 0.3)
@@ -110,16 +107,15 @@ class TestIntegrate:
         # conservation identities intact but visibly bends cap_n_a away
         # from the isolated-atom curve
         config = kn.IntegratorConfig(step=2e-3, t_end=4.0)
-        states = kn.integrate(kn.initial_state(1.0), rates_ref, config,
-                              first_emission_scale=1.1)
-        t = np.array([s.t for s in states])
-        cap_n_a = np.array([s.cap_n_a for s in states])
+        traj = kn.integrate(kn.initial_state(1.0), rates_ref, config,
+                            first_emission_scale=1.1)
+        t = config.step * np.arange(len(traj))
+        cap_n_a = traj[:, kn.STATE_FIELDS.index("cap_n_a")]
         deviation = float(np.max(np.abs(cap_n_a - (1.0 - np.exp(-1.0 * t)))))
         assert deviation > 1e-3
-        for s in states[:: 200]:
-            excitation, first = kn.conservation_defects(s, 1.0)
-            assert abs(excitation) < 1e-9
-            assert abs(first) < 1e-9
+        excitation, first = kn.conservation_defects(traj[:: 200], 1.0)
+        assert np.all(np.abs(excitation) < 1e-9)
+        assert np.all(np.abs(first) < 1e-9)
 
     def test_absurd_step_blows_up(self, rates_ref):
         config = kn.IntegratorConfig(step=50.0, t_end=5000.0)
@@ -128,21 +124,22 @@ class TestIntegrate:
 
     def test_n0_scales_linearly(self, rates_ref):
         config = kn.IntegratorConfig(step=1e-2, t_end=1.0, n_0=7.0)
-        states_7 = kn.integrate(kn.initial_state(7.0), rates_ref, config)
-        states_1 = kn.integrate(kn.initial_state(1.0),
-                                rates_ref,
-                                kn.IntegratorConfig(step=1e-2, t_end=1.0, n_0=1.0))
-        assert states_7[-1].n_e == pytest.approx(7.0 * states_1[-1].n_e, rel=1e-12)
-        assert states_7[-1].cap_n_f == pytest.approx(7.0 * states_1[-1].cap_n_f, rel=1e-12)
+        last_7 = kn.integrate(kn.initial_state(7.0), rates_ref, config)[-1]
+        last_1 = kn.integrate(kn.initial_state(1.0),
+                              rates_ref,
+                              kn.IntegratorConfig(step=1e-2, t_end=1.0, n_0=1.0))[-1]
+        assert last_7[0] == pytest.approx(7.0 * last_1[0], rel=1e-12)
+        assert last_7[5] == pytest.approx(7.0 * last_1[5], rel=1e-12)
 
     def test_channel_counts_match_analytic_module(self, rates_ref):
         config = kn.IntegratorConfig(step=1e-3, t_end=1.0)
-        last = kn.integrate(kn.initial_state(1.0), rates_ref, config)[-1]
-        assert last.n_a == pytest.approx(
+        n_e, n_a, n_b, cap_n_a, cap_n_b, cap_n_f = kn.integrate(
+            kn.initial_state(1.0), rates_ref, config)[-1]
+        assert n_a == pytest.approx(
             an.intermediate_population(1.0, rates_ref, "A"), abs=1e-10)
-        assert last.cap_n_a == pytest.approx(an.single_type_cdf(1.0, 1.0), abs=1e-10)
-        assert last.cap_n_f == pytest.approx(
+        assert cap_n_a == pytest.approx(an.single_type_cdf(1.0, 1.0), abs=1e-10)
+        assert cap_n_f == pytest.approx(
             an.first_emission_cdf_entangled(1.0, rates_ref), abs=1e-10)
-        second = last.cap_n_a + last.cap_n_b - last.cap_n_f
+        second = cap_n_a + cap_n_b - cap_n_f
         assert second == pytest.approx(
             an.second_emission_cdf(1.0, rates_ref), abs=1e-10)

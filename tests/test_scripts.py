@@ -1,0 +1,48 @@
+"""Smoke runs of the scripts in scripts/ at tiny sizes."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from firstphoton.series import read_columns
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_decay_curves(tmp_path, capsys):
+    script = load_script("run_decay_curves")
+    prefix = tmp_path / "decay"
+    assert script.main(["--n-pairs", "2000", "--n-points", "21", "--tau", "0.1",
+                        "--prefix", str(prefix)]) == 0
+    assert "entangled combined rate" in capsys.readouterr().out
+    curves = read_columns(f"{prefix}_analytic.csv", ["t", "nf_entangled", "nf_product"])
+    assert curves["t"].shape == (21,)
+    empirical = read_columns(f"{prefix}_empirical.csv",
+                             ["t", "ecdf_entangled", "ecdf_product_kept"])
+    for name in ("ecdf_entangled", "ecdf_product_kept"):
+        values = empirical[name]
+        assert values[0] == 0.0 and np.all(np.diff(values) >= 0.0) and values[-1] <= 1.0
+    # 2000 pairs put the ECDF within a few 1/sqrt(N) of the law
+    gap = np.abs(empirical["ecdf_entangled"] - curves["nf_entangled"])
+    assert float(gap.max()) < 0.06
+
+
+def test_discrimination_power(tmp_path, capsys):
+    script = load_script("discrimination_power")
+    out = tmp_path / "power.csv"
+    assert script.main(["--sizes", "100", "1000", "--trials", "4", "--tau", "0.5",
+                        "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = read_columns(out, ["n_pairs", "fraction_correct", "mean_abs_log_ratio"])
+    assert table["n_pairs"].tolist() == [100.0, 1000.0]
+    assert np.all((table["fraction_correct"] >= 0.0) & (table["fraction_correct"] <= 1.0))
+    assert table["fraction_correct"][-1] == pytest.approx(1.0)
+    assert np.all(table["mean_abs_log_ratio"] > 0.0)
