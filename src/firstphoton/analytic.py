@@ -38,10 +38,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _spi
-from scipy.optimize import least_squares
 
 from .errors import InvalidParameterError, WindowTooWideError
+
+# scipy is imported inside the three functions that use it: its import
+# takes about 0.5 s, which every CLI call would pay otherwise
 
 CHANNEL_A = "A"
 CHANNEL_B = "B"
@@ -162,6 +163,8 @@ def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, 
     it is found numerically here so the identification is a result, not
     an input.  Returns (channel_a_rate, channel_b_rate, combined_rate).
     """
+    from scipy.optimize import least_squares
+
     big_a, big_b = rates.gamma_a, rates.gamma_b
 
     def residuals(u):
@@ -376,6 +379,8 @@ def product_first_cdf(t, model: NormalizedWindowModel, variant: str = VARIANT_TA
 
 @functools.lru_cache(maxsize=64)
 def _exact_normalization(g_a: float, g_b: float, tau: float) -> float:
+    from scipy.integrate import quad
+
     rates = RatePair(g_a, g_b)
     window = WindowConfig(tau=tau)
 
@@ -384,12 +389,14 @@ def _exact_normalization(g_a: float, g_b: float, tau: float) -> float:
 
     # the exact window probability has a kink at t = tau/2
     upper = 60.0 / min(g_a, g_b)
-    value, _ = _spi.quad(integrand, 0.0, upper, points=[0.5 * tau], limit=200)
+    value, _ = quad(integrand, 0.0, upper, points=[0.5 * tau], limit=200)
     return float(value)
 
 
 @functools.lru_cache(maxsize=64)
 def _exact_cdf_table(g_a: float, g_b: float, tau: float):
+    from scipy.integrate import cumulative_trapezoid
+
     rates = RatePair(g_a, g_b)
     window = WindowConfig(tau=tau)
     upper = 40.0 / min(g_a, g_b)
@@ -398,7 +405,7 @@ def _exact_cdf_table(g_a: float, g_b: float, tau: float):
     if tau / 2.0 < upper:
         grid = np.unique(np.concatenate([grid, [tau / 2.0]]))
     density = product_one_emission_unnormalized(grid, rates, window, VARIANT_EXACT) / tau
-    cum = _spi.cumulative_trapezoid(density, grid, initial=0.0)
+    cum = cumulative_trapezoid(density, grid, initial=0.0)
     cum /= _exact_normalization(g_a, g_b, tau)
     return grid, np.minimum(cum, 1.0)
 

@@ -174,6 +174,17 @@ def _window(args) -> WindowConfig:
     return WindowConfig(tau=args.tau, mode=args.mode)
 
 
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON; a file that cannot be written
+    is an invalid ``--out``."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(args, argv, outputs: list[str]) -> None:
     parameters = {key: value for key, value in vars(args).items()
                   if key not in ("handler", "config")}
@@ -182,18 +193,13 @@ def _write_manifest(args, argv, outputs: list[str]) -> None:
                            parameters=parameters,
                            outputs=[str(p) for p in outputs],
                            version=__version__)
-    path = f"{outputs[0]}.manifest.json"
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(f"{outputs[0]}.manifest.json", asdict(manifest))
 
 
 def _emit_json(payload: dict, args, argv) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(args.out, payload)
         _write_manifest(args, argv, [args.out])
 
 
@@ -246,9 +252,7 @@ def cmd_simulate(args, argv) -> int:
         "channel_fraction_first_b": fractions[analytic.CHANNEL_B],
     }
     summary_path = f"{args.out}.summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_path, payload)
     _write_manifest(args, argv, [args.out, summary_path])
     return 0
 

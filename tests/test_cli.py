@@ -325,6 +325,36 @@ class TestConfigFile:
         assert kin["t"].shape == (101,)
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n-pairs", "10"],
+        ["analytic", "--n-points", "5"],
+        ["kinetics", "--t-end", "0.01"],
+    ], ids=lambda argv: argv[0])
+    def test_out_in_missing_directory_is_parameter_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing" in err
+        assert "Traceback" not in err
+
+    def test_fit_out_in_missing_directory_is_parameter_error(self, tmp_path, capsys):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t_first\n0.5\n")
+        out = tmp_path / "missing" / "fit.json"
+        assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("blocked", ["out.csv.summary.json",
+                                         "out.csv.manifest.json"])
+    def test_unwritable_summary_or_manifest_is_parameter_error(
+            self, tmp_path, capsys, blocked):
+        (tmp_path / blocked).mkdir()
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--n-pairs", "10", "--out", str(out)]) == 2
+        assert blocked in capsys.readouterr().err
+
+
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
