@@ -17,23 +17,33 @@ assuming it.
 
 Product pairs emit two photons.  Detection hardware that cannot resolve
 two photons inside a coincidence window of width tau post-selects the
-pairs whose two photons land in different windows.  For one atom the
-probability that its photon lands in the window centred at t is
+pairs whose photons it can separate (``grid-bin``: different bins of a
+fixed grid of width tau; ``pairwise``: at least tau apart) and sees each
+kept pair as two one-photon windows.
 
-    taylor:  tau * g * exp(-g * t)                       (narrow window)
-    exact:   exp(-g * max(0, t - tau/2)) - exp(-g * (t + tau/2))
-
-and the per-window probability of seeing exactly one of the two photons
-is p_a + p_b - 2 p_a p_b.  Normalizing that curve over all windows gives
+The narrow-window (``taylor``) law takes tau * g * exp(-g * t) as the
+probability that one atom's photon lands in the window centred at t,
+and p_a + p_b - 2 p_a p_b as the probability of seeing exactly one of
+the two photons there.  Normalizing that curve over all windows gives
 the post-selected first-photon law with
 
     1 / alpha = 2 - 2 * tau * gamma_a * gamma_b / (gamma_a + gamma_b),
 
 which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b.
+
+The ``exact`` law is the law of the pooled photons that post-selection
+keeps, for the window's mode.  With f_x the density of photon x and
+P_x(t) the probability that photon x shares the window of a photon at
+t (grid-bin: the bin floor(t / tau); pairwise: within tau of t), its
+density is
+
+    [f_a (1 - P_b) + f_b (1 - P_a)] / (2 * (1 - c)),
+
+where c = ``coincidence_probability`` is the discarded fraction of
+pairs.  Its CDF is a finite sum of exponentials in either mode.
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, WindowTooWideError
 
-# scipy is imported inside the three functions that use it: its import
+# scipy is imported inside solve_compatibility, its one user: its import
 # takes about 0.5 s, which every CLI call would pay otherwise
 
 CHANNEL_A = "A"
@@ -266,7 +276,7 @@ def window_prob_taylor(t, tau: float, gamma_i: float):
     exceeds 1, which happens once tau * gamma_i > 1.
     """
     gamma_i = _require_positive_rate("gamma_i", gamma_i)
-    tau = _check_window_width(tau)
+    tau = WindowConfig(tau=tau).tau
     t = _check_times(t)
     p = tau * gamma_i * np.exp(-gamma_i * t)
     if np.any(p > 1.0):
@@ -277,45 +287,18 @@ def window_prob_taylor(t, tau: float, gamma_i: float):
     return p
 
 
-def window_prob_exact(t, tau: float, gamma_i: float):
-    """Exact probability that the atom's photon lands inside the window
-    [t - tau/2, t + tau/2], clipped to non-negative times."""
-    gamma_i = _require_positive_rate("gamma_i", gamma_i)
-    tau = _check_window_width(tau)
-    t = _check_times(t)
-    lo = np.maximum(0.0, t - 0.5 * tau)
-    hi = t + 0.5 * tau
-    return np.exp(-gamma_i * lo) - np.exp(-gamma_i * hi)
-
-
-def _check_window_width(tau: float) -> float:
-    tau = float(tau)
-    if not np.isfinite(tau) or tau < 0.0:
-        raise InvalidParameterError(f"tau must be a non-negative finite width, got {tau!r}")
-    return tau
-
-
-def product_one_emission_unnormalized(t, rates: RatePair, window: WindowConfig,
-                                      variant: str = VARIANT_TAYLOR):
-    """Unnormalized probability of exactly one photon in the window at t.
+def product_one_emission_unnormalized(t, rates: RatePair, window: WindowConfig):
+    """Unnormalized narrow-window probability of exactly one photon in
+    the window at t.
 
     p_a + p_b - 2 p_a p_b: either photon alone minus the double-count
     correction; windows holding both photons are the post-selection
     discards.  Probabilities of the two distinguishable channels add;
     there is no amplitude-level interference between them.
     """
-    prob = _window_prob_fn(variant)
-    p_a = prob(t, window.tau, rates.gamma_a)
-    p_b = prob(t, window.tau, rates.gamma_b)
+    p_a = window_prob_taylor(t, window.tau, rates.gamma_a)
+    p_b = window_prob_taylor(t, window.tau, rates.gamma_b)
     return p_a + p_b - 2.0 * p_a * p_b
-
-
-def _window_prob_fn(variant: str):
-    if variant == VARIANT_TAYLOR:
-        return window_prob_taylor
-    if variant == VARIANT_EXACT:
-        return window_prob_exact
-    raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
 
 
 def validity_load(rates: RatePair, window: WindowConfig) -> float:
@@ -340,74 +323,73 @@ def normalization_alpha(rates: RatePair, window: WindowConfig) -> NormalizedWind
     return NormalizedWindowModel(rates=rates, window=window, alpha=float(alpha))
 
 
+def _unshared(t, g: float, window: WindowConfig):
+    """1 - P(t): probability that a photon of rate g misses the window
+    of a photon at t."""
+    tau = window.tau
+    if window.mode == MODE_GRID_BIN:
+        return 1.0 + np.expm1(-g * tau) * np.exp(-g * tau * np.floor(t / tau))
+    return -np.expm1(-g * np.maximum(t - tau, 0.0)) + np.exp(-g * (t + tau))
+
+
+def _unshared_cumulative(t, g_a: float, g_b: float, window: WindowConfig):
+    """H_ab(t): integral over [0, t] of g_a e^{-g_a s} (1 - P_b(s)) ds.
+
+    grid-bin sums the earlier bins as a geometric series; pairwise
+    splits at t = tau and keeps every exponent negative.
+    """
+    tau, g_f = window.tau, g_a + g_b
+    if window.mode == MODE_GRID_BIN:
+        k_tau = tau * np.floor(t / tau)
+        q_a, q_b, q_f = (-np.expm1(-g * tau) for g in (g_a, g_b, g_f))
+        earlier = q_a * -np.expm1(-g_f * k_tau) / q_f
+        current = np.exp(-g_f * k_tau) * -np.expm1(-g_a * (t - k_tau))
+        return -np.expm1(-g_a * t) - q_b * (earlier + current)
+    r_a = g_a / g_f
+    u = np.maximum(t - tau, 0.0)
+    return (r_a * np.exp(-g_b * tau) * -np.expm1(-g_f * np.minimum(t, tau))
+            + np.exp(-g_a * tau) * (-np.expm1(-g_a * u)
+                                    - r_a * np.expm1(-2.0 * g_b * tau) * np.expm1(-g_f * u)))
+
+
 def product_first_pdf(t, model: NormalizedWindowModel, variant: str = VARIANT_TAYLOR):
     """Density of post-selected single-photon window times, product pairs.
 
     taylor: alpha * (g_a e^{-g_a t} + g_b e^{-g_b t}
                      - 2 tau g_a g_b e^{-(g_a+g_b) t})
-    exact:  the exact window curve divided by its own numerically
-            computed normalization (used to validate simulations at
-            window widths where the narrow-window form drifts).
+    exact:  [g_a e^{-g_a t} (1 - P_b(t)) + g_b e^{-g_b t} (1 - P_a(t))]
+            / (2 (1 - c)), the law of the pooled kept photons for
+            ``model.window.mode`` (see the module docstring).
     """
     t = _check_times(t)
     rates, window = model.rates, model.window
+    g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
-        g_a, g_b, tau = rates.gamma_a, rates.gamma_b, window.tau
         return model.alpha * (g_a * np.exp(-g_a * t)
                               + g_b * np.exp(-g_b * t)
-                              - 2.0 * tau * g_a * g_b * np.exp(-rates.gamma_f * t))
+                              - 2.0 * window.tau * g_a * g_b * np.exp(-rates.gamma_f * t))
     if variant == VARIANT_EXACT:
-        norm = _exact_normalization(rates.gamma_a, rates.gamma_b, window.tau)
-        return product_one_emission_unnormalized(t, rates, window, VARIANT_EXACT) / (window.tau * norm)
+        kept = 2.0 * (1.0 - coincidence_probability(rates, window))
+        return (g_a * np.exp(-g_a * t) * _unshared(t, g_b, window)
+                + g_b * np.exp(-g_b * t) * _unshared(t, g_a, window)) / kept
     raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
 
 
 def product_first_cdf(t, model: NormalizedWindowModel, variant: str = VARIANT_TAYLOR):
-    """Cumulative form of ``product_first_pdf``."""
+    """Cumulative form of ``product_first_pdf``; the exact one is
+    (H_ab + H_ba) / (2 (1 - c)), clipped to [0, 1] against rounding."""
     t = _check_times(t)
     rates, window = model.rates, model.window
+    g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
-        g_a, g_b, tau = rates.gamma_a, rates.gamma_b, window.tau
         g_f = rates.gamma_f
         return model.alpha * (-np.expm1(-g_a * t) - np.expm1(-g_b * t)
-                              + 2.0 * tau * g_a * g_b / g_f * np.expm1(-g_f * t))
+                              + 2.0 * window.tau * g_a * g_b / g_f * np.expm1(-g_f * t))
     if variant == VARIANT_EXACT:
-        grid, cum = _exact_cdf_table(rates.gamma_a, rates.gamma_b, window.tau)
-        return np.interp(t, grid, cum, left=0.0, right=1.0)
+        kept = 2.0 * (1.0 - coincidence_probability(rates, window))
+        return np.clip((_unshared_cumulative(t, g_a, g_b, window)
+                        + _unshared_cumulative(t, g_b, g_a, window)) / kept, 0.0, 1.0)
     raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
-
-
-@functools.lru_cache(maxsize=64)
-def _exact_normalization(g_a: float, g_b: float, tau: float) -> float:
-    from scipy.integrate import quad
-
-    rates = RatePair(g_a, g_b)
-    window = WindowConfig(tau=tau)
-
-    def integrand(t):
-        return product_one_emission_unnormalized(t, rates, window, VARIANT_EXACT) / tau
-
-    # the exact window probability has a kink at t = tau/2
-    upper = 60.0 / min(g_a, g_b)
-    value, _ = quad(integrand, 0.0, upper, points=[0.5 * tau], limit=200)
-    return float(value)
-
-
-@functools.lru_cache(maxsize=64)
-def _exact_cdf_table(g_a: float, g_b: float, tau: float):
-    from scipy.integrate import cumulative_trapezoid
-
-    rates = RatePair(g_a, g_b)
-    window = WindowConfig(tau=tau)
-    upper = 40.0 / min(g_a, g_b)
-    grid = np.linspace(0.0, upper, 40001)
-    # resolve the kink at tau/2 exactly
-    if tau / 2.0 < upper:
-        grid = np.unique(np.concatenate([grid, [tau / 2.0]]))
-    density = product_one_emission_unnormalized(grid, rates, window, VARIANT_EXACT) / tau
-    cum = cumulative_trapezoid(density, grid, initial=0.0)
-    cum /= _exact_normalization(g_a, g_b, tau)
-    return grid, np.minimum(cum, 1.0)
 
 
 def coincidence_probability(rates: RatePair, window: WindowConfig) -> float:

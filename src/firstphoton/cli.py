@@ -149,7 +149,7 @@ def load_config(path) -> list[tuple[str, str]]:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read config file {path}: {exc}") from exc
     pairs = []
     for lineno, raw in enumerate(lines, start=1):
@@ -211,7 +211,11 @@ def cmd_analytic(args, argv) -> int:
         raise InvalidParameterError("need at least 2 grid points")
     if args.t_max <= 0.0:
         raise InvalidParameterError("t-max must be positive")
-    t = np.linspace(0.0, args.t_max, args.n_points)
+    try:
+        t = np.linspace(0.0, args.t_max, args.n_points)
+    except MemoryError as exc:
+        raise InvalidParameterError(
+            f"--n-points {args.n_points} does not fit in memory") from exc
     columns = [
         t,
         analytic.first_emission_cdf_entangled(t, rates),
@@ -282,8 +286,13 @@ def cmd_discriminate(args, argv) -> int:
 def cmd_kinetics(args, argv) -> int:
     rates = _rates(args)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end, n_0=args.n_0)
-    traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
-                              first_emission_scale=args.rate_scale)
+    try:
+        traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
+                                  first_emission_scale=args.rate_scale)
+    except MemoryError as exc:
+        raise InvalidParameterError(
+            f"--t-end / --step give {config.n_steps} steps, which do not fit "
+            "in memory") from exc
     write_table(args.out, ["t", *kinetics.STATE_FIELDS],
                 [args.step * np.arange(len(traj)), *traj.T])
     _write_manifest(args, argv, [args.out])

@@ -136,30 +136,31 @@ def test_criterion_4_product_postselected_law(acceptance_log):
     start = time.perf_counter()
     failures = []
 
-    window = an.WindowConfig(tau=0.02, mode="grid-bin")
+    # the records do not depend on the window; post-selection applies it
     config = mc.SimConfig(n_pairs=MILLION, rates=RATES, kind="product",
-                          window=window, seed=PRODUCT_SEED)
+                          window=an.WindowConfig(tau=0.02), seed=PRODUCT_SEED)
     records = mc.simulate(config, n_workers=4)
-    kept, summary = mc.postselect(records, window)
+    for mode in an.WINDOW_MODES:
+        for tau in (0.02, 0.1, 0.3):
+            window = an.WindowConfig(tau=tau, mode=mode)
+            label = f"{mode} tau={tau}"
+            kept, summary = mc.postselect(records, window)
 
-    # kept pairs are seen as two isolated one-photon windows each; their
-    # pooled detection times follow the post-selected window law
-    times = mc.one_photon_window_times(kept)
-    grid = np.linspace(0.0, 8.0, 801)
-    model = an.normalization_alpha(RATES, window)
-    ecdf = mc.empirical_cdf(times, grid)
-    sup = float(np.max(np.abs(ecdf.values
-                              - an.product_first_cdf(grid, model, "exact"))))
-    bound = max(0.005, 2.0 * window.tau * RATES.gamma_b)
-    if sup > bound:
-        failures.append(f"CDF sup-distance {sup:.4f} > {bound:.4f}")
+            # kept pairs are seen as two isolated one-photon windows each;
+            # their pooled detection times follow the exact window law
+            times = mc.one_photon_window_times(kept)
+            model = an.normalization_alpha(RATES, window)
+            ks = es.ks_distance(times, lambda t: an.product_first_cdf(t, model, "exact"))
+            critical = es.ks_critical_value(times.size, 0.01)
+            if ks > critical:
+                failures.append(f"{label}: KS distance {ks:.5f} > {critical:.5f}")
 
-    predicted = an.coincidence_probability(RATES, window)
-    sigma = math.sqrt(predicted * (1.0 - predicted) / MILLION)
-    dev = abs(summary.empirical_coincidence_rate - predicted)
-    if dev > 3.0 * sigma:
-        failures.append(
-            f"coincidence rate off by {dev / sigma:.2f} sigma (> 3)")
+            predicted = an.coincidence_probability(RATES, window)
+            sigma = math.sqrt(predicted * (1.0 - predicted) / MILLION)
+            dev = abs(summary.empirical_coincidence_rate - predicted)
+            if dev > 3.0 * sigma:
+                failures.append(
+                    f"{label}: coincidence rate off by {dev / sigma:.2f} sigma (> 3)")
 
     _finish(acceptance_log, 4, "product post-selected law", failures,
             time.perf_counter() - start, budget=30.0)

@@ -172,34 +172,13 @@ class TestWindowProbabilities:
     def test_taylor_frozen(self):
         # oracle: 0.1 * 1.0 * exp(0)
         assert an.window_prob_taylor(0.0, 0.1, 1.0) == pytest.approx(0.1, rel=1e-15)
-        assert an.window_prob_taylor(1.0, 0.0, 1.0) == 0.0
+        with pytest.raises(InvalidParameterError):
+            an.window_prob_taylor(1.0, 0.0, 1.0)
 
     def test_taylor_breakdown_warning(self):
         with pytest.warns(ApproximationBreakdownWarning):
             value = an.window_prob_taylor(0.0, 5.0 / 6.0, 1.5)
         assert value == pytest.approx(1.25, rel=1e-15)
-
-    def test_exact_frozen(self):
-        # window [0, 1] for a unit-rate atom: 1 - exp(-1)
-        assert an.window_prob_exact(0.5, 1.0, 1.0) == pytest.approx(
-            0.6321205588285577, rel=1e-15)
-        # oracle: exp(-1.5*(2-0.1)) - exp(-1.5*(2+0.1))
-        expected = math.exp(-1.5 * 1.9) - math.exp(-1.5 * 2.1)
-        assert expected == pytest.approx(0.014992194007798276, rel=1e-14)
-        assert an.window_prob_exact(2.0, 0.2, 1.5) == pytest.approx(expected, rel=1e-14)
-
-    @given(t=times_st, tau=st.floats(min_value=1e-6, max_value=10.0),
-           g=rates_st)
-    def test_exact_is_a_probability(self, t, tau, g):
-        p = an.window_prob_exact(t, tau, g)
-        assert 0.0 <= p <= 1.0
-
-    @given(t=st.floats(min_value=0.5, max_value=5.0), g=rates_st)
-    def test_taylor_matches_exact_for_narrow_windows(self, t, g):
-        tau = 1e-7
-        exact = an.window_prob_exact(t, tau, g)
-        taylor = an.window_prob_taylor(t, tau, g)
-        assert taylor == pytest.approx(exact, rel=1e-5)
 
 
 class TestProductWindowLaw:
@@ -244,10 +223,29 @@ class TestProductWindowLaw:
         assert value == pytest.approx(1.0, rel=1e-6)
 
     def test_exact_variant_pdf_normalized(self, rates_ref):
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=0.5))
-        value, _ = quad(lambda t: float(an.product_first_pdf(t, model, "exact")),
-                        0.0, 60.0, points=[0.25], limit=200)
-        assert value == pytest.approx(1.0, rel=1e-6)
+        for mode in an.WINDOW_MODES:
+            model = an.normalization_alpha(rates_ref, WindowConfig(tau=0.5, mode=mode))
+            # the grid-bin density jumps at every bin edge, the pairwise one at tau
+            value, _ = quad(lambda t: float(an.product_first_pdf(t, model, "exact")),
+                            0.0, 60.0, points=0.5 * np.arange(1, 120), limit=400)
+            assert value == pytest.approx(1.0, rel=1e-6), mode
+
+    @pytest.mark.parametrize("mode", an.WINDOW_MODES)
+    def test_exact_cdf_frozen_value(self, rates_ref, mode):
+        # oracle: at t = tau the kept photons seen so far are those in
+        # [0, tau) whose partner lands at or after tau (grid-bin) or at
+        # least tau later (pairwise); normalized by the kept photon count
+        tau = 0.5
+        model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau, mode=mode))
+        q_a, q_b = 1.0 - math.exp(-1.0 * tau), 1.0 - math.exp(-1.5 * tau)
+        kept = 2.0 * (1.0 - an.coincidence_probability(rates_ref, model.window))
+        if mode == "grid-bin":
+            expected = (q_a * (1.0 - q_b) + q_b * (1.0 - q_a)) / kept
+        else:
+            # photon x at s < tau, partner beyond s + tau
+            expected = (1.0 / 2.5 * (1.0 * math.exp(-1.5 * tau) + 1.5 * math.exp(-1.0 * tau))
+                        * (1.0 - math.exp(-2.5 * tau))) / kept
+        assert an.product_first_cdf(tau, model, "exact") == pytest.approx(expected, rel=1e-13)
 
     def test_cdf_frozen_value(self, rates_ref, window_ref):
         model = an.normalization_alpha(rates_ref, window_ref)
@@ -257,25 +255,42 @@ class TestProductWindowLaw:
         assert expected == pytest.approx(0.49107539730402666, rel=1e-14)
         assert an.product_first_cdf(1.0, model) == pytest.approx(expected, rel=1e-12)
 
-    def test_cdf_boundaries(self, rates_ref, window_ref):
-        model = an.normalization_alpha(rates_ref, window_ref)
-        for variant in ("taylor", "exact"):
-            assert an.product_first_cdf(0.0, model, variant) == pytest.approx(0.0, abs=1e-12)
-            assert an.product_first_cdf(100.0, model, variant) == pytest.approx(1.0, abs=1e-6)
+    def test_cdf_boundaries(self, rates_ref):
+        for mode in an.WINDOW_MODES:
+            model = an.normalization_alpha(rates_ref, WindowConfig(tau=5.0 / 6.0, mode=mode))
+            for variant in ("taylor", "exact"):
+                assert an.product_first_cdf(0.0, model, variant) == pytest.approx(0.0, abs=1e-12)
+                assert an.product_first_cdf(100.0, model, variant) == pytest.approx(1.0, abs=1e-6)
+            assert an.product_first_cdf(0.0, model, "exact") >= 0.0
+            assert an.product_first_cdf(60.0, model, "exact") == pytest.approx(1.0, abs=1e-15)
 
     def test_cdf_matches_quadrature_of_pdf(self, rates_ref):
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=0.3))
-        for variant in ("taylor", "exact"):
-            expected, _ = quad(lambda t: float(an.product_first_pdf(t, model, variant)),
-                               0.0, 1.7, points=[0.15], limit=200)
-            assert an.product_first_cdf(1.7, model, variant) == pytest.approx(
-                expected, rel=1e-4)
+        tau = 0.3
+        model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau))
+        expected, _ = quad(lambda t: float(an.product_first_pdf(t, model)),
+                           0.0, 1.7, points=[0.15], limit=200)
+        assert an.product_first_cdf(1.7, model) == pytest.approx(expected, rel=1e-4)
+        # exact: t just below, at and just above tau and the bin edges
+        # 3 tau and 7 tau, where the density jumps
+        for mode in an.WINDOW_MODES:
+            model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau, mode=mode))
+            for t in (0.3 - 1e-9, 0.3, 0.3 + 1e-9, 0.9 - 1e-9, 0.9, 0.9 + 1e-9,
+                      1.7, 2.1 - 1e-9, 2.1, 2.1 + 1e-9):
+                edges = [e for e in tau * np.arange(1, 8) if e < t]
+                expected, _ = quad(lambda s: float(an.product_first_pdf(s, model, "exact")),
+                                   0.0, t, points=edges or None, limit=200,
+                                   epsabs=1e-14, epsrel=1e-12)
+                assert an.product_first_cdf(t, model, "exact") == pytest.approx(
+                    expected, rel=1e-10, abs=1e-14), (mode, t)
 
     def test_narrow_window_reduces_to_rate_mixture(self, rates_ref):
         model = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-10))
         t = np.linspace(0.0, 6.0, 50)
         mixture = 0.5 * (1.0 * np.exp(-1.0 * t) + 1.5 * np.exp(-1.5 * t))
         assert np.allclose(an.product_first_pdf(t, model), mixture, rtol=1e-8)
+        for mode in an.WINDOW_MODES:
+            exact = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-10, mode=mode))
+            assert np.allclose(an.product_first_pdf(t, exact, "exact"), mixture, rtol=1e-8)
 
     @given(g_a=rates_st, g_b=rates_st,
            tau=st.floats(min_value=1e-6, max_value=0.5),
@@ -313,6 +328,20 @@ class TestProductWindowLaw:
         lo, hi = min(t1, t2), max(t1, t2)
         assert (an.product_first_cdf(lo, model)
                 <= an.product_first_cdf(hi, model) + 1e-12)
+
+    @given(g_a=rates_st, g_b=rates_st, tau=st.floats(min_value=1e-6, max_value=5.0),
+           mode=st.sampled_from(an.WINDOW_MODES),
+           t=st.lists(times_st, min_size=1, max_size=20))
+    def test_exact_cdf_is_a_distribution(self, g_a, g_b, tau, mode, t):
+        rates = RatePair(g_a, g_b)
+        tau = min(tau, 0.99 * rates.gamma_f / (g_a * g_b))
+        model = an.normalization_alpha(rates, WindowConfig(tau=tau, mode=mode))
+        t = np.sort(np.concatenate([[0.0, tau], t]))
+        cdf = an.product_first_cdf(t, model, "exact")
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        # rounding may step back a few ulp where the bin index changes
+        assert np.all(np.diff(cdf) >= -1e-12)
+        assert np.all(an.product_first_pdf(t, model, "exact") >= 0.0)
 
 
 class TestCoincidenceProbability:

@@ -48,11 +48,25 @@ class TestAnalytic:
         assert "gamma_a + gamma_b" in err or "too wide" in err
 
     def test_exact_variant(self, tmp_path):
-        out = tmp_path / "curves.csv"
-        assert main(["analytic", "--window-variant", "exact", "--tau", "0.5",
-                     "--out", str(out)]) == 0
-        cols = read_columns(out, ["nf_product"])
-        assert np.all(np.diff(cols["nf_product"]) >= -1e-12)
+        columns = {}
+        for mode in ("grid-bin", "pairwise"):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["analytic", "--window-variant", "exact", "--tau", "0.5",
+                         "--mode", mode, "--out", str(out)]) == 0
+            columns[mode] = read_columns(out, ["nf_entangled", "nf_product"])
+            assert np.all(np.diff(columns[mode]["nf_product"]) >= -1e-12)
+        # --mode selects the exact law and leaves the other columns alone
+        grid, pair = columns["grid-bin"], columns["pairwise"]
+        assert np.array_equal(grid["nf_entangled"], pair["nf_entangled"])
+        assert float(np.max(np.abs(grid["nf_product"] - pair["nf_product"]))) > 1e-3
+
+    def test_oversized_grid_is_parameter_error(self, tmp_path, capsys):
+        # petabytes: the allocation fails before any memory is touched
+        assert main(["analytic", "--n-points", str(10**15),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n-points" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestSimulate:
@@ -198,6 +212,14 @@ class TestKinetics:
                      "--out", str(tmp_path / "kin.csv")]) == 2
         capsys.readouterr()
 
+    def test_oversized_trajectory_is_parameter_error(self, tmp_path, capsys):
+        # petabytes: the allocation fails before any memory is touched
+        assert main(["kinetics", "--step", "1e-15",
+                     "--out", str(tmp_path / "kin.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--step" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestWavefunction:
     def test_antisymmetric_coefficient_check(self, capsys):
@@ -257,6 +279,15 @@ class TestConfigFile:
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
+
+    def test_undecodable_config_is_parameter_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"step = 0.01\n\xff\n")
+        assert main(["kinetics", "--config", str(cfg),
+                     "--out", str(tmp_path / "k.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.cfg" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("switch, n_samples", [("false", 2), ("true", 4)])
     def test_switch_values(self, tmp_path, capsys, switch, n_samples):
