@@ -301,10 +301,13 @@ def cmd_kinetics(args, argv) -> int:
 
 def _wavefunction_report(args) -> dict:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
-    mode0 = wavefunction.oscillator_mode(grid, 0)
-    mode1 = wavefunction.oscillator_mode(grid, 1)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
+    # every check holds n x n complex arrays: allocating one first makes an
+    # --n that cannot fit fail before the O(n) modes are built
+    np.empty((grid.n, grid.n), dtype=complex)
+    mode0 = wavefunction.oscillator_mode(grid, 0)
+    mode1 = wavefunction.oscillator_mode(grid, 1)
 
     if args.check == "n0f-symmetric-input":
         sym = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode0)
@@ -330,8 +333,11 @@ def _wavefunction_report(args) -> dict:
         report["passed"] = abs(coeff - 0.5) < 1e-10
         return report
 
-    # antisymmetry preservation under free propagation
+    # antisymmetry preservation under free propagation; each n x n array
+    # is dropped once the next stage has read it, which sets the peak memory
+    del product
     evolved = wavefunction.free_propagate(fermionic, args.t)
+    del fermionic
     defects = wavefunction.symmetry_defects(evolved)
     norm = wavefunction.quadrature_norm(evolved)
     report["metrics"]["antisymmetric_defect"] = defects.antisymmetric
@@ -342,7 +348,12 @@ def _wavefunction_report(args) -> dict:
 
 
 def cmd_wavefunction(args, argv) -> int:
-    report = _wavefunction_report(args)
+    try:
+        report = _wavefunction_report(args)
+    except MemoryError as exc:
+        raise InvalidParameterError(
+            f"--n {args.n} needs n x n complex arrays of {16 * args.n ** 2:.3g} "
+            "bytes, which do not fit in memory") from exc
     _emit_json(report, args, argv)
     return 0
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import firstphoton
 from firstphoton.cli import main
 from firstphoton.series import read_columns
 
@@ -253,6 +258,45 @@ class TestWavefunction:
         assert code == 0
         assert json.loads(out.read_text()) == payload
         assert (tmp_path / "report.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("check", ["antisymmetry-preservation",
+                                       "n0f-antisymmetric", "n0f-symmetric-input"])
+    def test_oversized_grid_is_parameter_error(self, check, capsys):
+        # 16 * 10**16 bytes per array, beyond the address space: the
+        # allocation fails before any memory is touched
+        assert main(["wavefunction", "--check", check, "--n", str(10**8)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n" in err
+        assert len(err.splitlines()) == 1
+
+    def test_preservation_memory_is_bounded(self):
+        # the check holds its input and output and a half-size table at
+        # its peak; the bound leaves room for two more arrays
+        n = 1024
+        baseline = peak_rss_bytes("import firstphoton.cli")
+        check = peak_rss_bytes(
+            "import sys; from firstphoton.cli import main; sys.exit(main(["
+            f"'wavefunction', '--check', 'antisymmetry-preservation', '--n', '{n}']))")
+        assert check - baseline <= 4.5 * 16 * n * n
+
+
+def peak_rss_bytes(code: str, timeout: float = 60.0) -> int:
+    """Peak resident set size of a child Python running ``code``."""
+    src = os.path.dirname(os.path.dirname(firstphoton.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL)
+    timer = threading.Timer(timeout, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS
+    return usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
 
 
 class TestConfigFile:

@@ -209,6 +209,99 @@ class TestFreePropagation:
             wf.free_propagate(state, 0.5)
 
 
+# The formulas the kernels had before they were rewritten for speed and
+# memory, kept as references.  On unit-normalised amplitudes the rewritten
+# kernels differ from them by float64 rounding only (a few ulp through
+# the transforms and sums), so the bound is fixed at 1e-13.
+REFERENCE_ATOL = 1e-13
+
+
+def reference_inner(a, b, w):
+    return complex(np.einsum("i,j,ij,ij->", w, w, np.conj(a), b))
+
+
+def reference_norm(values, w):
+    return math.sqrt(reference_inner(values, values, w).real)
+
+
+def reference_propagate(values, k, t):
+    phase = np.exp(-0.5j * t * (k[:, None] ** 2 + k[None, :] ** 2))
+    return np.fft.ifft2(np.fft.fft2(values) * phase)
+
+
+def reference_antisymmetrize(values, w):
+    coeff = 1.0 / math.sqrt(2.0 - 2.0 * reference_inner(values, values.T.copy(), w).real)
+    return coeff * (values - values.T)
+
+
+def reference_defects(values, w):
+    return (reference_norm(0.5 * (values - values.T), w),
+            reference_norm(0.5 * (values + values.T), w))
+
+
+@pytest.fixture(scope="module", params=[128, 97])
+def skewed(request):
+    """Complex, exchange-asymmetric, unit-normalised amplitude of rank two.
+
+    n = 97 leaves ragged blocks at the edge of the exchange tiling and
+    is prime, which sends the FFT down its Bluestein path.
+    """
+    grid = wf.Grid1D(x_min=-12.0, x_max=12.0, n=request.param)
+    values = (np.outer(wf.gaussian_mode(grid, center=-1.0, width=0.9, momentum=1.5),
+                       wf.gaussian_mode(grid, center=0.7, width=1.1, momentum=-0.8))
+              + 0.5 * np.outer(wf.gaussian_mode(grid, center=0.3, width=0.8, momentum=1.2),
+                               wf.gaussian_mode(grid, center=-1.4, width=1.3)))
+    values /= reference_norm(values, grid.quadrature_weights())
+    return wf.TwoParticleAmplitude(grid=grid, values=values)
+
+
+class TestKernelReferences:
+    def test_free_propagate(self, skewed):
+        for t in (0.0, 0.3, -0.5):
+            got = wf.free_propagate(skewed, t).values
+            want = reference_propagate(skewed.values, skewed.grid.wavenumbers, t)
+            assert np.max(np.abs(got - want)) <= REFERENCE_ATOL
+
+    def test_antisymmetrize(self, skewed):
+        w = skewed.grid.quadrature_weights()
+        got = wf.antisymmetrize(skewed).values
+        assert np.max(np.abs(got - reference_antisymmetrize(skewed.values, w))) <= (
+            REFERENCE_ATOL)
+
+    def test_symmetry_defects(self, skewed):
+        defects = wf.symmetry_defects(skewed)
+        odd, even = reference_defects(skewed.values, skewed.grid.quadrature_weights())
+        assert min(odd, even) > 0.1
+        assert defects.symmetric == pytest.approx(odd, rel=0, abs=REFERENCE_ATOL)
+        assert defects.antisymmetric == pytest.approx(even, rel=0, abs=REFERENCE_ATOL)
+
+    def test_quadrature_norm(self, skewed):
+        assert wf.quadrature_norm(skewed) == pytest.approx(
+            reference_norm(skewed.values, skewed.grid.quadrature_weights()),
+            rel=0, abs=REFERENCE_ATOL)
+
+    def test_swap_overlap_is_bit_identical(self, skewed):
+        # the same products and sums as the reference, so equal to the bit;
+        # the degenerate-input error message prints 2 - 2 Re of this value
+        w = skewed.grid.quadrature_weights()
+        mode0 = wf.oscillator_mode(skewed.grid, 0)
+        sym = wf.TwoParticleAmplitude.from_factors(skewed.grid, mode0, mode0)
+        for psi in (skewed, sym):
+            assert wf.swap_overlap(psi) == reference_inner(
+                psi.values, psi.values.T.copy(), w)
+
+    @pytest.mark.parametrize("kernel", [
+        lambda psi: wf.free_propagate(psi, 0.7),
+        wf.antisymmetrize,
+        wf.symmetry_defects,
+        wf.swap_overlap,
+    ], ids=["free_propagate", "antisymmetrize", "symmetry_defects", "swap_overlap"])
+    def test_input_left_unchanged(self, skewed, kernel):
+        before = skewed.values.tobytes()
+        kernel(skewed)
+        assert skewed.values.tobytes() == before
+
+
 class TestQuadratureConvergence:
     def test_coefficient_converges_under_refinement(self):
         # displaced-Gaussian product on a fixed box; the grid-refinement
@@ -242,6 +335,54 @@ class TestAmplitudeIO:
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0,0,1.0,0.0\n")
+        with pytest.raises(InvalidDataError):
+            wf.load_amplitude(path)
+
+    @pytest.fixture
+    def saved_lines(self, tmp_path):
+        grid = wf.Grid1D(x_min=-5.0, x_max=5.0, n=16)
+        state = wf.TwoParticleAmplitude.from_factors(
+            grid, wf.gaussian_mode(grid, momentum=1.3), wf.gaussian_mode(grid))
+        path = tmp_path / "amp.csv"
+        wf.save_amplitude(state, path)
+        return path, path.read_text().splitlines()
+
+    @staticmethod
+    def rewrite_cell(path, lines, row, new_row):
+        header = sum(1 for line in lines if line.startswith("#"))
+        lines = list(lines)
+        lines[header + row] = new_row
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_negative_index_rejected(self, saved_lines):
+        path, lines = saved_lines
+        # row 0 holds cell (0, 0); -1 used to wrap around to cell (15, 0)
+        self.rewrite_cell(path, lines, 0, "-1,0,0.5,0.0")
+        with pytest.raises(InvalidDataError):
+            wf.load_amplitude(path)
+
+    def test_index_beyond_grid_rejected(self, saved_lines):
+        path, lines = saved_lines
+        self.rewrite_cell(path, lines, 0, "99,0,0.5,0.0")
+        with pytest.raises(InvalidDataError):
+            wf.load_amplitude(path)
+
+    def test_non_numeric_cell_rejected(self, saved_lines):
+        path, lines = saved_lines
+        self.rewrite_cell(path, lines, 5, "0,5,abc,0.0")
+        with pytest.raises(InvalidDataError):
+            wf.load_amplitude(path)
+
+    def test_undecodable_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# \xff\xfe\n0,0,1.0,0.0\n")
+        with pytest.raises(InvalidDataError):
+            wf.load_amplitude(path)
+
+    def test_duplicate_cell_rejected(self, saved_lines):
+        path, lines = saved_lines
+        # cell (0, 1) listed twice, so cell (0, 0) is missing
+        self.rewrite_cell(path, lines, 0, "0,1,0.5,0.0")
         with pytest.raises(InvalidDataError):
             wf.load_amplitude(path)
 
