@@ -55,8 +55,8 @@ def main(argv=None):
     write_table(f"{args.prefix}_empirical.csv",
                 ["t", "ecdf_entangled", "ecdf_product_kept"],
                 [t,
-                 mc.empirical_cdf(ent["t_first"], t).values,
-                 mc.empirical_cdf(mc.one_photon_window_times(kept), t).values])
+                 mc.empirical_cdf(ent["t_first"], t),
+                 mc.empirical_cdf(mc.one_photon_window_times(kept), t)])
 
     fit = es.mle_exponential(ent["t_first"])
     print(f"entangled combined rate: {fit.rate_estimate:.6f} "

@@ -111,12 +111,6 @@ class RatePair:
             return self.gamma_b
         raise InvalidParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
-    def other_rate(self, channel: str) -> float:
-        return self.channel_rate(_other(channel))
-
-    def swapped(self) -> "RatePair":
-        return RatePair(self.gamma_b, self.gamma_a)
-
 
 def _other(channel: str) -> str:
     if channel == CHANNEL_A:
@@ -301,11 +295,6 @@ def product_one_emission_unnormalized(t, rates: RatePair, window: WindowConfig):
     return p_a + p_b - 2.0 * p_a * p_b
 
 
-def validity_load(rates: RatePair, window: WindowConfig) -> float:
-    """tau * gamma_a * gamma_b / (gamma_a + gamma_b); must stay below 1."""
-    return window.tau * rates.gamma_a * rates.gamma_b / rates.gamma_f
-
-
 def normalization_alpha(rates: RatePair, window: WindowConfig) -> NormalizedWindowModel:
     """Build the normalized post-selected window law.
 
@@ -313,7 +302,7 @@ def normalization_alpha(rates: RatePair, window: WindowConfig) -> NormalizedWind
     WindowTooWideError once the window is wide enough that the inverse
     normalization is not positive.
     """
-    load = validity_load(rates, window)
+    load = window.tau * rates.gamma_a * rates.gamma_b / rates.gamma_f
     if load >= 1.0:
         raise WindowTooWideError(
             "window too wide: tau * gamma_a * gamma_b must stay below "

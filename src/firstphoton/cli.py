@@ -233,7 +233,13 @@ def cmd_simulate(args, argv) -> int:
     window = _window(args)
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
                                   kind=args.kind, window=window, seed=args.seed)
-    records = montecarlo.simulate(config, n_workers=args.workers)
+    try:
+        records = montecarlo.simulate(config, n_workers=args.workers)
+    except MemoryError as exc:
+        raise InvalidParameterError(
+            f"--n-pairs {args.n_pairs} needs records of "
+            f"{montecarlo.RECORD_DTYPE.itemsize * args.n_pairs:.3g} bytes, "
+            "which do not fit in memory") from exc
     montecarlo.write_records_csv(args.out, records)
 
     kept, summary = montecarlo.postselect(records, window)

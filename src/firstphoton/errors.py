@@ -37,8 +37,8 @@ class ModelInapplicableError(FirstPhotonError, ValueError):
     """A likelihood or density was requested where the model is undefined."""
 
 
-class IntegrationBlowupError(FirstPhotonError, RuntimeError):
-    """The fixed-step integrator produced non-finite state values."""
+class IntegrationBlowupError(InvalidParameterError):
+    """The fixed-step integrator's step is too large: the state became non-finite."""
 
 
 class DegenerateSymmetryError(ModelInapplicableError):

@@ -113,9 +113,11 @@ def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,
     traj = np.empty((config.n_steps + 1, len(STATE_FIELDS)))
     traj[0] = initial
     # stepping the increment keeps the conservation identities at
-    # rounding level; multiplying by (I + D) lets them drift
-    for k in range(config.n_steps):
-        traj[k + 1] = traj[k] + d @ traj[k]
+    # rounding level; multiplying by (I + D) lets them drift.  Overflow
+    # is caught by the finiteness check below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.n_steps):
+            traj[k + 1] = traj[k] + d @ traj[k]
     finite = np.isfinite(traj).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))

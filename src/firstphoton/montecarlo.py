@@ -1,18 +1,20 @@
 """Monte Carlo sampling of two-photon emission times with post-selection.
 
 Sampling is counter-based: every pair owns one 256-bit Philox counter
-block (four 64-bit words), addressed by its pair index.  Uniform draws
-come from the top 53 bits of each word, shifted into the open interval
-(0, 1) so that log() never sees zero:
+block (four 64-bit words), addressed by its pair index.  A kernel turns
+the words it reads (entangled three, product two) into uniform draws
+from their top 53 bits, shifted into the open interval (0, 1) so that
+log() never sees zero:
 
     u = ((word >> 11) + 0.5) * 2**-53
 
 Work is split into chunks of a fixed size laid out on the pair-index
-grid, and chunk results are concatenated in index order, so the output
-is byte-identical for any worker count.  The scalar samplers draw one
-counter block from a Generator and run it through the same kernel and
-record fill as a bulk chunk, so sampling pair p with a Generator
-advanced to block p reproduces row p of a bulk run.
+grid, and each chunk fills its own slice of one preallocated record
+array, so the output is byte-identical for any worker count.  The
+scalar samplers draw one counter block from a Generator and run it
+through the same kernel and record fill as a bulk chunk, so sampling
+pair p with a Generator advanced to block p reproduces row p of a bulk
+run.
 
 A record stores t_first, channel_first and t_second.  The CSV written
 by ``write_records_csv`` adds pair_id (the row index) and
@@ -35,7 +37,7 @@ import numpy as np
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
                        WindowConfig)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import BinnedSeries, read_columns, write_table
+from .series import read_columns, write_table
 
 KIND_ENTANGLED = "entangled"
 KIND_PRODUCT = "product"
@@ -99,18 +101,18 @@ def pair_generator(seed: int, pair_index: int = 0) -> np.random.Generator:
     return np.random.Generator(_philox(seed, pair_index))
 
 
-def _entangled_times(rates: RatePair, u: np.ndarray):
+def _entangled_times(rates: RatePair, words: np.ndarray):
     g_f = rates.gamma_f
-    t_first = -np.log(u[:, 0]) / g_f
-    first_is_a = u[:, 1] < rates.gamma_a / g_f
+    t_first = -np.log(_open_uniforms(words[:, 0])) / g_f
+    first_is_a = _open_uniforms(words[:, 1]) < rates.gamma_a / g_f
     rate_left = np.where(first_is_a, rates.gamma_b, rates.gamma_a)
-    t_second = t_first - np.log(u[:, 2]) / rate_left
+    t_second = t_first - np.log(_open_uniforms(words[:, 2])) / rate_left
     return t_first, first_is_a, t_second
 
 
-def _product_times(rates: RatePair, u: np.ndarray):
-    t_a = -np.log(u[:, 0]) / rates.gamma_a
-    t_b = -np.log(u[:, 1]) / rates.gamma_b
+def _product_times(rates: RatePair, words: np.ndarray):
+    t_a = -np.log(_open_uniforms(words[:, 0])) / rates.gamma_a
+    t_b = -np.log(_open_uniforms(words[:, 1])) / rates.gamma_b
     first_is_a = t_a <= t_b
     t_first = np.where(first_is_a, t_a, t_b)
     t_second = np.where(first_is_a, t_b, t_a)
@@ -120,14 +122,19 @@ def _product_times(rates: RatePair, u: np.ndarray):
 _KERNELS = {KIND_ENTANGLED: _entangled_times, KIND_PRODUCT: _product_times}
 
 
-def _records(kind: str, rates: RatePair, words: np.ndarray) -> np.ndarray:
-    """Records of the pairs that own the given (n, 4) counter blocks."""
-    t_first, first_is_a, t_second = _KERNELS[kind](rates, _open_uniforms(words))
-    out = np.empty(t_first.shape[0], dtype=RECORD_DTYPE)
+def _records(kind: str, rates: RatePair, words: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the records of the pairs that own the given
+    (n, 4) counter blocks."""
+    t_first, first_is_a, t_second = _KERNELS[kind](rates, words)
     out["t_first"] = t_first
     out["channel_first"] = np.where(first_is_a, CHANNEL_A, CHANNEL_B)
     out["t_second"] = t_second
-    return out
+
+
+def _one_record(kind: str, rates: RatePair, rng: np.random.Generator) -> np.void:
+    out = np.empty(1, dtype=RECORD_DTYPE)
+    _records(kind, rates, rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)), out)
+    return out[0]
 
 
 def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
@@ -138,34 +145,34 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
+    records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
 
-    def run_chunk(start: int) -> np.ndarray:
-        count = min(CHUNK_PAIRS, config.n_pairs - start)
-        return _records(config.kind, config.rates,
-                        _block_words(config.seed, start, count))
+    def run_chunk(start: int) -> None:
+        stop = min(start + CHUNK_PAIRS, config.n_pairs)
+        _records(config.kind, config.rates,
+                 _block_words(config.seed, start, stop - start), records[start:stop])
 
     starts = range(0, config.n_pairs, CHUNK_PAIRS)
     if n_workers == 1:
-        chunks = [run_chunk(s) for s in starts]
+        for start in starts:
+            run_chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=int(n_workers)) as pool:
-            chunks = list(pool.map(run_chunk, starts))
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+            list(pool.map(run_chunk, starts))
+    return records
 
 
 def sample_entangled_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
     """One entangled pair as a record row: exponential first photon at the
     combined rate, channel chosen with probability gamma_i / gamma_f,
     then the leftover atom relaxes at its own rate."""
-    return _records(KIND_ENTANGLED, rates,
-                    rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)))[0]
+    return _one_record(KIND_ENTANGLED, rates, rng)
 
 
 def sample_product_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
     """One product-state pair as a record row: the atoms emit
     independently and the two times are sorted into (t_first, t_second)."""
-    return _records(KIND_PRODUCT, rates,
-                    rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)))[0]
+    return _one_record(KIND_PRODUCT, rates, rng)
 
 
 def postselect(records: np.ndarray, window: WindowConfig):
@@ -202,22 +209,13 @@ def one_photon_window_times(records: np.ndarray) -> np.ndarray:
                            np.asarray(records["t_second"], dtype=float)])
 
 
-def empirical_cdf(times: np.ndarray, grid: np.ndarray) -> BinnedSeries:
+def empirical_cdf(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Fraction of samples at or below each grid point."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise InvalidDataError("cannot build an empirical CDF from zero samples")
     grid = np.asarray(grid, dtype=float)
-    ranks = np.searchsorted(np.sort(times), grid, side="right")
-    return BinnedSeries(times=grid, values=ranks / times.size, label="ecdf")
-
-
-def empirical_first_cdf(records: np.ndarray, grid: np.ndarray) -> BinnedSeries:
-    """Empirical CDF of the first-photon times t_first."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return BinnedSeries(times=grid, values=np.empty(0), label="ecdf")
-    return empirical_cdf(np.asarray(records["t_first"], dtype=float), grid)
+    return np.searchsorted(np.sort(times), grid, side="right") / times.size
 
 
 def channel_fractions(records: np.ndarray) -> dict[str, float]:

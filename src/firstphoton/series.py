@@ -1,4 +1,4 @@
-"""Curves on a time grid, and CSV tables written and read at C speed.
+"""CSV tables written and read at C speed.
 
 A table is one header row and one row per index of its columns, with
 ``,`` between cells and ``\\n`` after each row.  Floats are written with
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +23,6 @@ from .errors import InvalidDataError, InvalidParameterError
 
 FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 65536
-
-
-@dataclass(frozen=True)
-class BinnedSeries:
-    """A curve sampled on a fixed time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-    label: str = "value"
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or v.ndim != 1 or t.shape != v.shape:
-            raise InvalidDataError(
-                f"times and values must be 1-d arrays of equal length, "
-                f"got shapes {t.shape} and {v.shape}"
-            )
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.times.size
 
 
 def _cell_format(column: np.ndarray) -> str:

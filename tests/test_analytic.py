@@ -22,7 +22,7 @@ class TestRatePair:
         assert rates_ref.gamma_f == 2.5
 
     def test_symmetric_under_swap(self, rates_ref):
-        assert rates_ref.swapped().gamma_f == 2.5
+        assert RatePair(rates_ref.gamma_b, rates_ref.gamma_a).gamma_f == 2.5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive_rates(self, bad):
@@ -34,7 +34,6 @@ class TestRatePair:
     def test_channel_lookup(self, rates_ref):
         assert rates_ref.channel_rate("A") == 1.0
         assert rates_ref.channel_rate("B") == 1.5
-        assert rates_ref.other_rate("A") == 1.5
         with pytest.raises(InvalidParameterError):
             rates_ref.channel_rate("C")
 

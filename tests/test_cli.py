@@ -104,6 +104,15 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
 
+    def test_oversized_run_is_parameter_error(self, tmp_path, capsys):
+        # 17.8 PiB of records, beyond the address space: the allocation
+        # fails before any memory is touched
+        assert main(["simulate", "--n-pairs", str(10**15),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n-pairs" in err
+        assert len(err.splitlines()) == 1
+
     def test_manifest_replays_byte_identically(self, tmp_path):
         out = tmp_path / "records.csv"
         assert main(["simulate", "--n-pairs", "5000", "--seed", "41",
@@ -217,6 +226,14 @@ class TestKinetics:
                      "--out", str(tmp_path / "kin.csv")]) == 2
         capsys.readouterr()
 
+    def test_blowup_is_parameter_error(self, tmp_path, capsys):
+        # RK4 is unstable at this step: the state overflows to inf and nan
+        assert main(["kinetics", "--step", "50", "--t-end", "5000",
+                     "--out", str(tmp_path / "kin.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "step" in err
+        assert len(err.splitlines()) == 1
+
     def test_oversized_trajectory_is_parameter_error(self, tmp_path, capsys):
         # petabytes: the allocation fails before any memory is touched
         assert main(["kinetics", "--step", "1e-15",
@@ -269,15 +286,26 @@ class TestWavefunction:
         assert err.startswith("error:") and "--n" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("check", ["antisymmetry-preservation",
+                                       "n0f-antisymmetric", "n0f-symmetric-input"])
+    def test_unresolved_modes_are_parameter_error(self, check, capsys):
+        # a spacing of 78 leaves the width-1 oscillator modes with no
+        # sample above underflow, so they have no norm
+        assert main(["wavefunction", "--check", check, "--x-max", "10000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spacing" in err
+        assert len(err.splitlines()) == 1
+
     def test_preservation_memory_is_bounded(self):
-        # the check holds its input and output and a half-size table at
-        # its peak; the bound leaves room for two more arrays
+        # the check holds its input and output at its peak, the edge
+        # check a strip (2.1 arrays measured); the bound leaves room for
+        # allocator slack
         n = 1024
         baseline = peak_rss_bytes("import firstphoton.cli")
         check = peak_rss_bytes(
             "import sys; from firstphoton.cli import main; sys.exit(main(["
             f"'wavefunction', '--check', 'antisymmetry-preservation', '--n', '{n}']))")
-        assert check - baseline <= 4.5 * 16 * n * n
+        assert check - baseline <= 3.5 * 16 * n * n
 
 
 def peak_rss_bytes(code: str, timeout: float = 60.0) -> int:

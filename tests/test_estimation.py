@@ -165,7 +165,8 @@ class TestDiscriminate:
     def test_swap_invariance(self, entangled_times):
         window = WindowConfig(tau=0.02)
         a = es.discriminate(entangled_times[:1000], RATES, window)
-        b = es.discriminate(entangled_times[:1000], RATES.swapped(), window)
+        b = es.discriminate(entangled_times[:1000],
+                            RatePair(RATES.gamma_b, RATES.gamma_a), window)
         assert a.preferred == b.preferred
         assert a.log_likelihood_ratio == pytest.approx(b.log_likelihood_ratio, rel=1e-10)
 

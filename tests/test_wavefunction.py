@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestModes:
     def test_only_two_oscillator_modes(self, grid):
         with pytest.raises(InvalidParameterError):
             wf.oscillator_mode(grid, 2)
+
+    def test_unresolved_mode_rejected(self):
+        # no grid point lies within 300 widths of the centre, so every
+        # sample underflows to 0 and the mode has no norm to divide by
+        grid = wf.Grid1D(x_min=-5.0, x_max=5.0, n=16)
+        with pytest.raises(InvalidParameterError, match="spacing"):
+            wf.gaussian_mode(grid, width=1e-3)
 
 
 class TestSwapOverlap:
@@ -183,8 +191,8 @@ class TestFreePropagation:
         state = wf.TwoParticleAmplitude.from_factors(
             grid, wf.gaussian_mode(grid, center=-1.0, momentum=0.5),
             wf.gaussian_mode(grid, center=1.0, width=0.9))
-        a = wf.exchanged(wf.free_propagate(state, 0.6))
-        b = wf.free_propagate(wf.exchanged(state), 0.6)
+        a = exchanged(wf.free_propagate(state, 0.6))
+        b = wf.free_propagate(exchanged(state), 0.6)
         assert np.allclose(a.values, b.values, atol=1e-12)
 
     def test_gaussian_spread_law(self):
@@ -207,6 +215,27 @@ class TestFreePropagation:
         state = wf.TwoParticleAmplitude.from_factors(grid, mode_far, mode_far)
         with pytest.raises(GridTooSmallError):
             wf.free_propagate(state, 0.5)
+
+    def test_allocates_little_beyond_its_output(self):
+        # the edge checks take the peak one strip at a time; a whole-array
+        # magnitude table would add half an n x n array
+        grid = wf.Grid1D(x_min=-12.0, x_max=12.0, n=512)
+        state = wf.TwoParticleAmplitude.from_factors(
+            grid, wf.oscillator_mode(grid, 0), wf.oscillator_mode(grid, 1))
+        tracemalloc.start()
+        try:
+            evolved = wf.free_propagate(state, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array = 16 * grid.n ** 2
+        assert evolved.values.nbytes == array
+        assert (peak - array) / array <= 0.25
+
+
+def exchanged(psi):
+    """The particle-exchanged amplitude Psi(y, x)."""
+    return wf.TwoParticleAmplitude(grid=psi.grid, values=psi.values.T.copy())
 
 
 # The formulas the kernels had before they were rewritten for speed and
