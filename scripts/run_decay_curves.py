@@ -34,14 +34,13 @@ def main(argv=None):
     args = parse_args(argv)
     rates = an.RatePair(args.gamma_a, args.gamma_b)
     window = an.WindowConfig(tau=args.tau)
-    model = an.normalization_alpha(rates, window)
 
     t = np.linspace(0.0, args.t_max, args.n_points)
     write_table(f"{args.prefix}_analytic.csv",
                 ["t", "nf_entangled", "nf_product", "n_a", "n_b"],
                 [t,
                  an.first_emission_cdf_entangled(t, rates),
-                 an.product_first_cdf(t, model, an.VARIANT_EXACT),
+                 an.product_first_cdf(t, rates, window, an.VARIANT_EXACT),
                  an.single_type_cdf(t, rates.gamma_a),
                  an.single_type_cdf(t, rates.gamma_b)])
 

@@ -10,7 +10,7 @@ and exchange-symmetry checks for two-particle amplitudes
 __version__ = "0.1.0"
 
 from . import analytic, errors, estimation, kinetics, montecarlo, series, wavefunction
-from .analytic import NormalizedWindowModel, RatePair, WindowConfig
+from .analytic import RatePair, WindowConfig
 from .estimation import FitResult, ModelComparison
 from .kinetics import IntegratorConfig
 from .montecarlo import PostSelectionSummary, SimConfig
@@ -20,7 +20,7 @@ __all__ = [
     "__version__",
     "analytic", "errors", "estimation", "kinetics", "montecarlo", "series",
     "wavefunction",
-    "RatePair", "WindowConfig", "NormalizedWindowModel",
+    "RatePair", "WindowConfig",
     "IntegratorConfig",
     "SimConfig", "PostSelectionSummary",
     "FitResult", "ModelComparison",

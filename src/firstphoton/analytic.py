@@ -11,9 +11,9 @@ the waiting time is exponential with the combined rate
 
 Requiring that the time-ordered description (first emission at gamma_f,
 then relaxation of the remaining atom at its own rate) reproduces the
-direct per-channel laws fixes the channel rates uniquely; the numerical
-solver ``solve_compatibility`` recovers that identification without
-assuming it.
+direct per-channel laws fixes the channel rates uniquely;
+``solve_compatibility`` derives that identification by elimination and
+checks it against all four relations rather than assuming it.
 
 Product pairs emit two photons.  Detection hardware that cannot resolve
 two photons inside a coincidence window of width tau post-selects the
@@ -29,7 +29,8 @@ the post-selected first-photon law with
 
     1 / alpha = 2 - 2 * tau * gamma_a * gamma_b / (gamma_a + gamma_b),
 
-which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b.
+which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b;
+only this law needs alpha, so only it rejects wider windows.
 
 The ``exact`` law is the law of the pooled photons that post-selection
 keeps, for the window's mode.  With f_x the density of photon x and
@@ -40,7 +41,9 @@ density is
     [f_a (1 - P_b) + f_b (1 - P_a)] / (2 * (1 - c)),
 
 where c = ``coincidence_probability`` is the discarded fraction of
-pairs.  Its CDF is a finite sum of exponentials in either mode.
+pairs.  Its CDF is a finite sum of exponentials in either mode.  It
+needs no alpha, so it holds beyond the taylor bound; it is evaluated
+while post-selection keeps at least MIN_KEPT_FRACTION of the pairs.
 """
 from __future__ import annotations
 
@@ -51,9 +54,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, WindowTooWideError
 
-# scipy is imported inside solve_compatibility, its one user: its import
-# takes about 0.5 s, which every CLI call would pay otherwise
-
 CHANNEL_A = "A"
 CHANNEL_B = "B"
 CHANNELS = (CHANNEL_A, CHANNEL_B)
@@ -61,6 +61,9 @@ CHANNELS = (CHANNEL_A, CHANNEL_B)
 MODE_GRID_BIN = "grid-bin"
 MODE_PAIRWISE = "pairwise"
 WINDOW_MODES = (MODE_GRID_BIN, MODE_PAIRWISE)
+
+# smallest kept fraction of pairs at which the exact law is evaluated
+MIN_KEPT_FRACTION = 1e-8
 
 VARIANT_TAYLOR = "taylor"
 VARIANT_EXACT = "exact"
@@ -112,22 +115,13 @@ class RatePair:
         raise InvalidParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
 
 
-def _other(channel: str) -> str:
-    if channel == CHANNEL_A:
-        return CHANNEL_B
-    if channel == CHANNEL_B:
-        return CHANNEL_A
-    raise InvalidParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
-
-
 @dataclass(frozen=True)
 class WindowConfig:
     """Coincidence-window width and the post-selection rule applied to it.
 
     ``grid-bin`` discards a pair when both photon times fall into the
     same bin of a fixed grid of width tau; ``pairwise`` discards when
-    the two times differ by less than tau.  ``pairwise-difference`` is
-    accepted as an alias for the latter.
+    the two times differ by less than tau.
     """
 
     tau: float
@@ -138,61 +132,37 @@ class WindowConfig:
         if not np.isfinite(tau) or tau <= 0.0:
             raise InvalidParameterError(f"tau must be a positive finite width, got {tau!r}")
         object.__setattr__(self, "tau", tau)
-        mode = "pairwise" if self.mode == "pairwise-difference" else self.mode
-        if mode not in WINDOW_MODES:
+        if self.mode not in WINDOW_MODES:
             raise InvalidParameterError(f"mode must be one of {WINDOW_MODES}, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
-
-
-@dataclass(frozen=True)
-class NormalizedWindowModel:
-    """A valid post-selected window law: rates, window, and alpha."""
-
-    rates: RatePair
-    window: WindowConfig
-    alpha: float
 
 
 def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, float, float]:
     """Solve for the channel rates and combined first-emission rate.
 
-    Unknowns u = (c_a, c_b, g_f) satisfy the four consistency relations
+    Unknowns (c_a, c_b, g_f) satisfy the four consistency relations
     obtained by matching the time-ordered emission bookkeeping against
     the direct per-channel laws:
 
-        c_b = g_f - gamma_a          c_a = gamma_a * c_b / (g_f - gamma_a)
-        c_a = g_f - gamma_b          c_b = gamma_b * c_a / (g_f - gamma_b)
+        (1) c_b = g_f - gamma_a      (3) c_a = gamma_a * c_b / (g_f - gamma_a)
+        (2) c_a = g_f - gamma_b      (4) c_b = gamma_b * c_a / (g_f - gamma_b)
 
-    The unique positive solution is (gamma_a, gamma_b, gamma_a+gamma_b);
-    it is found numerically here so the identification is a result, not
-    an input.  Returns (channel_a_rate, channel_b_rate, combined_rate).
+    (1) into (3) gives c_a = gamma_a, (2) into (4) gives c_b = gamma_b,
+    and then (1) gives g_f = gamma_a + gamma_b.  The solution is checked
+    against all four relations, so the identification is verified, not
+    assumed: RuntimeError if a residual exceeds tol * (gamma_a + gamma_b).
+    Returns (channel_a_rate, channel_b_rate, combined_rate).
     """
-    from scipy.optimize import least_squares
-
     big_a, big_b = rates.gamma_a, rates.gamma_b
-
-    def residuals(u):
-        c_a, c_b, g_f = u
-        return np.array([
-            c_b - (g_f - big_a),
-            c_a - (g_f - big_b),
-            c_a - big_a * c_b / (g_f - big_a),
-            c_b - big_b * c_a / (g_f - big_b),
-        ])
-
-    scale = big_a + big_b
-    start = np.array([0.75 * scale, 0.75 * scale, 1.5 * scale])
-    # g_f must exceed both single rates or the denominators change sign
-    lower = np.array([1e-12 * scale, 1e-12 * scale, max(big_a, big_b) * (1.0 + 1e-12)])
-    result = least_squares(residuals, start, bounds=(lower, np.inf),
-                           xtol=3e-16, ftol=3e-16, gtol=3e-16)
-    if not result.success or np.max(np.abs(result.fun)) > tol * scale:
+    c_a, c_b = big_a, big_b  # (3) with (1): gamma_a c_b / c_b; (4) with (2)
+    g_f = big_a + c_b        # (1)
+    residual = max(abs(c_b - (g_f - big_a)),
+                   abs(c_a - (g_f - big_b)),
+                   abs(c_a - big_a * c_b / (g_f - big_a)),
+                   abs(c_b - big_b * c_a / (g_f - big_b)))
+    if not residual <= tol * (big_a + big_b):
         raise RuntimeError(
-            f"compatibility solve did not converge for rates {rates}: "
-            f"status={result.status}, residual={np.max(np.abs(result.fun)):.3e}"
-        )
-    c_a, c_b, g_f = result.x
-    return float(c_a), float(c_b), float(g_f)
+            f"compatibility relations fail for rates {rates}: residual={residual:.3e}")
+    return c_a, c_b, g_f
 
 
 def entangled_survival(t, rates: RatePair):
@@ -224,7 +194,7 @@ def intermediate_population(t, rates: RatePair, channel: str):
     """
     t = _check_times(t)
     g_i = rates.channel_rate(channel)
-    c_j = rates.channel_rate(_other(channel))
+    c_j = rates.gamma_b if channel == CHANNEL_A else rates.gamma_a
     g_f = rates.gamma_f
     return c_j / (g_i - g_f) * (np.exp(-g_f * t) - np.exp(-g_i * t))
 
@@ -295,8 +265,8 @@ def product_one_emission_unnormalized(t, rates: RatePair, window: WindowConfig):
     return p_a + p_b - 2.0 * p_a * p_b
 
 
-def normalization_alpha(rates: RatePair, window: WindowConfig) -> NormalizedWindowModel:
-    """Build the normalized post-selected window law.
+def normalization_alpha(rates: RatePair, window: WindowConfig) -> float:
+    """Normalization alpha of the ``taylor`` window law.
 
     1/alpha = 2 - 2 * tau * gamma_a * gamma_b / gamma_f.  Raises
     WindowTooWideError once the window is wide enough that the inverse
@@ -308,8 +278,7 @@ def normalization_alpha(rates: RatePair, window: WindowConfig) -> NormalizedWind
             "window too wide: tau * gamma_a * gamma_b must stay below "
             f"gamma_a + gamma_b (tau={window.tau}, rates=({rates.gamma_a}, "
             f"{rates.gamma_b}), ratio={load:.6g})")
-    alpha = 1.0 / (2.0 - 2.0 * load)
-    return NormalizedWindowModel(rates=rates, window=window, alpha=float(alpha))
+    return float(1.0 / (2.0 - 2.0 * load))
 
 
 def _unshared(t, g: float, window: WindowConfig):
@@ -341,41 +310,58 @@ def _unshared_cumulative(t, g_a: float, g_b: float, window: WindowConfig):
                                     - r_a * np.expm1(-2.0 * g_b * tau) * np.expm1(-g_f * u)))
 
 
-def product_first_pdf(t, model: NormalizedWindowModel, variant: str = VARIANT_TAYLOR):
+def _kept_fraction(rates: RatePair, window: WindowConfig) -> float:
+    """1 - c, the kept fraction of pairs.  The exact law divides sums of
+    order one by it, so its rounding error grows like 1e-16 / (1 - c)
+    (2e-8 at 2e-9, against 60-digit arithmetic) and is NaN at 0."""
+    kept = 1.0 - coincidence_probability(rates, window)
+    if not kept >= MIN_KEPT_FRACTION:
+        raise InvalidParameterError(
+            f"the {window.mode} window of width tau={window.tau} keeps a fraction "
+            f"{kept:.3g} of the pairs, below {MIN_KEPT_FRACTION:g}: the exact law "
+            "is lost to rounding")
+    return kept
+
+
+def product_first_pdf(t, rates: RatePair, window: WindowConfig,
+                      variant: str = VARIANT_TAYLOR):
     """Density of post-selected single-photon window times, product pairs.
 
     taylor: alpha * (g_a e^{-g_a t} + g_b e^{-g_b t}
-                     - 2 tau g_a g_b e^{-(g_a+g_b) t})
+                     - 2 tau g_a g_b e^{-(g_a+g_b) t}),
+            WindowTooWideError where alpha does not exist
     exact:  [g_a e^{-g_a t} (1 - P_b(t)) + g_b e^{-g_b t} (1 - P_a(t))]
             / (2 (1 - c)), the law of the pooled kept photons for
-            ``model.window.mode`` (see the module docstring).
+            ``window.mode`` (see the module docstring), beyond the
+            taylor bound too
     """
     t = _check_times(t)
-    rates, window = model.rates, model.window
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
-        return model.alpha * (g_a * np.exp(-g_a * t)
-                              + g_b * np.exp(-g_b * t)
-                              - 2.0 * window.tau * g_a * g_b * np.exp(-rates.gamma_f * t))
+        alpha = normalization_alpha(rates, window)
+        return alpha * (g_a * np.exp(-g_a * t)
+                        + g_b * np.exp(-g_b * t)
+                        - 2.0 * window.tau * g_a * g_b * np.exp(-rates.gamma_f * t))
     if variant == VARIANT_EXACT:
-        kept = 2.0 * (1.0 - coincidence_probability(rates, window))
+        kept = 2.0 * _kept_fraction(rates, window)
         return (g_a * np.exp(-g_a * t) * _unshared(t, g_b, window)
                 + g_b * np.exp(-g_b * t) * _unshared(t, g_a, window)) / kept
     raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
 
 
-def product_first_cdf(t, model: NormalizedWindowModel, variant: str = VARIANT_TAYLOR):
+def product_first_cdf(t, rates: RatePair, window: WindowConfig,
+                      variant: str = VARIANT_TAYLOR):
     """Cumulative form of ``product_first_pdf``; the exact one is
     (H_ab + H_ba) / (2 (1 - c)), clipped to [0, 1] against rounding."""
     t = _check_times(t)
-    rates, window = model.rates, model.window
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
         g_f = rates.gamma_f
-        return model.alpha * (-np.expm1(-g_a * t) - np.expm1(-g_b * t)
-                              + 2.0 * window.tau * g_a * g_b / g_f * np.expm1(-g_f * t))
+        alpha = normalization_alpha(rates, window)
+        return alpha * (-np.expm1(-g_a * t) - np.expm1(-g_b * t)
+                        + 2.0 * window.tau * g_a * g_b / g_f * np.expm1(-g_f * t))
     if variant == VARIANT_EXACT:
-        kept = 2.0 * (1.0 - coincidence_probability(rates, window))
+        kept = 2.0 * _kept_fraction(rates, window)
         return np.clip((_unshared_cumulative(t, g_a, g_b, window)
                         + _unshared_cumulative(t, g_b, g_a, window)) / kept, 0.0, 1.0)
     raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")

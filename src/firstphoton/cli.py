@@ -206,7 +206,6 @@ def _emit_json(payload: dict, args, argv) -> None:
 def cmd_analytic(args, argv) -> int:
     rates = _rates(args)
     window = _window(args)
-    model = analytic.normalization_alpha(rates, window)
     if args.n_points < 2:
         raise InvalidParameterError("need at least 2 grid points")
     if args.t_max <= 0.0:
@@ -219,7 +218,7 @@ def cmd_analytic(args, argv) -> int:
     columns = [
         t,
         analytic.first_emission_cdf_entangled(t, rates),
-        analytic.product_first_cdf(t, model, variant=args.window_variant),
+        analytic.product_first_cdf(t, rates, window, variant=args.window_variant),
         analytic.single_type_cdf(t, rates.gamma_a),
         analytic.single_type_cdf(t, rates.gamma_b),
     ]
@@ -315,33 +314,35 @@ def _wavefunction_report(args) -> dict:
     mode0 = wavefunction.oscillator_mode(grid, 0)
     mode1 = wavefunction.oscillator_mode(grid, 1)
 
+    # each n x n array is dropped once the next stage has read it, so no
+    # check holds more than two at a time
     if args.check == "n0f-symmetric-input":
         sym = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode0)
         try:
             wavefunction.antisymmetrize(sym)
-        except wavefunction.DegenerateSymmetryError as exc:
-            report["error"] = str(exc)
-            report["metrics"]["swap_overlap_real"] = float(
-                wavefunction.swap_overlap(sym).real)
-        else:
             report["error"] = ("antisymmetrization of an exchange-symmetric "
                                "state unexpectedly succeeded")
+            return report
+        except wavefunction.DegenerateSymmetryError as exc:
+            report["error"] = str(exc)
+        # past the except block, whose traceback held antisymmetrize's scratch
+        report["metrics"]["swap_overlap_real"] = float(wavefunction.swap_overlap(sym).real)
         return report
 
     product = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode1)
+    if args.check == "n0f-antisymmetric":
+        report["metrics"]["n0f_product"] = (
+            wavefunction.antisymmetrization_coefficient(product))
     fermionic = wavefunction.antisymmetrize(product)
+    del product
 
     if args.check == "n0f-antisymmetric":
         coeff = wavefunction.antisymmetrization_coefficient(fermionic)
         report["metrics"]["n0f"] = coeff
-        report["metrics"]["n0f_product"] = (
-            wavefunction.antisymmetrization_coefficient(product))
         report["passed"] = abs(coeff - 0.5) < 1e-10
         return report
 
-    # antisymmetry preservation under free propagation; each n x n array
-    # is dropped once the next stage has read it, which sets the peak memory
-    del product
+    # antisymmetry preservation under free propagation
     evolved = wavefunction.free_propagate(fermionic, args.t)
     del fermionic
     defects = wavefunction.symmetry_defects(evolved)

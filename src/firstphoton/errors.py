@@ -24,8 +24,9 @@ class InvalidParameterError(FirstPhotonError, ValueError):
 class WindowTooWideError(InvalidParameterError):
     """Coincidence window violates tau * gamma_a * gamma_b < gamma_a + gamma_b.
 
-    Beyond this bound the normalized window model has no valid
-    normalization constant, so it is rejected as a parameter error.
+    Beyond this bound the ``taylor`` window law has no valid
+    normalization constant alpha, so it is rejected as a parameter
+    error; the ``exact`` law needs no alpha and holds beyond it.
     """
 
 

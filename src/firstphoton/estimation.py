@@ -3,7 +3,8 @@
 Exponential maximum likelihood, Kolmogorov-Smirnov distances against an
 arbitrary model CDF, and likelihood-based discrimination between the
 entangled law (single exponential at the combined rate) and the
-post-selected product law (three-exponential window density).  The
+post-selected product law (the ``taylor`` three-exponential window
+density, which exists only while its normalization alpha does).  The
 discrimination uses known parameters on both sides; nothing is fitted
 before comparing.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .analytic import NormalizedWindowModel, RatePair, WindowConfig
+from .analytic import RatePair, WindowConfig
 from .errors import InvalidDataError, ModelInapplicableError
 
 PREFER_ENTANGLED = "entangled"
@@ -95,20 +96,21 @@ def log_likelihood_entangled(times, rates: RatePair) -> float:
     return float(t.size * math.log(g_f) - g_f * np.sum(t))
 
 
-def log_likelihood_product(times, model: NormalizedWindowModel) -> float:
+def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> float:
     """Log-likelihood under the post-selected product-pair window law.
 
-    Raises ModelInapplicableError when the density is not positive at
-    some sample, which happens outside the narrow-window regime.
+    Raises WindowTooWideError where the law has no normalization, and
+    ModelInapplicableError when the density is not positive at some
+    sample, which happens outside the narrow-window regime.
     """
     t = _clean_times(times, require_positive=False)
-    pdf = analytic.product_first_pdf(t, model)
+    pdf = analytic.product_first_pdf(t, rates, window)
     if np.any(pdf <= 0.0):
         bad = float(t[np.argmin(pdf)])
         raise ModelInapplicableError(
             f"window density is not positive at t={bad:.6g} for tau="
-            f"{model.window.tau}, rates=({model.rates.gamma_a}, "
-            f"{model.rates.gamma_b}); likelihood undefined")
+            f"{window.tau}, rates=({rates.gamma_a}, "
+            f"{rates.gamma_b}); likelihood undefined")
     return float(np.sum(np.log(pdf)))
 
 
@@ -119,9 +121,8 @@ def discriminate(times, rates: RatePair, window: WindowConfig) -> ModelCompariso
     law wins; ties go to the entangled law.
     """
     t = _clean_times(times)
-    model = analytic.normalization_alpha(rates, window)
     ll_e = log_likelihood_entangled(t, rates)
-    ll_p = log_likelihood_product(t, model)
+    ll_p = log_likelihood_product(t, rates, window)
     ratio = ll_e - ll_p
     preferred = PREFER_ENTANGLED if ratio >= 0.0 else PREFER_PRODUCT
     return ModelComparison(ll_entangled=ll_e, ll_product=ll_p,

@@ -40,6 +40,7 @@ arrays, during propagation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,15 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)
-                and self.x_max > self.x_min):
-            raise InvalidParameterError(
-                f"need finite x_min < x_max, got ({self.x_min!r}, {self.x_max!r})")
         if not isinstance(self.n, (int, np.integer)) or self.n < MIN_GRID_POINTS:
             raise InvalidParameterError(
                 f"n must be an integer >= {MIN_GRID_POINTS}, got {self.n!r}")
+        # in Python floats, where a width beyond the float range is inf, not a warning
+        width = float(self.x_max) - float(self.x_min)
+        if not (math.isfinite(width) and width / (self.n - 1) > 0.0):
+            raise InvalidParameterError(
+                f"need x_min < x_max with a finite width and spacing, got "
+                f"({self.x_min!r}, {self.x_max!r}) of width {width!r}")
 
     @property
     def spacing(self) -> float:
@@ -260,21 +263,21 @@ def gaussian_mode(grid: Grid1D, center: float = 0.0, width: float = 1.0,
     if not np.isfinite(width) or width <= 0.0:
         raise InvalidParameterError(f"width must be positive, got {width!r}")
     x = grid.points
-    mode = np.exp(-((x - center) ** 2) / (2.0 * width ** 2)
-                  + 1j * momentum * x).astype(complex)
+    with np.errstate(over="ignore"):  # a square beyond the float range: exp(-inf) = 0
+        mode = np.exp(-((x - center) ** 2) / (2.0 * width ** 2)
+                      + 1j * momentum * x).astype(complex)
     return mode / _mode_norm(grid, mode)
 
 
 def oscillator_mode(grid: Grid1D, k: int) -> np.ndarray:
     """Grid-normalized harmonic-oscillator mode, ground (k=0) or first
     excited (k=1); the pair is orthogonal by parity."""
-    x = grid.points
-    if k == 0:
-        mode = np.exp(-0.5 * x ** 2).astype(complex)
-    elif k == 1:
-        mode = (x * np.exp(-0.5 * x ** 2)).astype(complex)
-    else:
+    if k not in (0, 1):
         raise InvalidParameterError(f"only modes k=0 and k=1 are provided, got {k!r}")
+    x = grid.points
+    with np.errstate(over="ignore"):  # a square beyond the float range: exp(-inf) = 0
+        gauss = np.exp(-0.5 * x ** 2)
+    mode = (gauss if k == 0 else x * gauss).astype(complex)
     return mode / _mode_norm(grid, mode)
 
 

@@ -149,8 +149,7 @@ def test_criterion_4_product_postselected_law(acceptance_log):
             # kept pairs are seen as two isolated one-photon windows each;
             # their pooled detection times follow the exact window law
             times = mc.one_photon_window_times(kept)
-            model = an.normalization_alpha(RATES, window)
-            ks = es.ks_distance(times, lambda t: an.product_first_cdf(t, model, "exact"))
+            ks = es.ks_distance(times, lambda t: an.product_first_cdf(t, RATES, window, "exact"))
             critical = es.ks_critical_value(times.size, 0.01)
             if ks > critical:
                 failures.append(f"{label}: KS distance {ks:.5f} > {critical:.5f}")
@@ -178,7 +177,7 @@ def test_criterion_5_normalization(acceptance_log):
     if abs(value - 1.0) > 1e-6:
         failures.append(f"window-curve quadrature {value!r} not 1 within 1e-6")
 
-    alpha = an.normalization_alpha(RATES, WINDOW_REF).alpha
+    alpha = an.normalization_alpha(RATES, WINDOW_REF)
     if abs(alpha - 1.0) > 1e-12:
         failures.append(f"alpha {alpha!r} not 1 within 1e-12")
 

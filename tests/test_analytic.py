@@ -39,9 +39,6 @@ class TestRatePair:
 
 
 class TestWindowConfig:
-    def test_mode_alias(self):
-        assert WindowConfig(tau=0.1, mode="pairwise-difference").mode == "pairwise"
-
     @pytest.mark.parametrize("bad", [0.0, -0.5, float("nan")])
     def test_rejects_bad_width(self, bad):
         with pytest.raises(InvalidParameterError):
@@ -52,14 +49,29 @@ class TestWindowConfig:
             WindowConfig(tau=0.1, mode="nearest")
 
 
+def assert_compatible(g_a, g_b):
+    c_a, c_b, g_f = an.solve_compatibility(RatePair(g_a, g_b))
+    scale = g_a + g_b
+    assert abs(c_a - g_a) < 1e-10 * scale
+    assert abs(c_b - g_b) < 1e-10 * scale
+    assert abs(g_f - scale) < 1e-10 * scale
+    # reference: the four relations between the time-ordered and the
+    # direct per-channel laws, written out independently of the solver
+    for lhs, rhs in ((c_b, g_f - g_a),
+                     (c_a, g_f - g_b),
+                     (c_a, g_a * c_b / (g_f - g_a)),
+                     (c_b, g_b * c_a / (g_f - g_b))):
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+
 class TestCompatibility:
     @pytest.mark.parametrize("g_a,g_b", [(1.0, 1.5), (2.0, 2.0), (1.0, 1e-3), (3.7, 0.2)])
     def test_recovers_sum_rule(self, g_a, g_b):
-        c_a, c_b, g_f = an.solve_compatibility(RatePair(g_a, g_b))
-        scale = g_a + g_b
-        assert abs(c_a - g_a) < 1e-10 * scale
-        assert abs(c_b - g_b) < 1e-10 * scale
-        assert abs(g_f - scale) < 1e-10 * scale
+        assert_compatible(g_a, g_b)
+
+    @given(g_a=rates_st, g_b=rates_st)
+    def test_recovers_sum_rule_drawn(self, g_a, g_b):
+        assert_compatible(g_a, g_b)
 
 
 class TestEntangledLaw:
@@ -196,12 +208,11 @@ class TestProductWindowLaw:
         assert abs(an.product_one_emission_unnormalized(0.0, rates_ref, window_ref)) < 1e-15
 
     def test_alpha_unity_at_reference_point(self, rates_ref, window_ref):
-        model = an.normalization_alpha(rates_ref, window_ref)
-        assert model.alpha == pytest.approx(1.0, abs=1e-12)
+        assert an.normalization_alpha(rates_ref, window_ref) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_approaches_half_for_narrow_window(self, rates_ref):
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-12))
-        assert model.alpha == pytest.approx(0.5, abs=1e-12)
+        alpha = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-12))
+        assert alpha == pytest.approx(0.5, abs=1e-12)
 
     def test_window_bound_enforced(self, rates_ref):
         with pytest.raises(WindowTooWideError):
@@ -210,22 +221,21 @@ class TestProductWindowLaw:
         an.normalization_alpha(rates_ref, WindowConfig(tau=5.0 / 3.0 - 1e-9))
 
     def test_unnormalized_curve_integrates_to_inverse_alpha(self, rates_ref, window_ref):
-        model = an.normalization_alpha(rates_ref, window_ref)
+        alpha = an.normalization_alpha(rates_ref, window_ref)
         value, err = quad(
             lambda t: an.product_one_emission_unnormalized(t, rates_ref, window_ref)
             / window_ref.tau, 0.0, 60.0)
-        assert value == pytest.approx(1.0 / model.alpha, rel=1e-6)
+        assert value == pytest.approx(1.0 / alpha, rel=1e-6)
 
     def test_pdf_normalized(self, rates_ref, window_ref):
-        model = an.normalization_alpha(rates_ref, window_ref)
-        value, _ = quad(lambda t: an.product_first_pdf(t, model), 0.0, 60.0)
+        value, _ = quad(lambda t: an.product_first_pdf(t, rates_ref, window_ref), 0.0, 60.0)
         assert value == pytest.approx(1.0, rel=1e-6)
 
     def test_exact_variant_pdf_normalized(self, rates_ref):
         for mode in an.WINDOW_MODES:
-            model = an.normalization_alpha(rates_ref, WindowConfig(tau=0.5, mode=mode))
+            window = WindowConfig(tau=0.5, mode=mode)
             # the grid-bin density jumps at every bin edge, the pairwise one at tau
-            value, _ = quad(lambda t: float(an.product_first_pdf(t, model, "exact")),
+            value, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window, "exact")),
                             0.0, 60.0, points=0.5 * np.arange(1, 120), limit=400)
             assert value == pytest.approx(1.0, rel=1e-6), mode
 
@@ -235,61 +245,67 @@ class TestProductWindowLaw:
         # [0, tau) whose partner lands at or after tau (grid-bin) or at
         # least tau later (pairwise); normalized by the kept photon count
         tau = 0.5
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau, mode=mode))
+        window = WindowConfig(tau=tau, mode=mode)
         q_a, q_b = 1.0 - math.exp(-1.0 * tau), 1.0 - math.exp(-1.5 * tau)
-        kept = 2.0 * (1.0 - an.coincidence_probability(rates_ref, model.window))
+        kept = 2.0 * (1.0 - an.coincidence_probability(rates_ref, window))
         if mode == "grid-bin":
             expected = (q_a * (1.0 - q_b) + q_b * (1.0 - q_a)) / kept
         else:
             # photon x at s < tau, partner beyond s + tau
             expected = (1.0 / 2.5 * (1.0 * math.exp(-1.5 * tau) + 1.5 * math.exp(-1.0 * tau))
                         * (1.0 - math.exp(-2.5 * tau))) / kept
-        assert an.product_first_cdf(tau, model, "exact") == pytest.approx(expected, rel=1e-13)
+        assert an.product_first_cdf(tau, rates_ref, window, "exact") == pytest.approx(
+            expected, rel=1e-13)
 
     def test_cdf_frozen_value(self, rates_ref, window_ref):
-        model = an.normalization_alpha(rates_ref, window_ref)
         # oracle: (1-e^-1) + (1-e^-1.5) - 2*(5/6)*1.5/2.5*(1-e^-2.5), alpha=1
         expected = ((1.0 - math.exp(-1.0)) + (1.0 - math.exp(-1.5))
                     - 2.0 * (5.0 / 6.0) * 1.5 / 2.5 * (1.0 - math.exp(-2.5)))
         assert expected == pytest.approx(0.49107539730402666, rel=1e-14)
-        assert an.product_first_cdf(1.0, model) == pytest.approx(expected, rel=1e-12)
+        assert an.product_first_cdf(1.0, rates_ref, window_ref) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_cdf_boundaries(self, rates_ref):
         for mode in an.WINDOW_MODES:
-            model = an.normalization_alpha(rates_ref, WindowConfig(tau=5.0 / 6.0, mode=mode))
+            window = WindowConfig(tau=5.0 / 6.0, mode=mode)
             for variant in ("taylor", "exact"):
-                assert an.product_first_cdf(0.0, model, variant) == pytest.approx(0.0, abs=1e-12)
-                assert an.product_first_cdf(100.0, model, variant) == pytest.approx(1.0, abs=1e-6)
-            assert an.product_first_cdf(0.0, model, "exact") >= 0.0
-            assert an.product_first_cdf(60.0, model, "exact") == pytest.approx(1.0, abs=1e-15)
+                assert an.product_first_cdf(0.0, rates_ref, window, variant) == pytest.approx(
+                    0.0, abs=1e-12)
+                assert an.product_first_cdf(100.0, rates_ref, window, variant) == pytest.approx(
+                    1.0, abs=1e-6)
+            assert an.product_first_cdf(0.0, rates_ref, window, "exact") >= 0.0
+            assert an.product_first_cdf(60.0, rates_ref, window, "exact") == pytest.approx(
+                1.0, abs=1e-15)
 
     def test_cdf_matches_quadrature_of_pdf(self, rates_ref):
         tau = 0.3
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau))
-        expected, _ = quad(lambda t: float(an.product_first_pdf(t, model)),
+        window = WindowConfig(tau=tau)
+        expected, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window)),
                            0.0, 1.7, points=[0.15], limit=200)
-        assert an.product_first_cdf(1.7, model) == pytest.approx(expected, rel=1e-4)
+        assert an.product_first_cdf(1.7, rates_ref, window) == pytest.approx(expected, rel=1e-4)
         # exact: t just below, at and just above tau and the bin edges
         # 3 tau and 7 tau, where the density jumps
         for mode in an.WINDOW_MODES:
-            model = an.normalization_alpha(rates_ref, WindowConfig(tau=tau, mode=mode))
+            window = WindowConfig(tau=tau, mode=mode)
             for t in (0.3 - 1e-9, 0.3, 0.3 + 1e-9, 0.9 - 1e-9, 0.9, 0.9 + 1e-9,
                       1.7, 2.1 - 1e-9, 2.1, 2.1 + 1e-9):
                 edges = [e for e in tau * np.arange(1, 8) if e < t]
-                expected, _ = quad(lambda s: float(an.product_first_pdf(s, model, "exact")),
+                expected, _ = quad(lambda s: float(an.product_first_pdf(s, rates_ref, window,
+                                                                        "exact")),
                                    0.0, t, points=edges or None, limit=200,
                                    epsabs=1e-14, epsrel=1e-12)
-                assert an.product_first_cdf(t, model, "exact") == pytest.approx(
+                assert an.product_first_cdf(t, rates_ref, window, "exact") == pytest.approx(
                     expected, rel=1e-10, abs=1e-14), (mode, t)
 
     def test_narrow_window_reduces_to_rate_mixture(self, rates_ref):
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-10))
         t = np.linspace(0.0, 6.0, 50)
         mixture = 0.5 * (1.0 * np.exp(-1.0 * t) + 1.5 * np.exp(-1.5 * t))
-        assert np.allclose(an.product_first_pdf(t, model), mixture, rtol=1e-8)
+        assert np.allclose(an.product_first_pdf(t, rates_ref, WindowConfig(tau=1e-10)),
+                           mixture, rtol=1e-8)
         for mode in an.WINDOW_MODES:
-            exact = an.normalization_alpha(rates_ref, WindowConfig(tau=1e-10, mode=mode))
-            assert np.allclose(an.product_first_pdf(t, exact, "exact"), mixture, rtol=1e-8)
+            window = WindowConfig(tau=1e-10, mode=mode)
+            assert np.allclose(an.product_first_pdf(t, rates_ref, window, "exact"),
+                               mixture, rtol=1e-8)
 
     @given(g_a=rates_st, g_b=rates_st,
            tau=st.floats(min_value=1e-6, max_value=0.5),
@@ -300,33 +316,32 @@ class TestProductWindowLaw:
         rates = RatePair(g_a, g_b)
         if 2.0 * tau * g_a * g_b > rates.gamma_f:
             tau = 0.5 * rates.gamma_f / (g_a * g_b)
-        model = an.normalization_alpha(rates, WindowConfig(tau=tau))
-        assert an.product_first_pdf(t, model) >= -1e-13
+        assert an.product_first_pdf(t, rates, WindowConfig(tau=tau)) >= -1e-13
 
     def test_pdf_goes_negative_between_half_and_full_load(self, rates_ref):
-        # regression pin: tau=1.2 keeps the model normalizable (load 0.72)
+        # regression pin: tau=1.2 keeps the taylor law normalizable (load 0.72)
         # yet the density starts negative, so positivity cannot be claimed
         # for every normalizable window
-        model = an.normalization_alpha(rates_ref, WindowConfig(tau=1.2))
-        assert model.alpha > 1.0
-        assert an.product_first_pdf(0.0, model) < 0.0
+        window = WindowConfig(tau=1.2)
+        assert an.normalization_alpha(rates_ref, window) > 1.0
+        assert an.product_first_pdf(0.0, rates_ref, window) < 0.0
 
     @given(g_a=rates_st, g_b=rates_st, t=times_st)
     def test_swap_invariance(self, g_a, g_b, t):
         tau = min(0.2, 0.5 * (g_a + g_b) / (g_a * g_b))
         window = WindowConfig(tau=tau)
-        model = an.normalization_alpha(RatePair(g_a, g_b), window)
-        swapped = an.normalization_alpha(RatePair(g_b, g_a), window)
-        assert model.alpha == pytest.approx(swapped.alpha, rel=1e-14)
-        assert an.product_first_pdf(t, model) == pytest.approx(
-            an.product_first_pdf(t, swapped), rel=1e-12, abs=1e-13 * (g_a + g_b))
+        rates, swapped = RatePair(g_a, g_b), RatePair(g_b, g_a)
+        assert an.normalization_alpha(rates, window) == pytest.approx(
+            an.normalization_alpha(swapped, window), rel=1e-14)
+        assert an.product_first_pdf(t, rates, window) == pytest.approx(
+            an.product_first_pdf(t, swapped, window), rel=1e-12, abs=1e-13 * (g_a + g_b))
 
     @given(t1=times_st, t2=times_st)
     def test_cdf_monotone(self, t1, t2):
-        model = an.normalization_alpha(RatePair(1.0, 1.5), WindowConfig(tau=5.0 / 6.0))
+        rates, window = RatePair(1.0, 1.5), WindowConfig(tau=5.0 / 6.0)
         lo, hi = min(t1, t2), max(t1, t2)
-        assert (an.product_first_cdf(lo, model)
-                <= an.product_first_cdf(hi, model) + 1e-12)
+        assert (an.product_first_cdf(lo, rates, window)
+                <= an.product_first_cdf(hi, rates, window) + 1e-12)
 
     @given(g_a=rates_st, g_b=rates_st, tau=st.floats(min_value=1e-6, max_value=5.0),
            mode=st.sampled_from(an.WINDOW_MODES),
@@ -334,13 +349,39 @@ class TestProductWindowLaw:
     def test_exact_cdf_is_a_distribution(self, g_a, g_b, tau, mode, t):
         rates = RatePair(g_a, g_b)
         tau = min(tau, 0.99 * rates.gamma_f / (g_a * g_b))
-        model = an.normalization_alpha(rates, WindowConfig(tau=tau, mode=mode))
+        window = WindowConfig(tau=tau, mode=mode)
         t = np.sort(np.concatenate([[0.0, tau], t]))
-        cdf = an.product_first_cdf(t, model, "exact")
+        cdf = an.product_first_cdf(t, rates, window, "exact")
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         # rounding may step back a few ulp where the bin index changes
         assert np.all(np.diff(cdf) >= -1e-12)
-        assert np.all(an.product_first_pdf(t, model, "exact") >= 0.0)
+        assert np.all(an.product_first_pdf(t, rates, window, "exact") >= 0.0)
+
+
+    @given(g_a=rates_st, g_b=rates_st, factor=st.floats(min_value=1.01, max_value=4.0),
+           mode=st.sampled_from(an.WINDOW_MODES),
+           t=st.lists(times_st, min_size=1, max_size=20))
+    def test_exact_law_beyond_taylor_bound(self, g_a, g_b, factor, mode, t):
+        # just past the bound tau g_a g_b = g_a + g_b, where alpha ceases
+        # to exist, to four times it: the exact law needs no alpha
+        rates = RatePair(g_a, g_b)
+        window = WindowConfig(tau=factor * rates.gamma_f / (g_a * g_b), mode=mode)
+        with pytest.raises(WindowTooWideError):
+            an.product_first_cdf(1.0, rates, window)
+        t = np.sort(np.concatenate([[0.0, window.tau], t]))
+        cdf = an.product_first_cdf(t, rates, window, "exact")
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= -1e-12)
+        assert np.all(an.product_first_pdf(t, rates, window, "exact") >= 0.0)
+
+    @pytest.mark.parametrize("mode", an.WINDOW_MODES)
+    def test_exact_law_lost_to_rounding_is_rejected(self, rates_ref, mode):
+        # tau = 40 keeps 4e-18 (grid-bin) or 3e-18 (pairwise) of the pairs,
+        # a fraction that rounds to 0, where both laws would be NaN
+        window = WindowConfig(tau=40.0, mode=mode)
+        for law in (an.product_first_cdf, an.product_first_pdf):
+            with pytest.raises(InvalidParameterError, match="keeps a fraction"):
+                law(1.0, rates_ref, window, "exact")
 
 
 class TestCoincidenceProbability:

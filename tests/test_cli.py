@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -64,6 +63,34 @@ class TestAnalytic:
         grid, pair = columns["grid-bin"], columns["pairwise"]
         assert np.array_equal(grid["nf_entangled"], pair["nf_entangled"])
         assert float(np.max(np.abs(grid["nf_product"] - pair["nf_product"]))) > 1e-3
+
+    @pytest.mark.parametrize("mode", ["grid-bin", "pairwise"])
+    def test_exact_law_beyond_taylor_bound(self, tmp_path, mode):
+        # tau * gamma_a * gamma_b = 3 > gamma_a + gamma_b: no alpha exists,
+        # but the exact law needs none
+        out = tmp_path / "curves.csv"
+        assert main(["analytic", "--window-variant", "exact", "--tau", "2",
+                     "--mode", mode, "--t-max", "30", "--out", str(out)]) == 0
+        nf = read_columns(out, ["nf_product"])["nf_product"]
+        assert np.all((nf >= 0.0) & (nf <= 1.0))
+        assert np.all(np.diff(nf) >= 0.0)
+        assert nf[0] == 0.0 and nf[-1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_taylor_law_beyond_its_bound_is_parameter_error(self, tmp_path, capsys):
+        assert main(["analytic", "--window-variant", "taylor", "--tau", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window too wide") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", ["grid-bin", "pairwise"])
+    def test_exact_law_lost_to_rounding_is_parameter_error(self, tmp_path, capsys, mode):
+        # tau = 40 keeps a fraction of the pairs that rounds to 0, where
+        # the exact law would be NaN
+        assert main(["analytic", "--window-variant", "exact", "--tau", "40",
+                     "--mode", mode, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "keeps a fraction" in err
+        assert len(err.splitlines()) == 1
 
     def test_oversized_grid_is_parameter_error(self, tmp_path, capsys):
         # petabytes: the allocation fails before any memory is touched
@@ -296,16 +323,48 @@ class TestWavefunction:
         assert err.startswith("error:") and "spacing" in err
         assert len(err.splitlines()) == 1
 
-    def test_preservation_memory_is_bounded(self):
-        # the check holds its input and output at its peak, the edge
-        # check a strip (2.1 arrays measured); the bound leaves room for
-        # allocator slack
+    @pytest.mark.parametrize("x_max", ["1e200", "1e308"])
+    def test_box_beyond_float_range_is_parameter_error(self, x_max, capsys):
+        # 1e200 squares to inf in the modes, 1e308 gives a box of width
+        # inf; neither may print a RuntimeWarning (the suite makes one an
+        # error) before the one error line
+        assert main(["wavefunction", "--check", "n0f-antisymmetric",
+                     "--x-max", x_max]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("check", ["antisymmetry-preservation",
+                                       "n0f-antisymmetric", "n0f-symmetric-input"])
+    def test_preservation_memory_is_bounded(self, check):
+        # each check holds two n x n arrays at its peak: input and output
+        # of a stage, or an amplitude and its swap scratch (2.0-2.1 arrays
+        # measured); the bound leaves room for allocator slack and fails
+        # a check that holds a third
         n = 1024
         baseline = peak_rss_bytes("import firstphoton.cli")
-        check = peak_rss_bytes(
+        peak = peak_rss_bytes(
             "import sys; from firstphoton.cli import main; sys.exit(main(["
-            f"'wavefunction', '--check', 'antisymmetry-preservation', '--n', '{n}']))")
-        assert check - baseline <= 3.5 * 16 * n * n
+            f"'wavefunction', '--check', '{check}', '--n', '{n}']))")
+        assert peak - baseline <= 2.6 * 16 * n * n
+
+
+# printed by the child as it exits: VmHWM, the high-water mark of its own
+# address space.  The parent's ru_maxrss of the child will not do, because
+# Linux carries the spawning process's peak across fork and exec, so it
+# never reads below the peak of the test runner.  Without procfs (macOS)
+# the child's ru_maxrss, in bytes there, is its own.
+REPORT_PEAK = """
+import atexit, resource
+def _report_peak():
+    try:
+        with open("/proc/self/status") as fh:
+            peak = 1024 * next(int(line.split()[1]) for line in fh
+                               if line.startswith("VmHWM:"))
+    except OSError:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(f"\\n{peak}", flush=True)
+atexit.register(_report_peak)
+"""
 
 
 def peak_rss_bytes(code: str, timeout: float = 60.0) -> int:
@@ -313,18 +372,10 @@ def peak_rss_bytes(code: str, timeout: float = 60.0) -> int:
     src = os.path.dirname(os.path.dirname(firstphoton.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
-                            stdout=subprocess.DEVNULL)
-    timer = threading.Timer(timeout, proc.kill)
-    timer.start()
-    try:
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        timer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    # ru_maxrss is in kilobytes on Linux and in bytes on macOS
-    return usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)
+    proc = subprocess.run([sys.executable, "-c", REPORT_PEAK + code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 class TestConfigFile:

@@ -90,9 +90,9 @@ class TestKsDistance:
         assert d < es.ks_critical_value(entangled_times.size, significance=0.01)
 
     def test_rejects_wrong_model(self, entangled_times):
-        model = an.normalization_alpha(RATES, WindowConfig(tau=5.0 / 6.0))
+        window = WindowConfig(tau=5.0 / 6.0)
         d = es.ks_distance(entangled_times,
-                           lambda t: an.product_first_cdf(t, model))
+                           lambda t: an.product_first_cdf(t, RATES, window))
         assert d > 5.0 * es.ks_critical_value(entangled_times.size, significance=0.01)
 
     def test_monotone_reparameterization_invariant(self, entangled_times):
@@ -119,9 +119,9 @@ class TestKsDistance:
 
 class TestProductLikelihood:
     def test_single_sample_matches_pdf(self):
-        model = an.normalization_alpha(RATES, WindowConfig(tau=0.2))
-        ll = es.log_likelihood_product([1.3], model)
-        assert ll == pytest.approx(math.log(float(an.product_first_pdf(1.3, model))),
+        window = WindowConfig(tau=0.2)
+        ll = es.log_likelihood_product([1.3], RATES, window)
+        assert ll == pytest.approx(math.log(float(an.product_first_pdf(1.3, RATES, window))),
                                    rel=1e-14)
 
     def test_entangled_single_sample(self):
@@ -130,21 +130,19 @@ class TestProductLikelihood:
 
     def test_narrow_window_equal_rates_reduces_to_exponential(self):
         rates = RatePair(2.0, 2.0)
-        model = an.normalization_alpha(rates, WindowConfig(tau=1e-9))
         times = np.array([0.1, 0.4, 0.9, 2.2])
         expected = times.size * math.log(2.0) - 2.0 * times.sum()
-        assert es.log_likelihood_product(times, model) == pytest.approx(expected, rel=1e-7)
+        assert es.log_likelihood_product(times, rates, WindowConfig(tau=1e-9)) == pytest.approx(
+            expected, rel=1e-7)
 
     def test_raises_where_density_is_negative(self):
-        # load 0.72: the model normalizes but its density dips below zero
+        # load 0.72: the law normalizes but its density dips below zero
         # near the origin, so the likelihood is undefined there
-        model = an.normalization_alpha(RATES, WindowConfig(tau=1.2))
         with pytest.raises(ModelInapplicableError):
-            es.log_likelihood_product([1e-3], model)
+            es.log_likelihood_product([1e-3], RATES, WindowConfig(tau=1.2))
 
     def test_own_data_beats_entangled_law(self, product_window_times):
-        model = an.normalization_alpha(RATES, WindowConfig(tau=0.02))
-        ll_p = es.log_likelihood_product(product_window_times, model)
+        ll_p = es.log_likelihood_product(product_window_times, RATES, WindowConfig(tau=0.02))
         ll_e = es.log_likelihood_entangled(product_window_times, RATES)
         assert ll_p > ll_e
 

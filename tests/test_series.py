@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from unittest import mock
 
@@ -186,18 +187,39 @@ class TestWriter:
             "6a82a922d830ebb9d26122300aa0c75754bd2c87befb9fba5892c4a7f1d68a03")
 
 
-def test_cli_import_leaves_scipy_out():
-    # the exact window law is closed-form, so evaluating it loads no scipy
-    code = ("import sys, firstphoton.cli; from firstphoton import analytic as an; "
-            "model = an.normalization_alpha(an.RatePair(1.0, 1.5), "
-            "an.WindowConfig(tau=0.1, mode='pairwise')); "
-            "an.product_first_cdf([0.0, 0.5, 3.0], model, 'exact'); "
-            "an.product_first_pdf([0.0, 0.5, 3.0], model, 'exact'); "
-            "sys.exit('scipy' in sys.modules or any("
-            "m.startswith('scipy.') for m in sys.modules))")
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # numpy is the only runtime dependency: importing every module,
+    # solving the compatibility relations, evaluating both window laws
+    # and running every subcommand load no scipy
+    code = textwrap.dedent("""
+        import importlib, os, pkgutil, sys
+        import firstphoton
+        from firstphoton import analytic as an
+        from firstphoton.cli import main
+        for module in pkgutil.iter_modules(firstphoton.__path__):
+            importlib.import_module("firstphoton." + module.name)
+        rates = an.RatePair(1.0, 1.5)
+        an.solve_compatibility(rates)
+        for mode in an.WINDOW_MODES:
+            window = an.WindowConfig(tau=0.1, mode=mode)
+            for variant in an.WINDOW_VARIANTS:
+                an.product_first_cdf([0.0, 0.5, 3.0], rates, window, variant)
+                an.product_first_pdf([0.0, 0.5, 3.0], rates, window, variant)
+        os.chdir(sys.argv[1])
+        for argv in (["analytic", "--window-variant", "exact", "--out", "a.csv"],
+                     ["simulate", "--kind", "product", "--n-pairs", "2000",
+                      "--tau", "0.1", "--out", "r.csv"],
+                     ["fit", "--samples", "r.csv", "--postselect", "--tau", "0.1"],
+                     ["discriminate", "--samples", "r.csv", "--tau", "0.1"],
+                     ["kinetics", "--t-end", "0.5", "--out", "k.csv"],
+                     ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
+            assert main(argv) == 0, argv
+        sys.exit("scipy" in sys.modules or any(
+            m.startswith("scipy.") for m in sys.modules))
+        """)
     src = os.path.dirname(os.path.dirname(firstphoton.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr or "importing firstphoton.cli loaded scipy"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr or "the package loaded scipy"

@@ -37,6 +37,11 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             wf.Grid1D(**kw)
 
+    def test_rejects_width_beyond_float_range(self):
+        # -1e308..1e308 is a box of width inf, which linspace cannot fill
+        with pytest.raises(InvalidParameterError, match="of width inf"):
+            wf.Grid1D(x_min=-1e308, x_max=1e308, n=64)
+
     def test_quadrature_integrates_gaussian(self, grid):
         # trapezoid weights reproduce a Gaussian integral to spectral accuracy
         x = grid.points
@@ -68,6 +73,18 @@ class TestModes:
         grid = wf.Grid1D(x_min=-5.0, x_max=5.0, n=16)
         with pytest.raises(InvalidParameterError, match="spacing"):
             wf.gaussian_mode(grid, width=1e-3)
+
+    @pytest.mark.parametrize("make", [lambda g: wf.oscillator_mode(g, 0),
+                                      lambda g: wf.oscillator_mode(g, 1),
+                                      lambda g: wf.gaussian_mode(g)],
+                             ids=["oscillator-0", "oscillator-1", "gaussian"])
+    def test_overflowing_square_underflows_quietly(self, make):
+        # x^2 overflows to inf at |x| ~ 1e200; exp(-inf) is the 0 the
+        # Gaussian underflows to anyway, so no RuntimeWarning is raised
+        # (the suite turns one into an error) before the norm check
+        grid = wf.Grid1D(x_min=-1e200, x_max=1e200, n=64)
+        with pytest.raises(InvalidParameterError, match="spacing"):
+            make(grid)
 
 
 class TestSwapOverlap:
