@@ -92,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=montecarlo.KIND_ENTANGLED,
                    help="initial pair state (default entangled)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; output is identical for any count")
+                   help="threads that sample and processes that render the "
+                        "CSV (at most one per usable CPU); output is "
+                        "identical for any count")
     p.add_argument("--out", required=True, help="records CSV path")
     p.set_defaults(handler=cmd_simulate)
 
@@ -239,9 +241,10 @@ def cmd_simulate(args, argv) -> int:
             f"--n-pairs {args.n_pairs} needs records of "
             f"{montecarlo.RECORD_DTYPE.itemsize * args.n_pairs:.3g} bytes, "
             "which do not fit in memory") from exc
-    montecarlo.write_records_csv(args.out, records)
+    montecarlo.write_records_csv(args.out, records, n_workers=args.workers)
 
-    kept, summary = montecarlo.postselect(records, window)
+    summary = montecarlo.PostSelectionSummary.of_mask(
+        montecarlo.keep_mask(records, window))
     fractions = montecarlo.channel_fractions(records)
     payload = {
         "kind": args.kind,

@@ -19,11 +19,16 @@ run.
 A record stores t_first, channel_first and t_second.  The CSV written
 by ``write_records_csv`` adds pair_id (the row index) and
 channel_second (the other channel), which follow from those.
+``simulate`` samples in n_workers threads and ``write_records_csv``
+renders the text in up to n_workers forked processes; neither count
+changes a byte.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
 tau, ``pairwise`` discards when the two arrival times are closer than
-tau.  Kept pairs contribute both of their photons to the post-selected
+tau.  ``keep_mask`` marks the pairs kept, ``postselect`` copies them
+out and ``PostSelectionSummary.of_mask`` counts them without a copy.
+Kept pairs contribute both of their photons to the post-selected
 single-photon time ensemble (each lands in its own window and is a
 legitimate lone detection there).
 """
@@ -37,7 +42,7 @@ import numpy as np
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
                        WindowConfig)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import read_columns, write_table
+from .series import read_columns, render_processes, write_table
 
 KIND_ENTANGLED = "entangled"
 KIND_PRODUCT = "product"
@@ -79,6 +84,14 @@ class PostSelectionSummary:
     kept: int
     discarded: int
     empirical_coincidence_rate: float
+
+    @classmethod
+    def of_mask(cls, keep: np.ndarray) -> "PostSelectionSummary":
+        """Counts of a ``keep_mask``: one entry per sampled pair."""
+        n = int(keep.size)
+        kept = int(np.count_nonzero(keep))
+        return cls(kept=kept, discarded=n - kept,
+                   empirical_coincidence_rate=float((n - kept) / n if n else 0.0))
 
 
 def _open_uniforms(words: np.ndarray) -> np.ndarray:
@@ -175,27 +188,25 @@ def sample_product_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
     return _one_record(KIND_PRODUCT, rates, rng)
 
 
-def postselect(records: np.ndarray, window: WindowConfig):
-    """Drop pairs whose photons the window hardware cannot separate.
+def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:
+    """True for each pair whose photons the window hardware can separate.
 
-    Returns (kept_records, PostSelectionSummary).  Boundary convention
-    of ``grid-bin`` follows from the bin index floor(t / tau): a photon
-    exactly on a bin edge belongs to the later bin.  ``pairwise`` keeps
-    a pair when t_second - t_first >= tau.
+    Boundary convention of ``grid-bin`` follows from the bin index
+    floor(t / tau): a photon exactly on a bin edge belongs to the later
+    bin.  ``pairwise`` keeps a pair when t_second - t_first >= tau.
     """
     t_first = np.asarray(records["t_first"], dtype=float)
     t_second = np.asarray(records["t_second"], dtype=float)
     if window.mode == MODE_GRID_BIN:
-        keep = np.floor(t_first / window.tau) != np.floor(t_second / window.tau)
-    else:
-        keep = (t_second - t_first) >= window.tau
-    kept = records[keep]
-    n = int(records.shape[0])
-    discarded = n - int(kept.shape[0])
-    rate = discarded / n if n else 0.0
-    return kept, PostSelectionSummary(kept=int(kept.shape[0]),
-                                      discarded=discarded,
-                                      empirical_coincidence_rate=float(rate))
+        return np.floor(t_first / window.tau) != np.floor(t_second / window.tau)
+    return (t_second - t_first) >= window.tau
+
+
+def postselect(records: np.ndarray, window: WindowConfig):
+    """Drop pairs whose photons the window hardware cannot separate
+    (``keep_mask``); returns (kept_records, PostSelectionSummary)."""
+    keep = keep_mask(records, window)
+    return records[keep], PostSelectionSummary.of_mask(keep)
 
 
 def one_photon_window_times(records: np.ndarray) -> np.ndarray:
@@ -232,20 +243,23 @@ def channel_fractions(records: np.ndarray) -> dict[str, float]:
     return {CHANNEL_A: frac_a, CHANNEL_B: 1.0 - frac_a}
 
 
-def write_records_csv(path, records: np.ndarray) -> None:
+def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
     """Write records as CSV with the columns of ``RECORD_COLUMNS``.
 
     pair_id is the row index and channel_second the channel that the
-    first photon did not use.
+    first photon did not use.  The text is rendered in up to
+    ``n_workers`` forked processes (see ``series.render_processes``);
+    the file is the same for any count.
     """
     first = records["channel_first"]
-    write_table(path, RECORD_COLUMNS, [
-        np.arange(records.shape[0], dtype=np.int64),
-        records["t_first"],
-        first,
-        records["t_second"],
-        np.where(first == CHANNEL_A, CHANNEL_B, CHANNEL_A),
-    ])
+    with render_processes(n_workers):
+        write_table(path, RECORD_COLUMNS, [
+            np.arange(records.shape[0], dtype=np.int64),
+            records["t_first"],
+            first,
+            records["t_second"],
+            np.where(first == CHANNEL_A, CHANNEL_B, CHANNEL_A),
+        ])
 
 
 def read_records_csv(path) -> np.ndarray:

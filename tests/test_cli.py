@@ -1,14 +1,18 @@
+import functools
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import firstphoton
+from firstphoton import series
 from firstphoton.cli import main
 from firstphoton.series import read_columns
 
@@ -117,12 +121,75 @@ class TestSimulate:
         assert sha(out) == first
 
     def test_worker_count_invariant(self, tmp_path):
-        base = tmp_path / "w1.csv"
-        threaded = tmp_path / "w4.csv"
-        common = ["simulate", "--n-pairs", "30000", "--seed", "3"]
+        # two full chunks and a short one, so two and three workers
+        # really split both the sampling and the rendering
+        common = ["simulate", "--n-pairs", str(2 * series.CHUNK_ROWS + 17),
+                  "--seed", "3"]
+        digests = set()
+        for workers in ("1", "2", "3"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(common + ["--workers", workers, "--out", str(out)]) == 0
+            assert multiprocessing.active_children() == []
+            digests.add(sha(out))
+        assert len(digests) == 1
+
+    def test_render_processes_capped_by_chunks_and_cpus(self, tmp_path, monkeypatch):
+        asked = []
+
+        class InProcess:
+            """Stands in for the fork pool: records its size, renders here."""
+
+            def __init__(self, processes, row, cols):
+                asked.append(processes)
+                self.render = functools.partial(series._render, row, cols)
+
+            def submit(self, fn, start, stop):
+                future = Future()
+                future.set_result(self.render(start, stop))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(series, "_fork_pool", InProcess)
+        common = ["simulate", "--n-pairs", str(3 * series.CHUNK_ROWS), "--seed", "5"]
+        base, capped = tmp_path / "w1.csv", tmp_path / "wmany.csv"
         assert main(common + ["--workers", "1", "--out", str(base)]) == 0
-        assert main(common + ["--workers", "4", "--out", str(threaded)]) == 0
-        assert sha(base) == sha(threaded)
+        assert asked == []
+        assert main(common + ["--workers", "100000", "--out", str(capped)]) == 0
+        expected = min(3, series._usable_cpus())
+        assert asked == ([expected] if expected > 1 else [])
+        assert sha(capped) == sha(base)
+
+    def test_unwritable_out_starts_no_pool(self, tmp_path, capsys, monkeypatch):
+        started = []
+        monkeypatch.setattr(series, "_fork_pool", lambda *args: started.append(args))
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["simulate", "--n-pairs", str(2 * series.CHUNK_ROWS + 1),
+                     "--workers", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert started == []
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_are_parameter_errors(self, tmp_path, capsys, workers):
+        assert main(["simulate", "--n-pairs", "100", "--workers", workers,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("grid-bin", "8984e25d13afde4e996627fa2946b7ef9a7a40b8555d5da7b98ebbfba8dc07e9"),
+        ("pairwise", "5d1a4174a23dcb5333ce09faa4ec6e5c066c912dbd82280dd82b440eb3a93137"),
+    ])
+    def test_summary_bytes_pinned(self, tmp_path, mode, digest):
+        # digests of summaries made when the counts came from postselect's
+        # copy of the kept records
+        out = tmp_path / "records.csv"
+        assert main(["simulate", "--kind", "product", "--n-pairs", "20000",
+                     "--seed", "19", "--tau", "0.3", "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert sha(tmp_path / "records.csv.summary.json") == digest
 
     def test_bad_parameters(self, tmp_path, capsys):
         assert main(["simulate", "--n-pairs", "-2",

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import firstphoton
 from firstphoton import series
 from firstphoton.cli import main
-from firstphoton.errors import InvalidDataError
+from firstphoton.errors import InvalidDataError, InvalidParameterError
 from firstphoton.series import read_columns, write_table
 
 
@@ -174,6 +175,29 @@ class TestWriter:
         with pytest.raises(InvalidDataError):
             write_table(path, ["a", "b"], [np.zeros(2), np.zeros(3)])
 
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_render_processes_match_reference(self, tmp_path, monkeypatch, processes):
+        # 7-row chunks: 8 and 22 rows give two and four chunks, so a pool
+        # renders them whenever the machine has two CPUs
+        monkeypatch.setattr(series, "CHUNK_ROWS", 7)
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e308, -1.5] * 3)
+        header = ["i", "x", "y", "even", "c"]
+        path = tmp_path / "t.csv"
+        for n in (0, 1, 6, 7, 8, 22):
+            x = values[:n]
+            columns = [np.arange(n, dtype=np.int64) - 3, x, -x[::-1],
+                       np.arange(n) % 2 == 0, np.where(np.arange(n) % 3 == 0, "A", "Bc")]
+            with series.render_processes(processes):
+                write_table(path, header, columns)
+            assert path.read_bytes() == reference_table(header, columns).encode(), n
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
+    def test_render_processes_must_be_positive_integer(self, bad):
+        with pytest.raises(InvalidParameterError):
+            with series.render_processes(bad):
+                pass
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_records_bytes_pinned(self, tmp_path, capsys, workers):
         # digests of the per-cell writer these files were first made with
@@ -190,7 +214,8 @@ class TestWriter:
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: importing every module,
     # solving the compatibility relations, evaluating both window laws
-    # and running every subcommand load no scipy
+    # and running every subcommand load no scipy; with one worker they
+    # load no multiprocessing either, whose import the render pool defers
     code = textwrap.dedent("""
         import importlib, os, pkgutil, sys
         import firstphoton
@@ -214,12 +239,13 @@ def test_cli_import_leaves_scipy_out(tmp_path):
                      ["kinetics", "--t-end", "0.5", "--out", "k.csv"],
                      ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
             assert main(argv) == 0, argv
-        sys.exit("scipy" in sys.modules or any(
-            m.startswith("scipy.") for m in sys.modules))
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "multiprocessing"))
+        sys.exit("loaded " + ", ".join(loaded) if loaded else None)
         """)
     src = os.path.dirname(os.path.dirname(firstphoton.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr or "the package loaded scipy"
+    assert proc.returncode == 0, proc.stderr
