@@ -79,6 +79,8 @@ def _require_positive_rate(name: str, value: float) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be a positive finite rate, got {value!r}")
+    if not np.isfinite(1.0 / value):
+        raise InvalidParameterError(f"{name} = {value!r} is too small: its reciprocal overflows")
     return value
 
 
@@ -101,6 +103,9 @@ class RatePair:
     def __post_init__(self):
         object.__setattr__(self, "gamma_a", _require_positive_rate("gamma_a", self.gamma_a))
         object.__setattr__(self, "gamma_b", _require_positive_rate("gamma_b", self.gamma_b))
+        if not np.isfinite(self.gamma_a + self.gamma_b):
+            raise InvalidParameterError(
+                f"gamma_a + gamma_b overflows: {self.gamma_a!r} + {self.gamma_b!r}")
 
     @property
     def gamma_f(self) -> float:

@@ -92,9 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=montecarlo.KIND_ENTANGLED,
                    help="initial pair state (default entangled)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads that sample and processes that render the "
-                        "CSV (at most one per usable CPU); output is "
-                        "identical for any count")
+                   help="processes that render the CSV (at most one per "
+                        "usable CPU); output is identical for any count")
     p.add_argument("--out", required=True, help="records CSV path")
     p.set_defaults(handler=cmd_simulate)
 

@@ -10,18 +10,15 @@ log() never sees zero:
 
 Work is split into chunks of a fixed size laid out on the pair-index
 grid, and each chunk fills its own slice of one preallocated record
-array, so the output is byte-identical for any worker count.  The
-scalar samplers draw one counter block from a Generator and run it
-through the same kernel and record fill as a bulk chunk, so sampling
-pair p with a Generator advanced to block p reproduces row p of a bulk
-run.
+array in turn, in the calling thread.  Row p reads counter block p
+whatever chunk it falls in, so a shorter run is a prefix of a longer one.
 
 A record stores t_first, channel_first and t_second.  The CSV written
 by ``write_records_csv`` adds pair_id (the row index) and
 channel_second (the other channel), which follow from those.
-``simulate`` samples in n_workers threads and ``write_records_csv``
-renders the text in up to n_workers forked processes; neither count
-changes a byte.
+``write_records_csv`` renders the text in up to n_workers forked
+processes; the count changes no byte.  The module starts no thread,
+so those forks never copy a thread in flight.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -34,7 +31,6 @@ legitimate lone detection there).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +45,7 @@ KIND_PRODUCT = "product"
 PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
-CHUNK_PAIRS = 1 << 16       # fixed so results do not depend on worker count
+CHUNK_PAIRS = 1 << 16       # pairs sampled per chunk
 
 RECORD_DTYPE = np.dtype([
     ("t_first", np.float64),
@@ -98,20 +94,12 @@ def _open_uniforms(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def _philox(seed: int, pair_index: int) -> np.random.Philox:
-    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    if pair_index:
-        bitgen.advance(pair_index)     # one advance unit == one 4-word block
-    return bitgen
-
-
 def _block_words(seed: int, start_pair: int, count: int) -> np.ndarray:
-    return _philox(seed, start_pair).random_raw((count, DRAWS_PER_PAIR))
-
-
-def pair_generator(seed: int, pair_index: int = 0) -> np.random.Generator:
-    """Generator positioned on the counter block of the given pair."""
-    return np.random.Generator(_philox(seed, pair_index))
+    """The counter blocks of pairs start_pair .. start_pair + count - 1."""
+    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+    if start_pair:
+        bitgen.advance(start_pair)     # one advance unit == one 4-word block
+    return bitgen.random_raw((count, DRAWS_PER_PAIR))
 
 
 def _entangled_times(rates: RatePair, words: np.ndarray):
@@ -144,48 +132,22 @@ def _records(kind: str, rates: RatePair, words: np.ndarray, out: np.ndarray) -> 
     out["t_second"] = t_second
 
 
-def _one_record(kind: str, rates: RatePair, rng: np.random.Generator) -> np.void:
-    out = np.empty(1, dtype=RECORD_DTYPE)
-    _records(kind, rates, rng.bit_generator.random_raw((1, DRAWS_PER_PAIR)), out)
-    return out[0]
-
-
 def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """Sample every pair's two photons; returns a structured array.
 
-    The result depends only on (n_pairs, rates, kind, seed): the chunk
-    grid is fixed, so any n_workers >= 1 yields identical bytes.
+    The result depends only on (n_pairs, rates, kind, seed).  Sampling
+    runs chunk by chunk in the calling thread whatever n_workers is; the
+    parameter is only validated, and goes once the benchmark's counters
+    stop reading it (ROADMAP item 2).
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
-
-    def run_chunk(start: int) -> None:
+    for start in range(0, config.n_pairs, CHUNK_PAIRS):
         stop = min(start + CHUNK_PAIRS, config.n_pairs)
         _records(config.kind, config.rates,
                  _block_words(config.seed, start, stop - start), records[start:stop])
-
-    starts = range(0, config.n_pairs, CHUNK_PAIRS)
-    if n_workers == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=int(n_workers)) as pool:
-            list(pool.map(run_chunk, starts))
     return records
-
-
-def sample_entangled_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
-    """One entangled pair as a record row: exponential first photon at the
-    combined rate, channel chosen with probability gamma_i / gamma_f,
-    then the leftover atom relaxes at its own rate."""
-    return _one_record(KIND_ENTANGLED, rates, rng)
-
-
-def sample_product_pair(rates: RatePair, rng: np.random.Generator) -> np.void:
-    """One product-state pair as a record row: the atoms emit
-    independently and the two times are sorted into (t_first, t_second)."""
-    return _one_record(KIND_PRODUCT, rates, rng)
 
 
 def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:

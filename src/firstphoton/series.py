@@ -14,7 +14,9 @@ forked processes (never more than there are chunks or usable CPUs):
 the workers read the columns they inherit through fork and send back
 each chunk's text, and the parent writes the texts in chunk order, so
 the file is byte-identical for every process count.  ``multiprocessing``
-is imported only when a pool is started.
+and ``concurrent.futures`` are imported only when a pool is started.
+Forking copies only the calling thread, and the package starts no
+thread of its own, so the CLI never forks with another thread running.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``.

@@ -39,7 +39,6 @@ arrays, during propagation.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -289,50 +288,3 @@ def _mode_norm(grid: Grid1D, mode: np.ndarray) -> float:
             f"mode has norm {norm!r} on a grid of spacing {grid.spacing:.6g}; "
             "refine the grid (more points or a smaller box) to resolve it")
     return norm
-
-
-def save_amplitude(psi: TwoParticleAmplitude, path) -> None:
-    """Write the amplitude as CSV with a JSON grid header line."""
-    n = psi.grid.n
-    ij = np.indices((n, n)).reshape(2, -1)
-    data = np.column_stack([ij[0], ij[1],
-                            psi.values.real.ravel(), psi.values.imag.ravel()])
-    meta = json.dumps({"x_min": psi.grid.x_min, "x_max": psi.grid.x_max, "n": n})
-    np.savetxt(path, data, fmt=["%d", "%d", "%.17g", "%.17g"],
-               delimiter=",", header=meta + "\nx_index,y_index,re,im")
-
-
-def load_amplitude(path) -> TwoParticleAmplitude:
-    """Read an amplitude written by ``save_amplitude``.
-
-    Every (x_index, y_index) cell of the grid must appear exactly once.
-    """
-    try:
-        with open(path) as fh:
-            first = fh.readline()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidDataError(f"cannot read amplitude from {path}: {exc}") from exc
-    if not first.startswith("# "):
-        raise InvalidDataError(f"{path}: missing grid metadata header")
-    try:
-        meta = json.loads(first[2:])
-        grid = Grid1D(x_min=float(meta["x_min"]), x_max=float(meta["x_max"]),
-                      n=int(meta["n"]))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidDataError(f"{path}: bad grid metadata: {exc}") from exc
-    n = grid.n
-    try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
-        raise InvalidDataError(f"{path}: {exc}") from exc
-    if data.shape != (n * n, 4):
-        raise InvalidDataError(f"{path}: expected {n * n} rows of 4 columns")
-    index = data[:, :2]
-    if not np.all((index >= 0) & (index < n) & (index == np.floor(index))):
-        raise InvalidDataError(f"{path}: grid indices must be integers in [0, {n})")
-    cell = index[:, 0].astype(np.intp) * n + index[:, 1].astype(np.intp)
-    if np.any(np.bincount(cell, minlength=n * n) != 1):
-        raise InvalidDataError(f"{path}: every grid cell must appear exactly once")
-    values = np.empty(n * n, dtype=complex)
-    values[cell] = data[:, 2] + 1j * data[:, 3]
-    return TwoParticleAmplitude(grid=grid, values=values.reshape(n, n))

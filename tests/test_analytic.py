@@ -24,12 +24,19 @@ class TestRatePair:
     def test_symmetric_under_swap(self, rates_ref):
         assert RatePair(rates_ref.gamma_b, rates_ref.gamma_a).gamma_f == 2.5
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    # 1e-320 and 5e-324 are subnormal: their reciprocals overflow
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"),
+                                     1e-320, 5e-324])
     def test_rejects_nonpositive_rates(self, bad):
         with pytest.raises(InvalidParameterError):
             RatePair(gamma_a=bad, gamma_b=1.0)
         with pytest.raises(InvalidParameterError):
             RatePair(gamma_a=1.0, gamma_b=bad)
+
+    @pytest.mark.parametrize("gamma_a, gamma_b", [(1e308, 1e308), (1.5e308, 5e307)])
+    def test_rejects_rates_whose_sum_overflows(self, gamma_a, gamma_b):
+        with pytest.raises(InvalidParameterError):
+            RatePair(gamma_a=gamma_a, gamma_b=gamma_b)
 
     def test_channel_lookup(self, rates_ref):
         assert rates_ref.channel_rate("A") == 1.0
@@ -204,8 +211,11 @@ class TestProductWindowLaw:
             expected, rel=1e-13)
 
     def test_one_emission_vanishes_at_origin_when_alpha_is_one(self, rates_ref, window_ref):
-        # tau=5/6 at rates (1, 1.5): p_a + p_b = 2 p_a p_b exactly at t=0
-        assert abs(an.product_one_emission_unnormalized(0.0, rates_ref, window_ref)) < 1e-15
+        # tau=5/6 at rates (1, 1.5): p_a + p_b = 2 p_a p_b exactly at t=0,
+        # where tau * gamma_b > 1 takes the narrow-window p_b past 1
+        with pytest.warns(ApproximationBreakdownWarning):
+            value = an.product_one_emission_unnormalized(0.0, rates_ref, window_ref)
+        assert abs(value) < 1e-15
 
     def test_alpha_unity_at_reference_point(self, rates_ref, window_ref):
         assert an.normalization_alpha(rates_ref, window_ref) == pytest.approx(1.0, abs=1e-12)
@@ -222,9 +232,11 @@ class TestProductWindowLaw:
 
     def test_unnormalized_curve_integrates_to_inverse_alpha(self, rates_ref, window_ref):
         alpha = an.normalization_alpha(rates_ref, window_ref)
-        value, err = quad(
-            lambda t: an.product_one_emission_unnormalized(t, rates_ref, window_ref)
-            / window_ref.tau, 0.0, 60.0)
+        # the integrand runs through t near 0, where p_b passes 1
+        with pytest.warns(ApproximationBreakdownWarning):
+            value, err = quad(
+                lambda t: an.product_one_emission_unnormalized(t, rates_ref, window_ref)
+                / window_ref.tau, 0.0, 60.0)
         assert value == pytest.approx(1.0 / alpha, rel=1e-6)
 
     def test_pdf_normalized(self, rates_ref, window_ref):

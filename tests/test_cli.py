@@ -198,6 +198,18 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rates", [
+        ["--gamma-a", "1e308", "--gamma-b", "1e308"],   # gamma_a + gamma_b is inf
+        ["--gamma-a", "1e-320"],                        # 1 / gamma_a is inf
+        ["--gamma-b", "1e-320"],
+    ], ids=["sum", "tiny-a", "tiny-b"])
+    def test_overflowing_rates_are_parameter_errors(self, tmp_path, capsys, rates):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--n-pairs", "100", *rates, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_oversized_run_is_parameter_error(self, tmp_path, capsys):
         # 17.8 PiB of records, beyond the address space: the allocation
         # fails before any memory is touched

@@ -215,7 +215,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: importing every module,
     # solving the compatibility relations, evaluating both window laws
     # and running every subcommand load no scipy; with one worker they
-    # load no multiprocessing either, whose import the render pool defers
+    # load no multiprocessing or concurrent.futures either, whose import
+    # the render pool defers
     code = textwrap.dedent("""
         import importlib, os, pkgutil, sys
         import firstphoton
@@ -240,7 +241,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
                      ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
             assert main(argv) == 0, argv
         loaded = sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("scipy", "multiprocessing"))
+                        if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))
         sys.exit("loaded " + ", ".join(loaded) if loaded else None)
         """)
     src = os.path.dirname(os.path.dirname(firstphoton.__file__))

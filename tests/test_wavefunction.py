@@ -37,6 +37,10 @@ class TestGrid:
         with pytest.raises(InvalidParameterError):
             wf.Grid1D(**kw)
 
+    def test_shape_mismatch_rejected(self, grid):
+        with pytest.raises(InvalidDataError):
+            wf.TwoParticleAmplitude(grid=grid, values=np.zeros((3, 3), dtype=complex))
+
     def test_rejects_width_beyond_float_range(self):
         # -1e308..1e308 is a box of width inf, which linspace cannot fill
         with pytest.raises(InvalidParameterError, match="of width inf"):
@@ -364,74 +368,3 @@ class TestQuadratureConvergence:
         step2 = abs(values[2] - values[1])
         assert step2 < 0.25 * step1
         assert values[2] == pytest.approx(exact, rel=1e-7)
-
-
-class TestAmplitudeIO:
-    def test_roundtrip(self, tmp_path):
-        grid = wf.Grid1D(x_min=-5.0, x_max=5.0, n=16)
-        state = wf.TwoParticleAmplitude.from_factors(
-            grid, wf.gaussian_mode(grid, momentum=1.3),
-            wf.gaussian_mode(grid, center=0.4))
-        path = tmp_path / "amp.csv"
-        wf.save_amplitude(state, path)
-        loaded = wf.load_amplitude(path)
-        assert loaded.grid == grid
-        assert np.array_equal(loaded.values, state.values)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0,1.0,0.0\n")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    @pytest.fixture
-    def saved_lines(self, tmp_path):
-        grid = wf.Grid1D(x_min=-5.0, x_max=5.0, n=16)
-        state = wf.TwoParticleAmplitude.from_factors(
-            grid, wf.gaussian_mode(grid, momentum=1.3), wf.gaussian_mode(grid))
-        path = tmp_path / "amp.csv"
-        wf.save_amplitude(state, path)
-        return path, path.read_text().splitlines()
-
-    @staticmethod
-    def rewrite_cell(path, lines, row, new_row):
-        header = sum(1 for line in lines if line.startswith("#"))
-        lines = list(lines)
-        lines[header + row] = new_row
-        path.write_text("\n".join(lines) + "\n")
-
-    def test_negative_index_rejected(self, saved_lines):
-        path, lines = saved_lines
-        # row 0 holds cell (0, 0); -1 used to wrap around to cell (15, 0)
-        self.rewrite_cell(path, lines, 0, "-1,0,0.5,0.0")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    def test_index_beyond_grid_rejected(self, saved_lines):
-        path, lines = saved_lines
-        self.rewrite_cell(path, lines, 0, "99,0,0.5,0.0")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    def test_non_numeric_cell_rejected(self, saved_lines):
-        path, lines = saved_lines
-        self.rewrite_cell(path, lines, 5, "0,5,abc,0.0")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    def test_undecodable_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(b"# \xff\xfe\n0,0,1.0,0.0\n")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    def test_duplicate_cell_rejected(self, saved_lines):
-        path, lines = saved_lines
-        # cell (0, 1) listed twice, so cell (0, 0) is missing
-        self.rewrite_cell(path, lines, 0, "0,1,0.5,0.0")
-        with pytest.raises(InvalidDataError):
-            wf.load_amplitude(path)
-
-    def test_shape_mismatch_rejected(self, grid):
-        with pytest.raises(InvalidDataError):
-            wf.TwoParticleAmplitude(grid=grid, values=np.zeros((3, 3), dtype=complex))
