@@ -47,6 +47,7 @@ while post-selection keeps at least MIN_KEPT_FRACTION of the pairs.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -141,7 +142,7 @@ class WindowConfig:
             raise InvalidParameterError(f"mode must be one of {WINDOW_MODES}, got {self.mode!r}")
 
 
-def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, float, float]:
+def solve_compatibility(rates: RatePair) -> tuple[float, float, float]:
     """Solve for the channel rates and combined first-emission rate.
 
     Unknowns (c_a, c_b, g_f) satisfy the four consistency relations
@@ -154,7 +155,7 @@ def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, 
     (1) into (3) gives c_a = gamma_a, (2) into (4) gives c_b = gamma_b,
     and then (1) gives g_f = gamma_a + gamma_b.  The solution is checked
     against all four relations, so the identification is verified, not
-    assumed: RuntimeError if a residual exceeds tol * (gamma_a + gamma_b).
+    assumed: RuntimeError if a residual exceeds 1e-12 * (gamma_a + gamma_b).
     Returns (channel_a_rate, channel_b_rate, combined_rate).
     """
     big_a, big_b = rates.gamma_a, rates.gamma_b
@@ -164,16 +165,10 @@ def solve_compatibility(rates: RatePair, *, tol: float = 1e-12) -> tuple[float, 
                    abs(c_a - (g_f - big_b)),
                    abs(c_a - big_a * c_b / (g_f - big_a)),
                    abs(c_b - big_b * c_a / (g_f - big_b)))
-    if not residual <= tol * (big_a + big_b):
+    if not residual <= 1e-12 * (big_a + big_b):
         raise RuntimeError(
             f"compatibility relations fail for rates {rates}: residual={residual:.3e}")
     return c_a, c_b, g_f
-
-
-def entangled_survival(t, rates: RatePair):
-    """Fraction of entangled pairs still excited at time t."""
-    t = _check_times(t)
-    return np.exp(-rates.gamma_f * t)
 
 
 def first_emission_cdf_entangled(t, rates: RatePair):
@@ -222,19 +217,6 @@ def emission_derivative_direct(t, gamma_i: float):
     gamma_i = _require_positive_rate("gamma_i", gamma_i)
     t = _check_times(t)
     return gamma_i * np.exp(-gamma_i * t)
-
-
-def second_emission_cdf(t, rates: RatePair):
-    """Cumulative fraction of pairs that have emitted both photons.
-
-    N_s(t)/n_0 = 1 - exp(-g_f t) - n_a(t) - n_b(t): everything that has
-    started emitting minus the pairs still holding one excitation.
-    """
-    t = _check_times(t)
-    done = first_emission_cdf_entangled(t, rates)
-    return (done
-            - intermediate_population(t, rates, CHANNEL_A)
-            - intermediate_population(t, rates, CHANNEL_B))
 
 
 def window_prob_taylor(t, tau: float, gamma_i: float):
@@ -286,11 +268,21 @@ def normalization_alpha(rates: RatePair, window: WindowConfig) -> float:
     return float(1.0 / (2.0 - 2.0 * load))
 
 
+def _require_bin_index(latest: float, tau: float) -> None:
+    """InvalidParameterError unless times up to ``latest`` have a grid-bin
+    index t / tau in the float range."""
+    if not math.isfinite(latest / tau):
+        raise InvalidParameterError(
+            f"the grid-bin window tau={tau!r} is too narrow for times up to "
+            f"{latest:.6g}: their bin index t / tau overflows")
+
+
 def _unshared(t, g: float, window: WindowConfig):
     """1 - P(t): probability that a photon of rate g misses the window
     of a photon at t."""
     tau = window.tau
     if window.mode == MODE_GRID_BIN:
+        _require_bin_index(float(t.max(initial=0.0)), tau)
         return 1.0 + np.expm1(-g * tau) * np.exp(-g * tau * np.floor(t / tau))
     return -np.expm1(-g * np.maximum(t - tau, 0.0)) + np.exp(-g * (t + tau))
 
@@ -303,6 +295,7 @@ def _unshared_cumulative(t, g_a: float, g_b: float, window: WindowConfig):
     """
     tau, g_f = window.tau, g_a + g_b
     if window.mode == MODE_GRID_BIN:
+        _require_bin_index(float(t.max(initial=0.0)), tau)
         k_tau = tau * np.floor(t / tau)
         q_a, q_b, q_f = (-np.expm1(-g * tau) for g in (g_a, g_b, g_f))
         earlier = q_a * -np.expm1(-g_f * k_tau) / q_f

@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -36,17 +36,6 @@ from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
                        "n0f-symmetric-input")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to every output file."""
-
-    subcommand: str
-    argv: list[str]
-    parameters: dict
-    outputs: list[str]
-    version: str
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,12 +178,12 @@ def _write_json(path, payload: dict) -> None:
 def _write_manifest(args, argv, outputs: list[str]) -> None:
     parameters = {key: value for key, value in vars(args).items()
                   if key not in ("handler", "config")}
-    manifest = RunManifest(subcommand=args.subcommand,
-                           argv=list(argv),
-                           parameters=parameters,
-                           outputs=[str(p) for p in outputs],
-                           version=__version__)
-    _write_json(f"{outputs[0]}.manifest.json", asdict(manifest))
+    _write_json(f"{outputs[0]}.manifest.json",
+                {"subcommand": args.subcommand,
+                 "argv": list(argv),
+                 "parameters": parameters,
+                 "outputs": [str(p) for p in outputs],
+                 "version": __version__})
 
 
 def _emit_json(payload: dict, args, argv) -> None:
@@ -292,7 +281,7 @@ def cmd_discriminate(args, argv) -> int:
 
 def cmd_kinetics(args, argv) -> int:
     rates = _rates(args)
-    config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end, n_0=args.n_0)
+    config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end)
     try:
         traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
                                   first_emission_scale=args.rate_scale)
@@ -347,12 +336,11 @@ def _wavefunction_report(args) -> dict:
     # antisymmetry preservation under free propagation
     evolved = wavefunction.free_propagate(fermionic, args.t)
     del fermionic
-    defects = wavefunction.symmetry_defects(evolved)
+    defect = wavefunction.antisymmetry_defect(evolved)
     norm = wavefunction.quadrature_norm(evolved)
-    report["metrics"]["antisymmetric_defect"] = defects.antisymmetric
+    report["metrics"]["antisymmetric_defect"] = defect
     report["metrics"]["norm_drift"] = abs(norm - 1.0)
-    report["passed"] = (defects.antisymmetric < 1e-10
-                        and abs(norm - 1.0) < 1e-12)
+    report["passed"] = defect < 1e-10 and abs(norm - 1.0) < 1e-12
     return report
 
 

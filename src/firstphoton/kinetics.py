@@ -21,10 +21,12 @@ system is linear, dy/dt = A y, so one RK4 step of size h is exactly
 
     y <- y + D y,    D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-and D is built once per run.  With the compatible channel rates (c_i
-equal to the single-atom rate g_i and g_f = g_a + g_b) the per-channel
-counts reproduce the isolated-atom law N_i(t) = n_0 (1 - exp(-g_i t))
-exactly.
+and D is built once per run.  ``IntegratorConfig`` holds the step plan
+alone: n_0 enters only through ``initial_state``, and since the system
+is linear every count scales with it.  With the compatible channel
+rates (c_i equal to the single-atom rate g_i and g_f = g_a + g_b) the
+per-channel counts reproduce the isolated-atom law
+N_i(t) = n_0 (1 - exp(-g_i t)) exactly.
 
 ``first_emission_scale`` multiplies every first-emission rate (c_a, c_b
 and hence g_f) by a common factor while leaving the relaxation of the
@@ -55,15 +57,12 @@ class IntegratorConfig:
 
     step: float
     t_end: float
-    n_0: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.step) or self.step <= 0.0:
             raise InvalidParameterError(f"step must be positive and finite, got {self.step!r}")
         if not np.isfinite(self.t_end) or self.t_end <= 0.0:
             raise InvalidParameterError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if not np.isfinite(self.n_0) or self.n_0 <= 0.0:
-            raise InvalidParameterError(f"n_0 must be positive and finite, got {self.n_0!r}")
 
     @property
     def n_steps(self) -> int:
@@ -71,7 +70,9 @@ class IntegratorConfig:
 
 
 def initial_state(n_0: float = 1.0) -> np.ndarray:
-    """All pairs excited, nothing emitted; fields in ``STATE_FIELDS`` order."""
+    """All n_0 pairs excited, nothing emitted; fields in ``STATE_FIELDS`` order."""
+    if not np.isfinite(n_0) or n_0 <= 0.0:
+        raise InvalidParameterError(f"n_0 must be positive and finite, got {n_0!r}")
     return np.array([n_0, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=float)
 
 
@@ -90,12 +91,6 @@ def _rate_matrix(rates: RatePair, scale: float) -> np.ndarray:
         [c_b, 0.0, g_b, 0.0, 0.0, 0.0],
         [g_f, 0.0, 0.0, 0.0, 0.0, 0.0],
     ])
-
-
-def derivative(y: np.ndarray, rates: RatePair,
-               first_emission_scale: float = 1.0) -> np.ndarray:
-    """Time derivatives A y of a state vector in ``STATE_FIELDS`` order."""
-    return _rate_matrix(rates, first_emission_scale) @ np.asarray(y, dtype=float)
 
 
 def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,

@@ -31,12 +31,13 @@ legitimate lone detection there).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
-                       WindowConfig)
+                       WindowConfig, _require_bin_index)
 from .errors import InvalidDataError, InvalidParameterError
 from .series import read_columns, render_processes, write_table
 
@@ -46,6 +47,8 @@ PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
 CHUNK_PAIRS = 1 << 16       # pairs sampled per chunk
+# -log of the smallest open uniform: the longest unit-rate wait drawn
+_LONGEST_WAIT = -math.log(0.5 * 2.0 ** -53)
 
 RECORD_DTYPE = np.dtype([
     ("t_first", np.float64),
@@ -73,6 +76,16 @@ class SimConfig:
             raise InvalidParameterError(f"kind must be one of {PAIR_KINDS}, got {self.kind!r}")
         if not isinstance(self.seed, (int, np.integer)):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        # the latest photon time either kernel can draw: the longest wait
+        # at gamma_f, then the longest at the slower rate
+        g_a, g_b = self.rates.gamma_a, self.rates.gamma_b
+        latest = _LONGEST_WAIT / self.rates.gamma_f + _LONGEST_WAIT / min(g_a, g_b)
+        if not math.isfinite(latest):
+            raise InvalidParameterError(
+                f"rates ({g_a!r}, {g_b!r}) are too small: their photon times "
+                "overflow the float range")
+        if self.window.mode == MODE_GRID_BIN:
+            _require_bin_index(latest, self.window.tau)
 
 
 @dataclass(frozen=True)
@@ -160,6 +173,8 @@ def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:
     t_first = np.asarray(records["t_first"], dtype=float)
     t_second = np.asarray(records["t_second"], dtype=float)
     if window.mode == MODE_GRID_BIN:
+        # records hold t_first <= t_second, so the latest t_second decides
+        _require_bin_index(float(t_second.max(initial=0.0)), window.tau)
         return np.floor(t_first / window.tau) != np.floor(t_second / window.tau)
     return (t_second - t_first) >= window.tau
 
@@ -231,6 +246,9 @@ def read_records_csv(path) -> np.ndarray:
     out = np.zeros(cols["t_first"].size, dtype=RECORD_DTYPE)
     out["t_first"] = cols["t_first"]
     out["t_second"] = cols["t_second"]
-    if np.any(out["t_first"] < 0.0) or np.any(out["t_second"] < out["t_first"]):
-        raise InvalidDataError(f"{path}: records must satisfy 0 <= t_first <= t_second")
+    t_first, t_second = out["t_first"], out["t_second"]
+    # every comparison is False at NaN
+    if not np.all((t_first >= 0.0) & (t_second >= t_first) & (t_second < np.inf)):
+        raise InvalidDataError(
+            f"{path}: records must satisfy 0 <= t_first <= t_second < inf")
     return out

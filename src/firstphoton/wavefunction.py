@@ -11,7 +11,9 @@ gives the normalized fermionic state; the projection is degenerate when
 the amplitude is exchange symmetric, because then the odd part vanishes
 and no normalization exists.  For orthogonal single-particle factors
 N = 1/sqrt(2); for an already antisymmetric input N = 1/2 and the
-projection returns the input unchanged.
+projection returns the input unchanged.  The distance of an amplitude
+from the antisymmetric class is its antisymmetry defect, the norm of
+the exchange-even part (Psi(x, y) + Psi(y, x)) / 2.
 
 Free propagation (hbar = m = 1) is spectral: multiply the 2-d Fourier
 transform by exp(-i (k_x^2 + k_y^2) t / 2).  That phase factors as
@@ -31,7 +33,7 @@ Memory.  An amplitude on n points per axis is an n x n complex array of
 16 n^2 bytes.  The exchange map Psi(x, y) -> Psi(y, x) is applied in
 TILE x TILE blocks, so transposed reads stay in cache.  Beside its
 input, ``swap_overlap`` holds one scratch array, ``antisymmetrize`` one
-(the scratch becomes its output), ``symmetry_defects`` and
+(the scratch becomes its output), ``antisymmetry_defect`` and
 ``quadrature_norm`` none, and ``free_propagate`` its output; its edge
 check takes the peak magnitude one TILE-row strip at a time.  The CLI's
 ``antisymmetry-preservation`` check therefore peaks at about two n x n
@@ -189,33 +191,20 @@ def antisymmetrize(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
     return TwoParticleAmplitude(grid=psi.grid, values=out)
 
 
-@dataclass(frozen=True)
-class SymmetryDefects:
-    """Quadrature distances to the two exchange-symmetry subspaces."""
-
-    symmetric: float
-    antisymmetric: float
-
-
-def symmetry_defects(psi: TwoParticleAmplitude) -> SymmetryDefects:
-    """Distance of the amplitude to each symmetry class.
-
-    ``symmetric`` is the norm of the exchange-odd part (zero iff the
-    state is symmetric); ``antisymmetric`` is the norm of the even part.
-    """
+def antisymmetry_defect(psi: TwoParticleAmplitude) -> float:
+    """Quadrature norm of the exchange-even part (Psi(x,y) + Psi(y,x)) / 2;
+    zero iff the amplitude is antisymmetric."""
     v = psi.values
     w = psi.grid.quadrature_weights()
-    odd = even = 0.0
+    even = 0.0
     for rows, cols in _tiles(psi.grid.n):
         if rows.start > cols.start:
             continue  # the terms of block (rows, cols) are those of (cols, rows)
         mirrored = 1.0 if rows == cols else 2.0
-        here, transposed = v[rows, cols], v[cols, rows].T
-        odd += mirrored * _weighted_square_sum(here - transposed, w[rows], w[cols])
-        even += mirrored * _weighted_square_sum(here + transposed, w[rows], w[cols])
-    # the parts are half these differences and sums; halving is exact
-    return SymmetryDefects(symmetric=0.5 * float(np.sqrt(odd)),
-                           antisymmetric=0.5 * float(np.sqrt(even)))
+        even += mirrored * _weighted_square_sum(v[rows, cols] + v[cols, rows].T,
+                                                w[rows], w[cols])
+    # the part is half this sum; halving is exact
+    return 0.5 * float(np.sqrt(even))
 
 
 def _check_boundary(values: np.ndarray, stage: str) -> None:
@@ -254,18 +243,6 @@ def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
     np.fft.ifft(out, axis=0, out=out)
     _check_boundary(out, f"after t={t:g}")
     return TwoParticleAmplitude(grid=psi.grid, values=out)
-
-
-def gaussian_mode(grid: Grid1D, center: float = 0.0, width: float = 1.0,
-                  momentum: float = 0.0) -> np.ndarray:
-    """Grid-normalized Gaussian single-particle mode."""
-    if not np.isfinite(width) or width <= 0.0:
-        raise InvalidParameterError(f"width must be positive, got {width!r}")
-    x = grid.points
-    with np.errstate(over="ignore"):  # a square beyond the float range: exp(-inf) = 0
-        mode = np.exp(-((x - center) ** 2) / (2.0 * width ** 2)
-                      + 1j * momentum * x).astype(complex)
-    return mode / _mode_norm(grid, mode)
 
 
 def oscillator_mode(grid: Grid1D, k: int) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_criterion_2_kinetics_integration(acceptance_log):
     start = time.perf_counter()
     failures = []
 
-    config = kn.IntegratorConfig(step=1e-3, t_end=4.0, n_0=1.0)
+    config = kn.IntegratorConfig(step=1e-3, t_end=4.0)
     traj = kn.integrate(kn.initial_state(1.0), RATES, config)
     t = config.step * np.arange(len(traj))
     closed = {
@@ -263,7 +263,7 @@ def test_criterion_8_exchange_symmetry(acceptance_log):
         failures.append(f"normalization coefficient {coeff!r} not 0.5 within 1e-10")
 
     evolved = wf.free_propagate(fermionic, 1.0)
-    defect = wf.symmetry_defects(evolved).antisymmetric
+    defect = wf.antisymmetry_defect(evolved)
     norm = wf.quadrature_norm(evolved)
     if defect / norm > 1e-10:
         failures.append(f"antisymmetry defect {defect:.3e} above 1e-10 relative")

@@ -82,12 +82,13 @@ class TestCompatibility:
 
 
 class TestEntangledLaw:
+    # the fraction of pairs still excited is 1 - CDF
     def test_survival_at_zero(self, rates_ref):
-        assert an.entangled_survival(0.0, rates_ref) == 1.0
+        assert 1.0 - an.first_emission_cdf_entangled(0.0, rates_ref) == 1.0
 
     def test_survival_frozen_value(self, rates_ref):
         # oracle: math.exp(-2.5 * 0.4)
-        assert an.entangled_survival(0.4, rates_ref) == pytest.approx(
+        assert 1.0 - an.first_emission_cdf_entangled(0.4, rates_ref) == pytest.approx(
             0.36787944117144233, rel=1e-15)
 
     def test_cdf_frozen_value(self, rates_ref):
@@ -97,12 +98,13 @@ class TestEntangledLaw:
 
     def test_rejects_negative_time(self, rates_ref):
         with pytest.raises(InvalidParameterError):
-            an.entangled_survival(-0.1, rates_ref)
+            an.first_emission_cdf_entangled(-0.1, rates_ref)
 
     @given(t=times_st, g_a=rates_st, g_b=rates_st)
     def test_cdf_complements_survival(self, t, g_a, g_b):
         rates = RatePair(g_a, g_b)
-        total = an.entangled_survival(t, rates) + an.first_emission_cdf_entangled(t, rates)
+        # oracle: the survival fraction exp(-g_f t)
+        total = math.exp(-(g_a + g_b) * t) + an.first_emission_cdf_entangled(t, rates)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_single_type_cdf(self):
@@ -152,10 +154,18 @@ class TestOrderedVsDirect:
             assert ordered == pytest.approx(direct, abs=1e-12 * rate, rel=1e-10)
 
 
+def second_emission_cdf(t, rates):
+    """Fraction of pairs that have emitted both photons: every pair that
+    emitted its first, less those still holding one excitation."""
+    return (an.first_emission_cdf_entangled(t, rates)
+            - an.intermediate_population(t, rates, "A")
+            - an.intermediate_population(t, rates, "B"))
+
+
 class TestSecondEmission:
     def test_boundaries(self, rates_ref):
-        assert an.second_emission_cdf(0.0, rates_ref) == 0.0
-        assert an.second_emission_cdf(80.0, rates_ref) == pytest.approx(1.0, abs=1e-12)
+        assert second_emission_cdf(0.0, rates_ref) == 0.0
+        assert second_emission_cdf(80.0, rates_ref) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_value(self, rates_ref):
         # oracle: 1 - exp(-2.5) - (exp(-1) - exp(-2.5)) - (exp(-1.5) - exp(-2.5))
@@ -163,7 +173,7 @@ class TestSecondEmission:
                     - (math.exp(-1.0) - math.exp(-2.5))
                     - (math.exp(-1.5) - math.exp(-2.5)))
         assert expected == pytest.approx(0.4910753973040266, rel=1e-14)
-        assert an.second_emission_cdf(1.0, rates_ref) == pytest.approx(expected, rel=1e-12)
+        assert second_emission_cdf(1.0, rates_ref) == pytest.approx(expected, rel=1e-12)
 
     def test_quadrature_oracle(self, rates_ref):
         # oracle: density of the later photon, first photon at s through
@@ -177,12 +187,12 @@ class TestSecondEmission:
                     - g_f * math.exp(-g_f * t))
 
         value, _ = quad(second_pdf, 0.0, 1.0)
-        assert an.second_emission_cdf(1.0, rates_ref) == pytest.approx(value, rel=1e-9)
+        assert second_emission_cdf(1.0, rates_ref) == pytest.approx(value, rel=1e-9)
 
     @given(t=times_st, g_a=rates_st, g_b=rates_st)
     def test_lags_first_emission(self, t, g_a, g_b):
         rates = RatePair(g_a, g_b)
-        assert (an.second_emission_cdf(t, rates)
+        assert (second_emission_cdf(t, rates)
                 <= an.first_emission_cdf_entangled(t, rates) + 1e-12)
 
 

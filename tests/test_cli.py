@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -340,6 +341,15 @@ class TestKinetics:
         assert err.startswith("error:") and "step" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("n_0", ["0", "-1", "nan", "inf"])
+    def test_bad_n_0_is_parameter_error(self, tmp_path, capsys, n_0):
+        out = tmp_path / "kin.csv"
+        assert main(["kinetics", "--n-0", n_0, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_0" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_oversized_trajectory_is_parameter_error(self, tmp_path, capsys):
         # petabytes: the allocation fails before any memory is touched
         assert main(["kinetics", "--step", "1e-15",
@@ -347,6 +357,43 @@ class TestKinetics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--step" in err
         assert len(err.splitlines()) == 1
+
+
+class TestTimeOverflow:
+    """Rates or grid-bin windows so small that photon times, or their bin
+    indices t / tau, leave the float range."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--kind", "product", "--n-pairs", "1000", "--tau", "1e-320"],
+        ["simulate", "--kind", "product", "--n-pairs", "1000", "--tau", "1e-308"],
+        ["simulate", "--gamma-a", "2e-308", "--n-pairs", "100"],
+        ["analytic", "--window-variant", "exact", "--tau", "1e-320"],
+        ["discriminate", "--postselect", "--tau", "1e-320"],
+    ], ids=["simulate-tau-1e-320", "simulate-tau-1e-308", "simulate-gamma-2e-308",
+            "analytic-exact", "discriminate-postselect"])
+    def test_is_parameter_error(self, tmp_path, capsys, argv):
+        if argv[0] == "discriminate":
+            records = tmp_path / "records.csv"
+            assert main(["simulate", "--kind", "product", "--n-pairs", "1000",
+                         "--out", str(records)]) == 0
+            argv = [*argv, "--samples", str(records)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_pairwise_window_keeps_every_pair(self, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--kind", "product", "--n-pairs", "1000",
+                         "--mode", "pairwise", "--tau", "1e-320", "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "records.csv.summary.json").read_text())
+        assert summary["kept"] == 1000
 
 
 class TestWavefunction:

@@ -13,24 +13,41 @@ from firstphoton.errors import IntegrationBlowupError, InvalidParameterError
 pop_st = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def one_step(state, rates, step=0.1, first_emission_scale=1.0):
+    """The state after one RK4 step of ``integrate`` from ``state``."""
+    config = kn.IntegratorConfig(step=step, t_end=step)
+    return kn.integrate(np.asarray(state, dtype=float), rates, config,
+                        first_emission_scale=first_emission_scale)[1]
+
+
+def taylor4(x):
+    """exp(-x) to fourth order: what one RK4 step makes of exp(-g h)."""
+    return 1.0 - x + x ** 2 / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
+
+
 class TestDerivative:
     def test_initial_state_frozen(self, rates_ref):
-        state = kn.initial_state(1.0)
-        d = kn.derivative(state, rates_ref)
-        # all pairs excited: first emissions only
-        assert tuple(d) == pytest.approx((-2.5, 1.5, 1.0, 1.0, 1.5, 2.5), rel=1e-15)
+        # oracle: the step is a polynomial in h A, so it takes each
+        # closed-form term exp(-g t) of the all-excited solution to
+        # taylor4(g h); a wrong rate in the first-emission column of A
+        # moves the result at order h
+        h = 0.1
+        y = one_step(kn.initial_state(1.0), rates_ref, step=h)
+        p_a, p_b, p_f = taylor4(1.0 * h), taylor4(1.5 * h), taylor4(2.5 * h)
+        expected = (p_f, p_a - p_f, p_b - p_f, 1.0 - p_a, 1.0 - p_b, 1.0 - p_f)
+        assert tuple(y) == pytest.approx(expected, rel=0, abs=1e-15)
 
     def test_zero_state(self, rates_ref):
-        state = np.zeros(6)
-        assert tuple(kn.derivative(state, rates_ref)) == (0.0,) * 6
+        assert tuple(one_step(np.zeros(6), rates_ref)) == (0.0,) * 6
 
     @given(n_e=pop_st, n_a=pop_st, n_b=pop_st)
     def test_conservation_identities_hold_pointwise(self, n_e, n_a, n_b):
         rates = RatePair(1.0, 1.5)
         state = np.array([n_e, n_a, n_b, 0.1, 0.2, 0.3])
-        d_ne, d_na, d_nb, d_ca, d_cb, d_cf = kn.derivative(state, rates)
-        assert 2 * d_ne + d_na + d_nb + d_ca + d_cb == pytest.approx(0.0, abs=1e-12)
-        assert d_cf + d_ne == pytest.approx(0.0, abs=1e-12)
+        before = kn.conservation_defects(state, 1.0)
+        after = kn.conservation_defects(one_step(state, rates), 1.0)
+        assert after[0] - before[0] == pytest.approx(0.0, abs=1e-12)
+        assert after[1] - before[1] == pytest.approx(0.0, abs=1e-12)
 
     @given(n_e=pop_st, n_a=pop_st, n_b=pop_st,
            scale=st.floats(min_value=0.1, max_value=5.0))
@@ -39,13 +56,15 @@ class TestDerivative:
         # either identity; the combined rate is not an independent dial
         rates = RatePair(1.0, 1.5)
         state = np.array([n_e, n_a, n_b, 0.0, 0.0, 0.0])
-        d = kn.derivative(state, rates, first_emission_scale=scale)
-        assert 2 * d[0] + d[1] + d[2] + d[3] + d[4] == pytest.approx(0.0, abs=1e-12)
-        assert d[5] + d[0] == pytest.approx(0.0, abs=1e-12)
+        before = kn.conservation_defects(state, 1.0)
+        after = kn.conservation_defects(
+            one_step(state, rates, first_emission_scale=scale), 1.0)
+        assert after[0] - before[0] == pytest.approx(0.0, abs=1e-12)
+        assert after[1] - before[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_scale(self, rates_ref):
         with pytest.raises(InvalidParameterError):
-            kn.derivative(kn.initial_state(), rates_ref, first_emission_scale=0.0)
+            one_step(kn.initial_state(), rates_ref, first_emission_scale=0.0)
 
 
 class TestIntegratorConfig:
@@ -53,7 +72,6 @@ class TestIntegratorConfig:
         dict(step=0.0, t_end=1.0),
         dict(step=-0.1, t_end=1.0),
         dict(step=0.1, t_end=0.0),
-        dict(step=0.1, t_end=1.0, n_0=-2.0),
     ])
     def test_rejects_bad_config(self, kw):
         with pytest.raises(InvalidParameterError):
@@ -63,9 +81,16 @@ class TestIntegratorConfig:
         assert kn.IntegratorConfig(step=2e-3, t_end=4.0).n_steps == 2000
 
 
+class TestInitialState:
+    @pytest.mark.parametrize("n_0", [0.0, -2.0, math.nan, math.inf])
+    def test_rejects_bad_n_0(self, n_0):
+        with pytest.raises(InvalidParameterError, match="n_0"):
+            kn.initial_state(n_0)
+
+
 class TestIntegrate:
     def test_matches_closed_forms(self, rates_ref):
-        config = kn.IntegratorConfig(step=2e-3, t_end=4.0, n_0=1.0)
+        config = kn.IntegratorConfig(step=2e-3, t_end=4.0)
         traj = kn.integrate(kn.initial_state(1.0), rates_ref, config)
         assert traj.shape == (config.n_steps + 1, 6)
         t = config.step * np.arange(len(traj))
@@ -83,7 +108,7 @@ class TestIntegrate:
         assert worst < 1e-9
 
     def test_conservation_along_trajectory(self, rates_ref):
-        config = kn.IntegratorConfig(step=4e-3, t_end=4.0, n_0=3.0)
+        config = kn.IntegratorConfig(step=4e-3, t_end=4.0)
         traj = kn.integrate(kn.initial_state(3.0), rates_ref, config)
         for row in traj[:: 100]:
             excitation, first = kn.conservation_defects(row, 3.0)
@@ -123,11 +148,11 @@ class TestIntegrate:
             kn.integrate(kn.initial_state(1.0), rates_ref, config)
 
     def test_n0_scales_linearly(self, rates_ref):
-        config = kn.IntegratorConfig(step=1e-2, t_end=1.0, n_0=7.0)
+        config = kn.IntegratorConfig(step=1e-2, t_end=1.0)
         last_7 = kn.integrate(kn.initial_state(7.0), rates_ref, config)[-1]
         last_1 = kn.integrate(kn.initial_state(1.0),
                               rates_ref,
-                              kn.IntegratorConfig(step=1e-2, t_end=1.0, n_0=1.0))[-1]
+                              kn.IntegratorConfig(step=1e-2, t_end=1.0))[-1]
         assert last_7[0] == pytest.approx(7.0 * last_1[0], rel=1e-12)
         assert last_7[5] == pytest.approx(7.0 * last_1[5], rel=1e-12)
 
@@ -140,6 +165,10 @@ class TestIntegrate:
         assert cap_n_a == pytest.approx(an.single_type_cdf(1.0, 1.0), abs=1e-10)
         assert cap_n_f == pytest.approx(
             an.first_emission_cdf_entangled(1.0, rates_ref), abs=1e-10)
+        # oracle: a pair has emitted both photons once it has emitted its
+        # first and no longer holds an excitation in channel A or B
         second = cap_n_a + cap_n_b - cap_n_f
         assert second == pytest.approx(
-            an.second_emission_cdf(1.0, rates_ref), abs=1e-10)
+            an.first_emission_cdf_entangled(1.0, rates_ref)
+            - an.intermediate_population(1.0, rates_ref, "A")
+            - an.intermediate_population(1.0, rates_ref, "B"), abs=1e-10)

@@ -41,6 +41,8 @@ class TestRecordTypes:
     @pytest.mark.parametrize("kw", [
         dict(n_pairs=0), dict(n_pairs=-3), dict(n_pairs=1.5),
         dict(kind="mixed"), dict(seed="abc"),
+        # photon times, or their grid-bin indices t / tau, overflow
+        dict(rates=RatePair(2e-308, 1.5)), dict(window=WindowConfig(tau=1e-320)),
     ])
     def test_sim_config_validation(self, kw):
         base = dict(n_pairs=10, rates=RatePair(1.0, 1.5), kind="entangled",
@@ -110,6 +112,25 @@ class TestSamplingStatistics:
         assert abs(frac_a - frac_b_swapped) < 5.0 * math.sqrt(0.25 / n) * math.sqrt(2.0)
         stat = ks_2samp(recs["t_first"], swapped["t_first"]).statistic
         assert stat < 1.95 * math.sqrt(2.0 / n)
+
+
+class TestPreparationsShareOneLaw:
+    """The entangled and the product sampler draw the same joint law of
+    (t_first, channel_first, t_second): the first of two independent
+    exponentials comes at the summed rate, in channel A with probability
+    gamma_a / gamma_f, and the other atom's wait is memoryless."""
+
+    def test_every_column_and_the_channel_share_agree(self):
+        n = 1_000_000
+        kw = dict(n_pairs=n, rates=RatePair(1.0, 1.5), window=WindowConfig(tau=5.0 / 6.0))
+        entangled = mc.simulate(mc.SimConfig(kind="entangled", seed=11, **kw))
+        product = mc.simulate(mc.SimConfig(kind="product", seed=12, **kw))
+        for name, column in [("t_first", lambda r: r["t_first"]),
+                             ("t_second - t_first", lambda r: r["t_second"] - r["t_first"]),
+                             ("t_second", lambda r: r["t_second"])]:
+            assert ks_2samp(column(entangled), column(product)).pvalue > 0.01, name
+        shares = [float(np.mean(r["channel_first"] == "A")) for r in (entangled, product)]
+        assert abs(shares[0] - shares[1]) < 3.0 * math.sqrt(2.0 * 0.4 * 0.6 / n)
 
 
 class TestDeterminism:
@@ -249,5 +270,12 @@ class TestRecordsCsv:
     def test_disordered_times_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_first,t_second\n0.5,0.1\n")
+        with pytest.raises(InvalidDataError):
+            mc.read_records_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.5,nan", "0.5,inf", "inf,inf"])
+    def test_non_finite_times_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_first,t_second\n0.2,0.3\n{row}\n")
         with pytest.raises(InvalidDataError):
             mc.read_records_csv(path)

@@ -1,0 +1,52 @@
+"""Every public top-level def or class in the package has a reader.
+
+A public name counts as read when it appears in code (a Name or an
+Attribute, not inside a string) in another package module other than
+``__init__.py``, in ``scripts/*.py``, ``perfbench/*.py`` or the
+acceptance gate, or in another top-level statement of its own module.
+A name that only tests read belongs in the tests.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "firstphoton"
+READERS = [*sorted((ROOT / "scripts").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+
+def code_names(tree: ast.AST) -> set[str]:
+    """Identifiers that appear as names or attributes in code."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unread_public_names() -> list[str]:
+    modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {path: code_names(ast.parse(path.read_text())) for path in READERS}
+    unread = []
+    for path, tree in modules.items():
+        elsewhere = set().union(
+            *readers.values(),
+            *(code_names(other) for p, other in modules.items()
+              if p != path and p.name != "__init__.py"))
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("_"):
+                continue
+            own = set().union(*(code_names(other) for other in tree.body
+                                if other is not stmt))
+            if stmt.name not in elsewhere | own:
+                unread.append(f"{path.stem}.{stmt.name}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    assert unread_public_names() == []
