@@ -85,12 +85,16 @@ def _require_positive_rate(name: str, value: float) -> float:
     return value
 
 
-def _check_times(t) -> np.ndarray:
+def _check_times(t, rate: float, tau: float = 0.0) -> np.ndarray:
+    """t as a float array; InvalidParameterError unless the times are
+    finite and non-negative and the largest exponent rate * (t + tau)
+    that a law forms at them stays in the float range."""
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise InvalidParameterError("times must be finite")
     if np.any(t < 0.0):
         raise InvalidParameterError("times must be non-negative")
+    _require_exponent(rate, float(t.max(initial=0.0)) + tau)
     return t
 
 
@@ -173,14 +177,14 @@ def solve_compatibility(rates: RatePair) -> tuple[float, float, float]:
 
 def first_emission_cdf_entangled(t, rates: RatePair):
     """Cumulative first-photon fraction for entangled pairs."""
-    t = _check_times(t)
+    t = _check_times(t, rates.gamma_f)
     return -np.expm1(-rates.gamma_f * t)
 
 
 def single_type_cdf(t, gamma_i: float):
     """Cumulative emission fraction of an isolated atom with rate gamma_i."""
     gamma_i = _require_positive_rate("gamma_i", gamma_i)
-    t = _check_times(t)
+    t = _check_times(t, gamma_i)
     return -np.expm1(-gamma_i * t)
 
 
@@ -192,7 +196,7 @@ def intermediate_population(t, rates: RatePair, channel: str):
     compatible channel rates; the denominator never vanishes because
     g_f = g_i + g_j > g_i for positive rates.
     """
-    t = _check_times(t)
+    t = _check_times(t, rates.gamma_f)
     g_i = rates.channel_rate(channel)
     c_j = rates.gamma_b if channel == CHANNEL_A else rates.gamma_a
     g_f = rates.gamma_f
@@ -205,7 +209,7 @@ def emission_derivative_ordered(t, rates: RatePair, channel: str):
     First emissions feed the channel at c_i * exp(-g_f t); pairs parked
     in the intermediate one-excited state drain into it at g_i * n_i.
     """
-    t = _check_times(t)
+    t = _check_times(t, rates.gamma_f)
     g_i = rates.channel_rate(channel)
     c_i = g_i
     g_f = rates.gamma_f
@@ -215,7 +219,7 @@ def emission_derivative_ordered(t, rates: RatePair, channel: str):
 def emission_derivative_direct(t, gamma_i: float):
     """dN_i/dt if the channel simply decayed at its single-atom rate."""
     gamma_i = _require_positive_rate("gamma_i", gamma_i)
-    t = _check_times(t)
+    t = _check_times(t, gamma_i)
     return gamma_i * np.exp(-gamma_i * t)
 
 
@@ -228,7 +232,7 @@ def window_prob_taylor(t, tau: float, gamma_i: float):
     """
     gamma_i = _require_positive_rate("gamma_i", gamma_i)
     tau = WindowConfig(tau=tau).tau
-    t = _check_times(t)
+    t = _check_times(t, gamma_i)
     p = tau * gamma_i * np.exp(-gamma_i * t)
     if np.any(p > 1.0):
         warnings.warn(
@@ -275,6 +279,16 @@ def _require_bin_index(latest: float, tau: float) -> None:
         raise InvalidParameterError(
             f"the grid-bin window tau={tau!r} is too narrow for times up to "
             f"{latest:.6g}: their bin index t / tau overflows")
+
+
+def _require_exponent(rate: float, latest: float) -> None:
+    """InvalidParameterError unless the exponent rate * t stays in the
+    float range for times up to ``latest``, so numpy never overflows
+    forming it."""
+    if not math.isfinite(rate * latest):
+        raise InvalidParameterError(
+            f"rate {rate!r} is too large for a time span of {latest:.6g}: "
+            "the exponent rate * t overflows")
 
 
 def _unshared(t, g: float, window: WindowConfig):
@@ -333,7 +347,7 @@ def product_first_pdf(t, rates: RatePair, window: WindowConfig,
             ``window.mode`` (see the module docstring), beyond the
             taylor bound too
     """
-    t = _check_times(t)
+    t = _check_times(t, rates.gamma_f, window.tau)
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
         alpha = normalization_alpha(rates, window)
@@ -351,7 +365,7 @@ def product_first_cdf(t, rates: RatePair, window: WindowConfig,
                       variant: str = VARIANT_TAYLOR):
     """Cumulative form of ``product_first_pdf``; the exact one is
     (H_ab + H_ba) / (2 (1 - c)), clipped to [0, 1] against rounding."""
-    t = _check_times(t)
+    t = _check_times(t, rates.gamma_f, window.tau)
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
         g_f = rates.gamma_f

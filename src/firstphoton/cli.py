@@ -198,8 +198,8 @@ def cmd_analytic(args, argv) -> int:
     window = _window(args)
     if args.n_points < 2:
         raise InvalidParameterError("need at least 2 grid points")
-    if args.t_max <= 0.0:
-        raise InvalidParameterError("t-max must be positive")
+    if not (np.isfinite(args.t_max) and args.t_max > 0.0):
+        raise InvalidParameterError(f"t-max must be positive and finite, got {args.t_max!r}")
     try:
         t = np.linspace(0.0, args.t_max, args.n_points)
     except MemoryError as exc:
@@ -261,6 +261,7 @@ def _load_times(args) -> np.ndarray:
     if args.postselect:
         records = montecarlo.read_records_csv(args.samples)
         kept, _ = montecarlo.postselect(records, _window(args))
+        del records     # before the times are allocated
         return montecarlo.one_photon_window_times(kept)
     return read_columns(args.samples, ["t_first"])["t_first"]
 

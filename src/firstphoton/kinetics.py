@@ -63,6 +63,10 @@ class IntegratorConfig:
             raise InvalidParameterError(f"step must be positive and finite, got {self.step!r}")
         if not np.isfinite(self.t_end) or self.t_end <= 0.0:
             raise InvalidParameterError(f"t_end must be positive and finite, got {self.t_end!r}")
+        if not np.isfinite(float(self.t_end) / float(self.step)):
+            raise InvalidParameterError(
+                f"t_end / step = {self.t_end!r} / {self.step!r} overflows: "
+                "the step count must be finite")
 
     @property
     def n_steps(self) -> int:

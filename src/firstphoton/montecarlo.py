@@ -169,14 +169,26 @@ def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:
     Boundary convention of ``grid-bin`` follows from the bin index
     floor(t / tau): a photon exactly on a bin edge belongs to the later
     bin.  ``pairwise`` keeps a pair when t_second - t_first >= tau.
+    The mask is formed CHUNK_PAIRS pairs at a time, so the temporaries
+    stay one chunk long.
     """
     t_first = np.asarray(records["t_first"], dtype=float)
     t_second = np.asarray(records["t_second"], dtype=float)
-    if window.mode == MODE_GRID_BIN:
+    tau = window.tau
+    grid_bin = window.mode == MODE_GRID_BIN
+    if grid_bin:
         # records hold t_first <= t_second, so the latest t_second decides
-        _require_bin_index(float(t_second.max(initial=0.0)), window.tau)
-        return np.floor(t_first / window.tau) != np.floor(t_second / window.tau)
-    return (t_second - t_first) >= window.tau
+        _require_bin_index(float(t_second.max(initial=0.0)), tau)
+    keep = np.empty(t_first.shape, dtype=bool)
+    for start in range(0, keep.size, CHUNK_PAIRS):
+        first = t_first[start:start + CHUNK_PAIRS]
+        second = t_second[start:start + CHUNK_PAIRS]
+        out = keep[start:start + CHUNK_PAIRS]
+        if grid_bin:
+            np.not_equal(np.floor(first / tau), np.floor(second / tau), out=out)
+        else:
+            np.greater_equal(second - first, tau, out=out)
+    return keep
 
 
 def postselect(records: np.ndarray, window: WindowConfig):

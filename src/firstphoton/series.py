@@ -6,9 +6,10 @@ A table is one header row and one row per index of its columns, with
 bit-identical values and reruns can be compared byte for byte; integers
 are written with ``%d`` and any other value with ``str``.
 
-``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks,
-each rendered by one ``%`` of a repeated row format, so its memory
-beyond the columns is a few chunks' text whatever the row count.
+``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks
+(16384 rows), each rendered by one ``%`` of a repeated row format, so
+its memory beyond the columns is a few chunks' Python cells and text
+whatever the row count; the file does not depend on the chunk size.
 Inside ``with render_processes(n):`` it renders the chunks in up to n
 forked processes (never more than there are chunks or usable CPUs):
 the workers read the columns they inherit through fork and send back
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import InvalidDataError, InvalidParameterError
 
 FLOAT_FMT = "%.17g"
-CHUNK_ROWS = 65536
+CHUNK_ROWS = 16384
 
 
 def _cell_format(column: np.ndarray) -> str:

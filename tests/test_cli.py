@@ -361,7 +361,8 @@ class TestKinetics:
 
 class TestTimeOverflow:
     """Rates or grid-bin windows so small that photon times, or their bin
-    indices t / tau, leave the float range."""
+    indices t / tau, leave the float range; rates, horizons or steps so
+    large that an exponent rate * t or a step count t_end / step does."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--kind", "product", "--n-pairs", "1000", "--tau", "1e-320"],
@@ -369,8 +370,20 @@ class TestTimeOverflow:
         ["simulate", "--gamma-a", "2e-308", "--n-pairs", "100"],
         ["analytic", "--window-variant", "exact", "--tau", "1e-320"],
         ["discriminate", "--postselect", "--tau", "1e-320"],
+        ["analytic", "--t-max", "inf"],
+        ["analytic", "--t-max", "1e308", "--n-points", "3", "--window-variant", "exact",
+         "--mode", "pairwise"],
+        ["analytic", "--gamma-b", "1e308"],
+        ["analytic", "--gamma-b", "1e308", "--window-variant", "exact"],
+        ["discriminate", "--postselect", "--gamma-b", "1e308"],
+        ["kinetics", "--step", "1e-320"],
+        ["kinetics", "--step", "1e-308"],
+        ["kinetics", "--t-end", "1e308"],
     ], ids=["simulate-tau-1e-320", "simulate-tau-1e-308", "simulate-gamma-2e-308",
-            "analytic-exact", "discriminate-postselect"])
+            "analytic-exact", "discriminate-postselect", "analytic-t-max-inf",
+            "analytic-t-max-1e308", "analytic-gamma-1e308", "analytic-exact-gamma-1e308",
+            "discriminate-postselect-gamma-1e308", "kinetics-step-1e-320",
+            "kinetics-step-1e-308", "kinetics-t-end-1e308"])
     def test_is_parameter_error(self, tmp_path, capsys, argv):
         if argv[0] == "discriminate":
             records = tmp_path / "records.csv"
@@ -472,6 +485,37 @@ class TestWavefunction:
             "import sys; from firstphoton.cli import main; sys.exit(main(["
             f"'wavefunction', '--check', '{check}', '--n', '{n}']))")
         assert peak - baseline <= 2.6 * 16 * n * n
+
+
+class TestRecordPipelineMemory:
+    # at its peak simulate holds the 20-byte records with the 8-byte
+    # pair_id and 4-byte channel_second columns that write_table renders,
+    # and discriminate --postselect holds the records with their kept
+    # copy from postselect: about 32 and 40 bytes a pair, plus one chunk
+    # of temporaries and allocator slack (about 53 and 46 measured on
+    # 2**19 pairs).  Each bound fails the step that keeps a full-length
+    # temporary it need not: keep_mask's floor(t / tau) arrays (61),
+    # 65536-row render chunks (82), the records held past postselect
+    # (57) or the density and its log over all samples (81).
+    N_PAIRS = 1 << 19
+    BYTES_PER_PAIR = {"simulate": 57, "discriminate": 52}
+
+    def test_growth_per_pair_is_bounded(self, tmp_path):
+        records = tmp_path / "records.csv"
+        baseline = peak_rss_bytes("import firstphoton.cli")
+        peaks = {
+            "simulate": peak_rss_bytes(
+                "import sys; from firstphoton.cli import main; sys.exit(main(["
+                "'simulate', '--kind', 'product', '--tau', '0.02', "
+                f"'--n-pairs', '{self.N_PAIRS}', '--workers', '1', '--seed', '7', "
+                f"'--out', r'{records}']))"),
+            "discriminate": peak_rss_bytes(
+                "import sys; from firstphoton.cli import main; sys.exit(main(["
+                "'discriminate', '--tau', '0.02', '--postselect', "
+                f"'--samples', r'{records}']))"),
+        }
+        growth = {step: (peak - baseline) / self.N_PAIRS for step, peak in peaks.items()}
+        assert all(growth[step] <= bound for step, bound in self.BYTES_PER_PAIR.items()), growth
 
 
 # printed by the child as it exits: VmHWM, the high-water mark of its own

@@ -141,6 +141,25 @@ class TestProductLikelihood:
         with pytest.raises(ModelInapplicableError):
             es.log_likelihood_product([1e-3], RATES, WindowConfig(tau=1.2))
 
+    def test_blocks_give_the_single_pass_bits(self, product_window_times):
+        # three full blocks and a short one
+        t = np.resize(product_window_times, 3 * es.LOG_BLOCK + 5)
+        window = WindowConfig(tau=0.02)
+        single = float(np.sum(np.log(an.product_first_pdf(t, RATES, window))))
+        assert es.log_likelihood_product(t, RATES, window) == single
+
+    def test_names_the_smallest_density_of_all_blocks(self):
+        # density is negative near the origin at this window and falls
+        # toward t = 0: block 0 holds a dip, block 2 a deeper one
+        window = WindowConfig(tau=1.2)
+        t = np.full(3 * es.LOG_BLOCK + 5, 2.0)
+        t[7] = 0.3
+        t[2 * es.LOG_BLOCK + 11] = 1e-3
+        pdf = an.product_first_pdf(t, RATES, window)
+        assert pdf[7] <= 0.0 and pdf[2 * es.LOG_BLOCK + 11] == pdf.min()
+        with pytest.raises(ModelInapplicableError, match="t=0.001 "):
+            es.log_likelihood_product(t, RATES, window)
+
     def test_own_data_beats_entangled_law(self, product_window_times):
         ll_p = es.log_likelihood_product(product_window_times, RATES, WindowConfig(tau=0.02))
         ll_e = es.log_likelihood_entangled(product_window_times, RATES)
