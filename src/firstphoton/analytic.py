@@ -30,13 +30,13 @@ the post-selected first-photon law with
     1 / alpha = 2 - 2 * tau * gamma_a * gamma_b / (gamma_a + gamma_b),
 
 which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b;
-only this law needs alpha, so only it rejects wider windows.
+only this law needs alpha and rejects wider windows; it is a CDF only.
 
 The ``exact`` law is the law of the pooled photons that post-selection
 keeps, for the window's mode.  With f_x the density of photon x and
 P_x(t) the probability that photon x shares the window of a photon at
 t (grid-bin: the bin floor(t / tau); pairwise: within tau of t), its
-density is
+density, the one ``product_first_pdf`` returns, is
 
     [f_a (1 - P_b) + f_b (1 - P_a)] / (2 * (1 - c)),
 
@@ -291,13 +291,19 @@ def _require_exponent(rate: float, latest: float) -> None:
             "the exponent rate * t overflows")
 
 
-def _unshared(t, g: float, window: WindowConfig):
+def _bin_index(t, tau: float):
+    """floor(t / tau), the grid bin of each time, once ``_require_bin_index``
+    has checked that the largest stays in the float range."""
+    _require_bin_index(float(t.max(initial=0.0)), tau)
+    return np.floor(t / tau)
+
+
+def _unshared(t, g: float, window: WindowConfig, bins):
     """1 - P(t): probability that a photon of rate g misses the window
-    of a photon at t."""
+    of a photon at t; ``bins`` is ``_bin_index(t, tau)`` in grid-bin mode."""
     tau = window.tau
     if window.mode == MODE_GRID_BIN:
-        _require_bin_index(float(t.max(initial=0.0)), tau)
-        return 1.0 + np.expm1(-g * tau) * np.exp(-g * tau * np.floor(t / tau))
+        return 1.0 + np.expm1(-g * tau) * np.exp(-g * tau * bins)
     return -np.expm1(-g * np.maximum(t - tau, 0.0)) + np.exp(-g * (t + tau))
 
 
@@ -309,8 +315,7 @@ def _unshared_cumulative(t, g_a: float, g_b: float, window: WindowConfig):
     """
     tau, g_f = window.tau, g_a + g_b
     if window.mode == MODE_GRID_BIN:
-        _require_bin_index(float(t.max(initial=0.0)), tau)
-        k_tau = tau * np.floor(t / tau)
+        k_tau = tau * _bin_index(t, tau)
         q_a, q_b, q_f = (-np.expm1(-g * tau) for g in (g_a, g_b, g_f))
         earlier = q_a * -np.expm1(-g_f * k_tau) / q_f
         current = np.exp(-g_f * k_tau) * -np.expm1(-g_a * (t - k_tau))
@@ -335,36 +340,24 @@ def _kept_fraction(rates: RatePair, window: WindowConfig) -> float:
     return kept
 
 
-def product_first_pdf(t, rates: RatePair, window: WindowConfig,
-                      variant: str = VARIANT_TAYLOR):
-    """Density of post-selected single-photon window times, product pairs.
-
-    taylor: alpha * (g_a e^{-g_a t} + g_b e^{-g_b t}
-                     - 2 tau g_a g_b e^{-(g_a+g_b) t}),
-            WindowTooWideError where alpha does not exist
-    exact:  [g_a e^{-g_a t} (1 - P_b(t)) + g_b e^{-g_b t} (1 - P_a(t))]
-            / (2 (1 - c)), the law of the pooled kept photons for
-            ``window.mode`` (see the module docstring), beyond the
-            taylor bound too
-    """
+def product_first_pdf(t, rates: RatePair, window: WindowConfig):
+    """Density of the photons that post-selection keeps, product pairs:
+    the ``exact`` law [g_a e^{-g_a t} (1 - P_b(t)) + g_b e^{-g_b t}
+    (1 - P_a(t))] / (2 (1 - c)) for ``window.mode`` (module docstring)."""
     t = _check_times(t, rates.gamma_f, window.tau)
     g_a, g_b = rates.gamma_a, rates.gamma_b
-    if variant == VARIANT_TAYLOR:
-        alpha = normalization_alpha(rates, window)
-        return alpha * (g_a * np.exp(-g_a * t)
-                        + g_b * np.exp(-g_b * t)
-                        - 2.0 * window.tau * g_a * g_b * np.exp(-rates.gamma_f * t))
-    if variant == VARIANT_EXACT:
-        kept = 2.0 * _kept_fraction(rates, window)
-        return (g_a * np.exp(-g_a * t) * _unshared(t, g_b, window)
-                + g_b * np.exp(-g_b * t) * _unshared(t, g_a, window)) / kept
-    raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
+    kept = 2.0 * _kept_fraction(rates, window)
+    bins = _bin_index(t, window.tau) if window.mode == MODE_GRID_BIN else None
+    return (g_a * np.exp(-g_a * t) * _unshared(t, g_b, window, bins)
+            + g_b * np.exp(-g_b * t) * _unshared(t, g_a, window, bins)) / kept
 
 
 def product_first_cdf(t, rates: RatePair, window: WindowConfig,
                       variant: str = VARIANT_TAYLOR):
-    """Cumulative form of ``product_first_pdf``; the exact one is
-    (H_ab + H_ba) / (2 (1 - c)), clipped to [0, 1] against rounding."""
+    """CDF of post-selected single-photon window times, product pairs: the
+    taylor law (WindowTooWideError where alpha does not exist) or the
+    integral of ``product_first_pdf``, (H_ab + H_ba) / (2 (1 - c)),
+    clipped to [0, 1] against rounding."""
     t = _check_times(t, rates.gamma_f, window.tau)
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:

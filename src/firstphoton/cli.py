@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import __version__, analytic, estimation, kinetics, montecarlo, wavefunction
 from .analytic import RatePair, WindowConfig
-from .errors import FirstPhotonError, InvalidParameterError, exit_code_for
+from .errors import (EXIT_INVALID_PARAMETERS, FirstPhotonError, InvalidParameterError,
+                     exit_code_for)
 from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
@@ -164,6 +166,17 @@ def _window(args) -> WindowConfig:
     return WindowConfig(tau=args.tau, mode=args.mode)
 
 
+def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
+    """InvalidParameterError naming ``flag``, before anything is allocated,
+    when an array of n_items items of ``itemsize`` bytes exceeds physical
+    memory; past numpy's largest array numpy would raise a bare ValueError."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if n_items * itemsize > physical:
+        raise InvalidParameterError(
+            f"{flag} asks for an array larger than the {physical / 2**30:.3g} GiB "
+            "of physical memory")
+
+
 def _write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON; a file that cannot be written
     is an invalid ``--out``."""
@@ -200,11 +213,8 @@ def cmd_analytic(args, argv) -> int:
         raise InvalidParameterError("need at least 2 grid points")
     if not (np.isfinite(args.t_max) and args.t_max > 0.0):
         raise InvalidParameterError(f"t-max must be positive and finite, got {args.t_max!r}")
-    try:
-        t = np.linspace(0.0, args.t_max, args.n_points)
-    except MemoryError as exc:
-        raise InvalidParameterError(
-            f"--n-points {args.n_points} does not fit in memory") from exc
+    _require_array_size(f"--n-points {args.n_points}", args.n_points, 8)
+    t = np.linspace(0.0, args.t_max, args.n_points)
     columns = [
         t,
         analytic.first_emission_cdf_entangled(t, rates),
@@ -222,13 +232,9 @@ def cmd_simulate(args, argv) -> int:
     window = _window(args)
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
                                   kind=args.kind, window=window, seed=args.seed)
-    try:
-        records = montecarlo.simulate(config, n_workers=args.workers)
-    except MemoryError as exc:
-        raise InvalidParameterError(
-            f"--n-pairs {args.n_pairs} needs records of "
-            f"{montecarlo.RECORD_DTYPE.itemsize * args.n_pairs:.3g} bytes, "
-            "which do not fit in memory") from exc
+    _require_array_size(f"--n-pairs {args.n_pairs}", args.n_pairs,
+                        montecarlo.RECORD_DTYPE.itemsize)
+    records = montecarlo.simulate(config, n_workers=args.workers)
     montecarlo.write_records_csv(args.out, records, n_workers=args.workers)
 
     summary = montecarlo.PostSelectionSummary.of_mask(
@@ -283,13 +289,10 @@ def cmd_discriminate(args, argv) -> int:
 def cmd_kinetics(args, argv) -> int:
     rates = _rates(args)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end)
-    try:
-        traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
-                                  first_emission_scale=args.rate_scale)
-    except MemoryError as exc:
-        raise InvalidParameterError(
-            f"--t-end / --step give {config.n_steps} steps, which do not fit "
-            "in memory") from exc
+    _require_array_size(f"--t-end / --step = {args.t_end!r} / {args.step!r}",
+                        (config.n_steps + 1) * len(kinetics.STATE_FIELDS), 8)
+    traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
+                              first_emission_scale=args.rate_scale)
     write_table(args.out, ["t", *kinetics.STATE_FIELDS],
                 [args.step * np.arange(len(traj)), *traj.T])
     _write_manifest(args, argv, [args.out])
@@ -300,9 +303,8 @@ def _wavefunction_report(args) -> dict:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
-    # every check holds n x n complex arrays: allocating one first makes an
-    # --n that cannot fit fail before the O(n) modes are built
-    np.empty((grid.n, grid.n), dtype=complex)
+    # every check holds n x n complex arrays
+    _require_array_size(f"--n {args.n}", grid.n ** 2, 16)
     mode0 = wavefunction.oscillator_mode(grid, 0)
     mode1 = wavefunction.oscillator_mode(grid, 1)
 
@@ -346,13 +348,7 @@ def _wavefunction_report(args) -> dict:
 
 
 def cmd_wavefunction(args, argv) -> int:
-    try:
-        report = _wavefunction_report(args)
-    except MemoryError as exc:
-        raise InvalidParameterError(
-            f"--n {args.n} needs n x n complex arrays of {16 * args.n ** 2:.3g} "
-            "bytes, which do not fit in memory") from exc
-    _emit_json(report, args, argv)
+    _emit_json(_wavefunction_report(args), args, argv)
     return 0
 
 
@@ -403,6 +399,10 @@ def main(argv=None) -> int:
     except FirstPhotonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except MemoryError:
+        # sizes below physical memory that the process may not allocate
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INVALID_PARAMETERS
 
 
 if __name__ == "__main__":

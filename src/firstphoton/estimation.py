@@ -3,8 +3,10 @@
 Exponential maximum likelihood, Kolmogorov-Smirnov distances against an
 arbitrary model CDF, and likelihood-based discrimination between the
 entangled law (single exponential at the combined rate) and the
-post-selected product law (the ``taylor`` three-exponential window
-density, which exists only while its normalization alpha does).  The
+post-selected product law.  The product side scores the ``exact``
+density of the kept photons for the window's mode
+(``analytic.product_first_pdf``), which holds for any window that
+keeps pairs; the narrow-window ``taylor`` law is never scored.  The
 discrimination uses known parameters on both sides; nothing is fitted
 before comparing.
 """
@@ -101,12 +103,12 @@ def log_likelihood_entangled(times, rates: RatePair) -> float:
 
 
 def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> float:
-    """Log-likelihood under the post-selected product-pair window law.
+    """Log-likelihood under the exact law of the kept photons of product
+    pairs, ``analytic.product_first_pdf``.
 
-    Raises WindowTooWideError where the law has no normalization, and
-    ModelInapplicableError when the density is not positive at some
-    sample, which happens outside the narrow-window regime; the error
-    names the sample of smallest density.
+    Raises ModelInapplicableError, naming the first such sample, where
+    the density underflows to 0, as it does once g * t passes about 745
+    for both rates.
 
     The density is evaluated LOG_BLOCK samples at a time into one buffer
     of logs, which is summed once, so the result has the bits of
@@ -114,20 +116,16 @@ def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> floa
     """
     t = _clean_times(times, require_positive=False)
     logs = np.empty_like(t)
-    smallest, at = math.inf, math.nan
     for start in range(0, t.size, LOG_BLOCK):
         block = t[start:start + LOG_BLOCK]
         pdf = analytic.product_first_pdf(block, rates, window)
         k = int(np.argmin(pdf))
-        if pdf[k] < smallest:
-            smallest, at = float(pdf[k]), float(block[k])
-        if smallest > 0.0:
-            np.log(pdf, out=logs[start:start + LOG_BLOCK])
-    if not smallest > 0.0:
-        raise ModelInapplicableError(
-            f"window density is not positive at t={at:.6g} for tau="
-            f"{window.tau}, rates=({rates.gamma_a}, "
-            f"{rates.gamma_b}); likelihood undefined")
+        if not pdf[k] > 0.0:
+            raise ModelInapplicableError(
+                f"window density underflows to 0 at t={block[k]:.6g} for tau="
+                f"{window.tau}, rates=({rates.gamma_a}, "
+                f"{rates.gamma_b}); likelihood undefined")
+        np.log(pdf, out=logs[start:start + LOG_BLOCK])
     return float(np.sum(logs))
 
 

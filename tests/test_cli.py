@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -98,12 +99,29 @@ class TestAnalytic:
         assert len(err.splitlines()) == 1
 
     def test_oversized_grid_is_parameter_error(self, tmp_path, capsys):
-        # petabytes: the allocation fails before any memory is touched
-        assert main(["analytic", "--n-points", str(10**15),
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--n-points" in err
-        assert len(err.splitlines()) == 1
+        # petabytes, beyond physical memory: refused before anything is
+        # allocated; 2**62 and 10**19 points also pass the largest array
+        # numpy can address, where numpy raises ValueError
+        for n_points in (10**15, 2**62, 10**19):
+            assert main(["analytic", "--n-points", str(n_points),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--n-points" in err
+            assert len(err.splitlines()) == 1
+
+
+    def test_allocation_failure_is_parameter_error(self, tmp_path):
+        # 1.6 GB of grid under a 1 GiB address-space limit: numpy raises
+        # MemoryError, which main reports in one line
+        code = ("import resource, sys; from firstphoton.cli import main; "
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                "sys.exit(main(['analytic', '--n-points', '200000000', "
+                "'--out', 'unwritten.csv']))")
+        src = os.path.dirname(os.path.dirname(firstphoton.__file__))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
 class TestSimulate:
@@ -212,13 +230,15 @@ class TestSimulate:
         assert not out.exists()
 
     def test_oversized_run_is_parameter_error(self, tmp_path, capsys):
-        # 17.8 PiB of records, beyond the address space: the allocation
-        # fails before any memory is touched
-        assert main(["simulate", "--n-pairs", str(10**15),
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--n-pairs" in err
-        assert len(err.splitlines()) == 1
+        # 17.8 PiB of records, beyond physical memory: refused before
+        # anything is allocated; 10**19 pairs also pass the largest array
+        # numpy can address
+        for n_pairs in (10**15, 10**19):
+            assert main(["simulate", "--n-pairs", str(n_pairs),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--n-pairs" in err
+            assert len(err.splitlines()) == 1
 
     def test_manifest_replays_byte_identically(self, tmp_path):
         out = tmp_path / "records.csv"
@@ -300,12 +320,34 @@ class TestDiscriminate:
         assert payload["preferred"] == "product"
         assert payload["log_likelihood_ratio"] < 0.0
 
-    def test_wide_window_is_parameter_error(self, tmp_path, capsys):
+    def test_wide_window_prefers_the_generator(self, tmp_path, capsys):
+        # tau = 5/3 is the taylor law's bound at rates (1, 1.5); the exact
+        # law that discriminate scores holds there and beyond
+        for mode, (kind, seed, processing) in itertools.product(
+                ("grid-bin", "pairwise"),
+                (("entangled", 21, []), ("product", 22, ["--postselect"]))):
+            window = ["--tau", repr(5.0 / 3.0), "--mode", mode]
+            records = tmp_path / f"{kind}.csv"
+            assert main(["simulate", "--kind", kind, "--n-pairs", "10000",
+                         "--seed", str(seed), *window, "--out", str(records)]) == 0
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code, payload = run_json(capsys, ["discriminate", "--samples", str(records),
+                                                  *window, *processing])
+            assert code == 0
+            assert payload["preferred"] == kind, (mode, kind)
+
+    def test_underflowing_density_is_model_inapplicable(self, tmp_path, capsys):
+        # exp(-1000) and exp(-1500) underflow, so the product density is 0
         samples = tmp_path / "samples.csv"
-        samples.write_text("t_first\n0.5\n")
-        assert main(["discriminate", "--samples", str(samples),
-                     "--tau", "1.7"]) == 2
-        capsys.readouterr()
+        samples.write_text("t_first\n0.5\n1000\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["discriminate", "--samples", str(samples)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t=1000 " in err
+        assert len(err.splitlines()) == 1
 
 
 class TestKinetics:
@@ -351,12 +393,15 @@ class TestKinetics:
         assert not out.exists()
 
     def test_oversized_trajectory_is_parameter_error(self, tmp_path, capsys):
-        # petabytes: the allocation fails before any memory is touched
-        assert main(["kinetics", "--step", "1e-15",
-                     "--out", str(tmp_path / "kin.csv")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--step" in err
-        assert len(err.splitlines()) == 1
+        # petabytes, beyond physical memory: refused before anything is
+        # allocated; 1e300 and 1e308 steps also pass the largest array
+        # numpy can address
+        for plan in (["--step", "1e-15"], ["--t-end", "1e300", "--step", "1"],
+                     ["--step", "1e-308", "--t-end", "1"]):
+            assert main(["kinetics", *plan, "--out", str(tmp_path / "kin.csv")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--step" in err
+            assert len(err.splitlines()) == 1
 
 
 class TestTimeOverflow:
@@ -409,6 +454,57 @@ class TestTimeOverflow:
         assert summary["kept"] == 1000
 
 
+# Every numeric flag of every subcommand, set to each of these values on
+# top of small base sizes.  An int flag parses only "0" and "-1"; argparse
+# rejects the rest with exit 2.
+PROBE_VALUES = ["0", "-0.0", "-1", "1e-320", "1e-308", "1e308", "inf", "nan"]
+WINDOW_FLAGS = ["--gamma-a", "--gamma-b", "--tau"]
+ANALYTIC_FLAGS = [*WINDOW_FLAGS, "--t-max", "--n-points"]
+PROBED = [
+    (["analytic", "--n-points", "5"], ANALYTIC_FLAGS),
+    (["analytic", "--n-points", "5", "--window-variant", "exact"], ANALYTIC_FLAGS),
+    (["simulate", "--n-pairs", "200"], [*WINDOW_FLAGS, "--seed", "--n-pairs", "--workers"]),
+    (["fit"], WINDOW_FLAGS),
+    (["fit", "--postselect"], WINDOW_FLAGS),
+    (["discriminate"], WINDOW_FLAGS),
+    (["discriminate", "--postselect"], WINDOW_FLAGS),
+    (["kinetics", "--t-end", "1"],
+     ["--gamma-a", "--gamma-b", "--step", "--t-end", "--n-0", "--rate-scale"]),
+    (["wavefunction", "--check", "antisymmetry-preservation", "--n", "32"],
+     ["--n", "--x-max", "--t"]),
+]
+PROBE_CASES = [(base, flag, value) for base, flags in PROBED
+               for flag in flags for value in PROBE_VALUES]
+
+
+@pytest.fixture(scope="module")
+def probe_records(tmp_path_factory):
+    records = tmp_path_factory.mktemp("probe") / "records.csv"
+    assert main(["simulate", "--kind", "product", "--n-pairs", "200",
+                 "--out", str(records)]) == 0
+    return records
+
+
+class TestExitCodeContract:
+    """Every input ends with exit 0, 2, 3 or 4 and at most one error
+    line, never an exception or a warning."""
+
+    @pytest.mark.parametrize("base, flag, value", PROBE_CASES,
+                             ids=[" ".join([*base, flag, value]) for base, flag, value
+                                  in PROBE_CASES])
+    def test_numeric_flag(self, tmp_path, capsys, probe_records, base, flag, value):
+        if base[0] in ("fit", "discriminate"):
+            base = [*base, "--samples", str(probe_records)]
+        elif base[0] != "wavefunction":
+            base = [*base, "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*base, f"{flag}={value}"])
+        assert code in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) <= 1, err
+
+
 class TestWavefunction:
     def test_antisymmetric_coefficient_check(self, capsys):
         code, payload = run_json(capsys, ["wavefunction", "--check",
@@ -445,12 +541,14 @@ class TestWavefunction:
     @pytest.mark.parametrize("check", ["antisymmetry-preservation",
                                        "n0f-antisymmetric", "n0f-symmetric-input"])
     def test_oversized_grid_is_parameter_error(self, check, capsys):
-        # 16 * 10**16 bytes per array, beyond the address space: the
-        # allocation fails before any memory is touched
-        assert main(["wavefunction", "--check", check, "--n", str(10**8)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--n" in err
-        assert len(err.splitlines()) == 1
+        # 16 * 10**16 bytes per array, beyond physical memory: refused
+        # before anything is allocated; 4e9 points per axis also pass the
+        # largest array numpy can address
+        for n in (10**8, 4 * 10**9):
+            assert main(["wavefunction", "--check", check, "--n", str(n)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "--n" in err
+            assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("check", ["antisymmetry-preservation",
                                        "n0f-antisymmetric", "n0f-symmetric-input"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,7 @@ from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
 from firstphoton.analytic import RatePair, WindowConfig
-from firstphoton.errors import (InvalidDataError, ModelInapplicableError,
-                                WindowTooWideError)
+from firstphoton.errors import InvalidDataError, ModelInapplicableError
 
 RATES = RatePair(1.0, 1.5)
 
@@ -135,11 +135,13 @@ class TestProductLikelihood:
         assert es.log_likelihood_product(times, rates, WindowConfig(tau=1e-9)) == pytest.approx(
             expected, rel=1e-7)
 
-    def test_raises_where_density_is_negative(self):
-        # load 0.72: the law normalizes but its density dips below zero
-        # near the origin, so the likelihood is undefined there
-        with pytest.raises(ModelInapplicableError):
-            es.log_likelihood_product([1e-3], RATES, WindowConfig(tau=1.2))
+    def test_raises_where_density_underflows(self):
+        # exp(-1000) and exp(-1500) underflow to 0, so the likelihood is
+        # undefined there
+        for mode in an.WINDOW_MODES:
+            with pytest.raises(ModelInapplicableError, match="t=1000 "):
+                es.log_likelihood_product([0.5, 1000.0], RATES,
+                                          WindowConfig(5.0 / 6.0, mode))
 
     def test_blocks_give_the_single_pass_bits(self, product_window_times):
         # three full blocks and a short one
@@ -149,15 +151,15 @@ class TestProductLikelihood:
         assert es.log_likelihood_product(t, RATES, window) == single
 
     def test_names_the_smallest_density_of_all_blocks(self):
-        # density is negative near the origin at this window and falls
-        # toward t = 0: block 0 holds a dip, block 2 a deeper one
-        window = WindowConfig(tau=1.2)
+        # block 0 holds a density that underflows to 0, block 2 the
+        # smallest positive one; the error names the zero
+        window = WindowConfig(tau=5.0 / 6.0)
         t = np.full(3 * es.LOG_BLOCK + 5, 2.0)
-        t[7] = 0.3
-        t[2 * es.LOG_BLOCK + 11] = 1e-3
+        t[7] = 1000.0
+        t[2 * es.LOG_BLOCK + 11] = 700.0
         pdf = an.product_first_pdf(t, RATES, window)
-        assert pdf[7] <= 0.0 and pdf[2 * es.LOG_BLOCK + 11] == pdf.min()
-        with pytest.raises(ModelInapplicableError, match="t=0.001 "):
+        assert pdf[7] == 0.0 and 0.0 < pdf[2 * es.LOG_BLOCK + 11] < 1e-300
+        with pytest.raises(ModelInapplicableError, match="t=1000 "):
             es.log_likelihood_product(t, RATES, window)
 
     def test_own_data_beats_entangled_law(self, product_window_times):
@@ -191,6 +193,17 @@ class TestDiscriminate:
         with pytest.raises(InvalidDataError):
             es.discriminate([], RATES, WindowConfig(tau=0.02))
 
-    def test_wide_window_rejected(self):
-        with pytest.raises(WindowTooWideError):
-            es.discriminate([0.5], RATES, WindowConfig(tau=5.0 / 3.0))
+    def test_wide_window_prefers_the_generator(self):
+        # tau = 5/3 is where the taylor law loses its normalization; the
+        # exact law that discriminate scores holds there
+        for mode, (kind, seed) in itertools.product(
+                an.WINDOW_MODES, (("entangled", 31), ("product", 32))):
+            window = WindowConfig(tau=5.0 / 3.0, mode=mode)
+            config = mc.SimConfig(n_pairs=10_000, rates=RATES, kind=kind,
+                                  window=window, seed=seed)
+            records = mc.simulate(config)
+            if kind == "entangled":
+                times = records["t_first"]
+            else:
+                times = mc.one_photon_window_times(mc.postselect(records, window)[0])
+            assert es.discriminate(times, RATES, window).preferred == kind, (mode, kind)

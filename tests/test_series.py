@@ -230,7 +230,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
             window = an.WindowConfig(tau=0.1, mode=mode)
             for variant in an.WINDOW_VARIANTS:
                 an.product_first_cdf([0.0, 0.5, 3.0], rates, window, variant)
-                an.product_first_pdf([0.0, 0.5, 3.0], rates, window, variant)
+            an.product_first_pdf([0.0, 0.5, 3.0], rates, window)
         os.chdir(sys.argv[1])
         for argv in (["analytic", "--window-variant", "exact", "--out", "a.csv"],
                      ["simulate", "--kind", "product", "--n-pairs", "2000",
