@@ -29,8 +29,11 @@ the post-selected first-photon law with
 
     1 / alpha = 2 - 2 * tau * gamma_a * gamma_b / (gamma_a + gamma_b),
 
-which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b;
-only this law needs alpha and rejects wider windows; it is a CDF only.
+which exists only while tau * gamma_a * gamma_b < gamma_a + gamma_b.
+The curve's slope at t = 0 is alpha (gamma_a + gamma_b - 2 tau gamma_a
+gamma_b), so it is a CDF only while 2 tau gamma_a gamma_b <= gamma_a +
+gamma_b, and ``product_first_cdf`` rejects wider windows.  Only this
+law needs alpha; it is a CDF only.
 
 The ``exact`` law is the law of the pooled photons that post-selection
 keeps, for the window's mode.  With f_x the density of photon x and
@@ -355,13 +358,20 @@ def product_first_pdf(t, rates: RatePair, window: WindowConfig):
 def product_first_cdf(t, rates: RatePair, window: WindowConfig,
                       variant: str = VARIANT_TAYLOR):
     """CDF of post-selected single-photon window times, product pairs: the
-    taylor law (WindowTooWideError where alpha does not exist) or the
-    integral of ``product_first_pdf``, (H_ab + H_ba) / (2 (1 - c)),
-    clipped to [0, 1] against rounding."""
+    taylor law (WindowTooWideError once 2 tau g_a g_b > g_a + g_b, where
+    it stops increasing) or the integral of ``product_first_pdf``,
+    (H_ab + H_ba) / (2 (1 - c)), clipped to [0, 1] against rounding."""
     t = _check_times(t, rates.gamma_f, window.tau)
     g_a, g_b = rates.gamma_a, rates.gamma_b
     if variant == VARIANT_TAYLOR:
         g_f = rates.gamma_f
+        # the slope at t = 0 is alpha (g_f - 2 tau g_a g_b): past this the
+        # curve falls below 0, though alpha exists up to twice the tau
+        if 2.0 * window.tau * g_a * g_b > g_f:
+            raise WindowTooWideError(
+                "window too wide for the taylor law: 2 * tau * gamma_a * gamma_b "
+                f"must not exceed gamma_a + gamma_b (tau={window.tau}, "
+                f"rates=({g_a}, {g_b})); its CDF would decrease from t = 0")
         alpha = normalization_alpha(rates, window)
         return alpha * (-np.expm1(-g_a * t) - np.expm1(-g_b * t)
                         + 2.0 * window.tau * g_a * g_b / g_f * np.expm1(-g_f * t))

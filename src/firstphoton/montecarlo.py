@@ -39,7 +39,7 @@ import numpy as np
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
                        WindowConfig, _require_bin_index)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import read_columns, render_processes, write_table
+from .series import processes, read_columns, write_table
 
 KIND_ENTANGLED = "entangled"
 KIND_PRODUCT = "product"
@@ -240,11 +240,11 @@ def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
 
     pair_id is the row index and channel_second the channel that the
     first photon did not use.  The text is rendered in up to
-    ``n_workers`` forked processes (see ``series.render_processes``);
+    ``n_workers`` forked processes (see ``series.processes``);
     the file is the same for any count.
     """
     first = records["channel_first"]
-    with render_processes(n_workers):
+    with processes(n_workers):
         write_table(path, RECORD_COLUMNS, [
             np.arange(records.shape[0], dtype=np.int64),
             records["t_first"],

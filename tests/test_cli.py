@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import Future
 
@@ -87,6 +88,21 @@ class TestAnalytic:
                      "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: window too wide") and len(err.splitlines()) == 1
+
+    def test_taylor_law_falling_from_zero_is_parameter_error(self, tmp_path, capsys):
+        # alpha exists (tau g_a g_b = 1.8 < 2.5), but 2 tau g_a g_b = 3.6 > 2.5
+        # makes the curve's slope at t = 0 negative: it fell to -0.247
+        assert main(["analytic", "--tau", "1.2", "--n-points", "401",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window too wide") and len(err.splitlines()) == 1
+
+    def test_taylor_law_at_its_bound_is_a_cdf(self, tmp_path):
+        # the default tau = 5/6 gives 2 tau g_a g_b = g_a + g_b exactly
+        out = tmp_path / "x.csv"
+        assert main(["analytic", "--n-points", "401", "--out", str(out)]) == 0
+        nf = read_columns(out, ["nf_product"])["nf_product"]
+        assert nf[0] == 0.0 and np.all(np.diff(nf) >= 0.0)
 
     @pytest.mark.parametrize("mode", ["grid-bin", "pairwise"])
     def test_exact_law_lost_to_rounding_is_parameter_error(self, tmp_path, capsys, mode):
@@ -289,6 +305,25 @@ class TestFit:
         assert main(["fit", "--samples", str(samples)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["fit"], ["fit", "--postselect"],
+                                         ["discriminate", "--postselect"]])
+    def test_bad_cell_in_last_range_is_data_error(self, tmp_path, capsys, monkeypatch,
+                                                  command):
+        # 4 KiB ranges: the 2000-row file is parsed in a pool on two CPUs
+        monkeypatch.setattr(series, "READ_RANGE_BYTES", 4096)
+        samples = tmp_path / "r.csv"
+        assert main(["simulate", "--kind", "product", "--n-pairs", "2000",
+                     "--tau", "0.02", "--out", str(samples)]) == 0
+        lines = samples.read_bytes().splitlines(keepends=True)
+        lines[-3] = lines[-3].replace(b",", b",x", 1)     # t_first of row 1997
+        samples.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(command + ["--tau", "0.02", "--samples", str(samples)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "r.csv" in err and "at row 1997," in err
+        assert multiprocessing.active_children() == []
+
     def test_nonpositive_sample_is_data_error(self, tmp_path, capsys):
         samples = tmp_path / "bad.csv"
         samples.write_text("t_first\n0.0\n")
@@ -381,6 +416,17 @@ class TestKinetics:
                      "--out", str(tmp_path / "kin.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "step" in err
+        assert len(err.splitlines()) == 1
+
+    def test_blowup_stops_within_a_block(self, tmp_path, capsys):
+        # the increment overflows at once; checking only after the last
+        # of the 400000 steps took over a second
+        start = time.perf_counter()
+        assert main(["kinetics", "--gamma-a", "1e308", "--step", "1e-5", "--t-end", "4",
+                     "--out", str(tmp_path / "kin.csv")]) == 2
+        assert time.perf_counter() - start < 0.25
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t=1e-05 " in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("n_0", ["0", "-1", "nan", "inf"])

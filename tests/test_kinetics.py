@@ -147,6 +147,19 @@ class TestIntegrate:
         with pytest.raises(IntegrationBlowupError):
             kn.integrate(kn.initial_state(1.0), rates_ref, config)
 
+    def test_blowup_in_a_later_block_names_its_first_step(self, rates_ref, monkeypatch):
+        # at this step RK4 grows slowly: the state overflows at step 5280,
+        # inside the sixth block of CHECK_STEPS
+        config = kn.IntegratorConfig(step=1.15, t_end=1.15 * 8000)
+        messages = []
+        for check_steps in (kn.CHECK_STEPS, config.n_steps):     # per block, at the end
+            monkeypatch.setattr(kn, "CHECK_STEPS", check_steps)
+            with pytest.raises(IntegrationBlowupError) as info:
+                kn.integrate(kn.initial_state(1.0), rates_ref, config)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "t=6072 " in messages[0]
+
     def test_n0_scales_linearly(self, rates_ref):
         config = kn.IntegratorConfig(step=1e-2, t_end=1.0)
         last_7 = kn.integrate(kn.initial_state(7.0), rates_ref, config)[-1]

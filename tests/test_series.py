@@ -121,6 +121,80 @@ class TestReader:
             read_columns(tmp_path / "nope.csv", ["a"])
 
 
+class TestReaderPool:
+    """read_columns on 40-byte ranges, so that a pool parses whenever the
+    machine has two CPUs, against one block parsed in this process."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The size of every parse pool started, in order."""
+        started = []
+        fork_pool = series._fork_pool
+
+        def recording(processes, *state):
+            started.append(processes)
+            return fork_pool(processes, *state)
+
+        monkeypatch.setattr(series, "READ_RANGE_BYTES", 40)
+        monkeypatch.setattr(series, "_fork_pool", recording)
+        return started
+
+    @staticmethod
+    def expected_pools(context):
+        workers = min(context, series._usable_cpus())
+        return [workers] if workers > 1 else []
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("block", [1, 30])
+    @pytest.mark.parametrize("context", [1, 2, 3])
+    def test_same_bits(self, tmp_path, monkeypatch, pools, context, block, newline):
+        # blank lines lead, follow every third row, pile up in the middle
+        # and trail, so some fall on every range edge; the last line has
+        # no newline.  Block 1 makes each line a block of its own.
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", block)
+        x = np.array(SPECIAL * 3)
+        y = -x[::-1]
+        lines = ["x,y", ""]
+        for i, (a, b) in enumerate(zip(x, y)):
+            lines.append(f"{a:.17g},{b:.17g}")
+            lines += [""] * (i % 3 == 0) + [""] * 3 * (i == len(x) // 2)
+        path = write_csv(tmp_path, newline.join(lines + ["", "", "9,9"]))
+        with series.processes(context):
+            cols = read_columns(path, ["y", "x"])
+        assert multiprocessing.active_children() == []
+        # blocks end at a \n, so lone \r endings make one block, parsed here
+        assert pools == ([] if newline == "\r" else self.expected_pools(context))
+        assert same_bits(cols["x"], np.append(x, 9.0))
+        assert same_bits(cols["y"], np.append(y, 9.0))
+        for col in cols.values():
+            assert col.dtype == np.float64 and col.flags.c_contiguous
+
+    @pytest.mark.parametrize("bad, where", [
+        (b"1,x", "at row 2000, column 2"),          # 0-based, as loadtxt counts
+        (b"1", "at row 2001 with 1 columns"),       # 1-based, as loadtxt counts
+        (b"1,\xff", None),
+    ], ids=["bad-cell", "short-row", "not-utf8"])
+    @pytest.mark.parametrize("context", [1, 2, 3])
+    def test_error_in_last_range(self, tmp_path, monkeypatch, pools, context, bad, where):
+        # 2000 good rows with a blank line after every seventh, more bytes
+        # than the header reader decodes ahead, then the bad row and two more
+        rows = [b"%d,%d.5" % (i, i) + b"\n" * (1 + (i % 7 == 0)) for i in range(2000)]
+        raw = b"a,b\n" + b"".join(rows) + bad + b"\n7,7\n8,8\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidDataError) as whole:
+            read_columns(path, ["a", "b"])      # one block, no pool
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
+        with pytest.raises(InvalidDataError) as ranged:
+            with series.processes(context):
+                read_columns(path, ["a", "b"])
+        assert multiprocessing.active_children() == []
+        assert pools == self.expected_pools(context)
+        message = str(ranged.value)
+        assert message == str(whole.value) and "bad.csv" in message
+        assert (where or "byte %d is not UTF-8" % raw.index(b"\xff")) in message
+
+
 class TestWriter:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -187,7 +261,7 @@ class TestWriter:
             x = values[:n]
             columns = [np.arange(n, dtype=np.int64) - 3, x, -x[::-1],
                        np.arange(n) % 2 == 0, np.where(np.arange(n) % 3 == 0, "A", "Bc")]
-            with series.render_processes(processes):
+            with series.processes(processes):
                 write_table(path, header, columns)
             assert path.read_bytes() == reference_table(header, columns).encode(), n
             assert multiprocessing.active_children() == []
@@ -195,7 +269,7 @@ class TestWriter:
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
     def test_render_processes_must_be_positive_integer(self, bad):
         with pytest.raises(InvalidParameterError):
-            with series.render_processes(bad):
+            with series.processes(bad):
                 pass
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -214,9 +288,10 @@ class TestWriter:
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: importing every module,
     # solving the compatibility relations, evaluating both window laws
-    # and running every subcommand load no scipy; with one worker they
-    # load no multiprocessing or concurrent.futures either, whose import
-    # the render pool defers
+    # and running every subcommand load no scipy; with one worker, and
+    # on files smaller than a read range, they load no multiprocessing or
+    # concurrent.futures either, whose import the render and parse pools
+    # defer
     code = textwrap.dedent("""
         import importlib, os, pkgutil, sys
         import firstphoton
@@ -235,8 +310,11 @@ def test_cli_import_leaves_scipy_out(tmp_path):
         for argv in (["analytic", "--window-variant", "exact", "--out", "a.csv"],
                      ["simulate", "--kind", "product", "--n-pairs", "2000",
                       "--tau", "0.1", "--out", "r.csv"],
+                     ["fit", "--samples", "r.csv", "--tau", "0.1"],
                      ["fit", "--samples", "r.csv", "--postselect", "--tau", "0.1"],
                      ["discriminate", "--samples", "r.csv", "--tau", "0.1"],
+                     ["discriminate", "--samples", "r.csv", "--postselect",
+                      "--tau", "0.1"],
                      ["kinetics", "--t-end", "0.5", "--out", "k.csv"],
                      ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
             assert main(argv) == 0, argv
