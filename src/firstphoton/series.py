@@ -1,20 +1,35 @@
 """CSV tables written and read at C speed.
 
 A table is one header row and one row per index of its columns, with
-``,`` between cells and ``\\n`` after each row.  Floats are written with
-17 significant digits (``%.17g``), so a written file reloads to
-bit-identical values and reruns can be compared byte for byte; integers
-are written with ``%d`` and any other value with ``str``.
+``,`` between cells and ``\\n`` after each row, in UTF-8.  Floats are
+written as ``%.17g`` writes them, 17 significant digits, so a written
+file reloads to bit-identical values and reruns can be compared byte
+for byte; integers are written as ``%d``, bools as ``True`` and
+``False``, and any other value as its ``str``.
 
 ``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks
-(16384 rows), each rendered by one ``%`` of a repeated row format, so
-its memory beyond the columns is a few chunks' Python cells and text
-whatever the row count; the file does not depend on the chunk size.
-Inside ``with processes(n):`` it renders the chunks in up to n forked
-processes (never more than there are chunks or usable CPUs): the
-workers read the columns they inherit through fork and send back each
-chunk's text, and the parent writes the texts in chunk order, so the
-file is byte-identical for every process count.
+(16384 rows).  numpy renders a chunk as one uint8 matrix with a row per
+byte slot of a table row and a column per table row, 0 meaning "no
+byte"; the chunk's text is the matrix transposed, with the 0 bytes
+deleted.  A float |x| = m * 2**q has the 17 digits
+round-half-even(m * 5**s * 2**(q + s)) with s = 16 - k for its decimal
+exponent k.  The product is formed exactly from 32-bit limbs for s in
+[0, 27], where 5**s < 2**64: decimal exponents -11 to 16, so |x| from
+1e-11 to below 1e17.  The cells it does not cover (0, nan, inf and
+the other exponents) are formatted one by one with ``%.17g``.  An
+integer is the digits of its uint64 magnitude after a sign slot.  Text
+goes byte by byte from the code points when a chunk's cells are ASCII,
+and cell by cell through UTF-8 otherwise; a text cell holding a NUL
+would read as padding, so ``write_table`` refuses it with
+InvalidDataError before it opens the file.  Memory beyond the columns
+is a few chunks' matrices and text whatever the row count, and the
+file does not depend on the chunk size.
+
+Inside ``with processes(n):`` ``write_table`` renders the chunks in up
+to n forked processes (never more than there are chunks or usable
+CPUs): the workers read the columns they inherit through fork and send
+back each chunk's text, and the parent writes the texts in chunk order,
+so the file is byte-identical for every process count.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
@@ -31,8 +46,10 @@ write in place, so only block row counts come back.  Blank lines leave
 a block short of its line count; the parent closes such gaps in
 order.  Data holding a ``"`` is parsed as one block in one process,
 since a quoted cell may hold a newline.  Values and errors do not
-depend on the process count: an error names the file and counts rows
-from the first data row, as one ``loadtxt`` over the whole file would.
+depend on the process count.  An error names the file, and the file's
+line of a bad row (the header is line 1, and blank lines count), which
+the failing block alone gives; a byte that is not UTF-8 is named by its
+offset in the file.
 
 ``multiprocessing``, ``concurrent.futures`` and ``mmap`` are imported
 only when a pool is started.  Forking copies only the calling thread,
@@ -55,25 +72,34 @@ import numpy as np
 
 from .errors import InvalidDataError, InvalidParameterError
 
-FLOAT_FMT = "%.17g"
 CHUNK_ROWS = 16384
 READ_BLOCK_BYTES = 1 << 20
 READ_RANGE_BYTES = 4 << 20
 
-
-def _cell_format(column: np.ndarray) -> str:
-    # bool stays with %s: str(True) is "True", "%d" % True is "1"
-    if np.issubdtype(column.dtype, np.floating):
-        return FLOAT_FMT
-    if np.issubdtype(column.dtype, np.integer):
-        return "%d"
-    return "%s"
+# decimal exponents whose 17 digits the float kernel forms exactly:
+# s = 16 - k must keep 5**s below 2**64
+_LOW_EXPONENT, _HIGH_EXPONENT = -11, 16
+_POW5 = np.array([5 ** s for s in range(16 - _LOW_EXPONENT + 1)], dtype=np.uint64)
+# 0 and then 10**j, the least magnitude whose jth digit shows
+_POW10 = np.array([0] + [10 ** j for j in range(1, 20)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32, _U1 = np.uint64(32), np.uint64(1)
+# the float cell's slots: sign, "0." and up to three zeros before the
+# digits of a fixed form below 1, 17 digits with a point slot after each
+# of the first 16, and the exponent "e-XX"; _FLOAT_BYTES is the byte of
+# each slot, 1 where the slot holds a digit
+_SIGN, _LEAD, _ZEROS, _DIGITS, _EXP = 0, 1, 3, 6, 39
+_FLOAT_BYTES = np.frombuffer(b"-0.000" + b"\1." * 16 + b"\1e-\1\1", np.uint8)[:, None]
+_DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
+_DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
+_ZERO = np.uint8(ord("0"))
+_BOOL_TEXT = np.array([b"False", b"True"])
 
 
 # how many processes write_table and read_columns may use; see processes
 _PROCESSES = contextvars.ContextVar("processes", default=1)
-# what a pool worker inherited through fork: (row format, columns) in a
-# render worker, (path, usecols, buffer) in a parse worker
+# what a pool worker inherited through fork: (columns,) in a render
+# worker, (path, usecols, buffer, first data line) in a parse worker
 _inherited = None
 
 
@@ -102,12 +128,180 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _render(row: str, cols: list[np.ndarray], start: int, stop: int) -> str:
-    width = len(cols)
-    cells = [None] * ((stop - start) * width)
-    for k, c in enumerate(cols):
-        cells[k::width] = c[start:stop].tolist()
-    return row * (stop - start) % tuple(cells)
+def _scaled(m: np.ndarray, q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(m * 2**q * 10**(16 - k)) and whether rounding it half to
+    even goes up, for uint64 m < 2**53 and k in the covered range.
+
+    m * 5**s is formed exactly as hi * 2**64 + lo from 32-bit limbs,
+    then shifted right by -(q + s) with one bit kept below the point
+    (the round bit) and the bits below it or-ed into a sticky flag.
+    """
+    s = 16 - k
+    p = _POW5[s]
+    m0, m1 = m & _LOW32, m >> _U32
+    p0, p1 = p & _LOW32, p >> _U32
+    ll, lh, hl = m0 * p0, m0 * p1, m1 * p0
+    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    lo = (ll & _LOW32) | (mid << _U32)
+    hi = m1 * p1 + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    shift = -(q + s) - 1
+    # mostly 0 <= shift < 64; the rest, a shift left or past lo, are
+    # formed again below, and every shift amount stays in [0, 63]
+    low = np.clip(shift, 0, 63).astype(np.uint64)
+    t = (lo >> low) | ((hi << (np.uint64(63) - low)) << _U1)
+    sticky = (lo & ((_U1 << low) - _U1)) != 0
+    left = np.flatnonzero(shift < 0)
+    t[left] = lo[left] << np.minimum(-shift[left], 63).astype(np.uint64)
+    past = np.flatnonzero(shift >= 64)
+    high = np.minimum(shift[past] - 64, 63).astype(np.uint64)
+    t[past] = hi[past] >> high
+    sticky[past] = (lo[past] != 0) | ((hi[past] & ((_U1 << high) - _U1)) != 0)
+    floor = t >> _U1
+    return floor, (t & _U1).astype(bool) & (sticky | (floor & _U1).astype(bool))
+
+
+def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D (an integer in [1e16, 1e17)) and the
+    decimal exponent k of |x|, rounded half to even as ``%.17g`` rounds,
+    and where they are valid: finite non-zero x with k in
+    [_LOW_EXPONENT, _HIGH_EXPONENT].
+
+    k is first taken from log10, which can miss by one next to a power
+    of ten; the unrounded product tells, and those cells are formed
+    again.  D rounding up to 1e17 moves k up by one.
+    """
+    bits = x.view(np.uint64)
+    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
+    q = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64) - 1075
+    size = np.abs(x)
+    # NaN compares False, and no log10 sees 0 or inf; subnormals fall outside
+    covered = (size >= 10.0 ** _LOW_EXPONENT) & (size < 10.0 ** (_HIGH_EXPONENT + 1))
+    k = np.floor(np.log10(np.where(covered, size, 1.0))).astype(np.int64)
+    np.clip(k, _LOW_EXPONENT, _HIGH_EXPONENT, out=k)
+    digits, up = _scaled(m, q, k)
+    below = digits < np.uint64(10 ** 16)
+    above = digits >= np.uint64(10 ** 17)
+    redo = np.flatnonzero(covered & (below | above))
+    if redo.size:
+        k[redo] += above[redo].astype(np.int64) - below[redo]
+        inside = (k[redo] >= _LOW_EXPONENT) & (k[redo] <= _HIGH_EXPONENT)
+        covered[redo[~inside]] = False
+        redo = redo[inside]
+        digits[redo], up[redo] = _scaled(m[redo], q[redo], k[redo])
+    digits += up
+    carry = digits == np.uint64(10 ** 17)
+    digits[carry] = np.uint64(10 ** 16)
+    k += carry
+    covered &= k <= _HIGH_EXPONENT
+    return digits, k, covered
+
+
+def _digit_rows(v: np.ndarray, out: np.ndarray) -> None:
+    """The last len(out) decimal digits of ``v``, most significant in
+    ``out[0]``, as digit values."""
+    for row in out[::-1]:
+        quotient = v // v.dtype.type(10)
+        np.subtract(v, quotient * v.dtype.type(10), out=row, casting="unsafe")
+        v = quotient
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each float as a (slots, rows) uint8 matrix, 0 where
+    a slot holds no byte."""
+    x = np.ascontiguousarray(x, np.float64)
+    digits, k, covered = _decimal(x)
+    text = np.empty((17, x.size), np.uint8)
+    upper = digits // np.uint64(10 ** 9)
+    _digit_rows(upper.astype(np.uint32), text[:8])
+    _digit_rows((digits - upper * np.uint64(10 ** 9)).astype(np.uint32), text[8:])
+    # significant digits once trailing zeros are stripped
+    shown = (_DIGIT_RANK * (text != 0)).max(axis=0)
+    k = k.astype(np.int8)       # small types keep the (slots, rows) steps short
+    fixed = k >= -4
+    below_one = fixed & (k < 0)
+    point = np.where(fixed, k, np.int8(0))
+    # the slots other than digits hold 1 where their byte is written
+    out = np.zeros((len(_FLOAT_BYTES), x.size), np.uint8)
+    out[_SIGN] = np.signbit(x)
+    if below_one.any():
+        out[_LEAD] = out[_LEAD + 1] = below_one
+        out[_ZEROS:_DIGITS] = _DIGIT_INDEX[:3] < np.where(below_one, -k - 1, np.int8(0))
+    text += _ZERO
+    # a fixed form keeps its integer digits, zeros too
+    text *= _DIGIT_INDEX < np.maximum(shown, np.where(fixed, k + 1, np.int8(0)))
+    out[_DIGITS:_EXP:2] = text
+    out[_DIGITS + 1:_EXP:2] = _DIGIT_INDEX[:16] == np.where(shown > point + 1, point, np.int8(-1))
+    exponent = np.flatnonzero(~fixed)
+    if exponent.size:
+        out[_EXP:_EXP + 2, exponent] = 1
+        out[_EXP + 2, exponent] = -k[exponent] // 10 + ord("0")
+        out[_EXP + 3, exponent] = -k[exponent] % 10 + ord("0")
+    out *= _FLOAT_BYTES
+    rest = np.flatnonzero(~covered)
+    if rest.size:
+        # 0, nan, inf and exponents outside the kernel's range
+        cells = np.array([b"%.17g" % v for v in x[rest].tolist()])
+        out[:, rest] = 0
+        out[:cells.itemsize, rest] = cells.view(np.uint8).reshape(rest.size, -1).T
+    return out
+
+
+def _int_cells(v: np.ndarray) -> np.ndarray:
+    """``%d`` of each integer: a sign slot and the digits of its uint64
+    magnitude, leading zeros left out."""
+    magnitude = v.astype(np.uint64)
+    negative = v < 0
+    if negative.any():
+        # two's complement, so -2**63 has its magnitude 2**63
+        magnitude = np.where(negative, ~magnitude + _U1, magnitude)
+    width = len(str(int(magnitude.max())))
+    if width < 10:
+        magnitude = magnitude.astype(np.uint32)
+    out = np.empty((1 + width, v.size), np.uint8)
+    out[0] = negative * ord("-")
+    text = out[1:]
+    _digit_rows(magnitude, text)
+    text += _ZERO
+    # the digit of 10**j shows when the magnitude reaches it; the units always
+    text *= magnitude >= _POW10[width - 1::-1, None].astype(magnitude.dtype)
+    return out
+
+
+def _text_cells(v: np.ndarray) -> np.ndarray:
+    """str cells as UTF-8 bytes, padded with NUL to the widest."""
+    codes = np.ascontiguousarray(v, v.dtype.newbyteorder("=")).view(np.uint32)
+    codes = codes.reshape(v.size, -1)
+    if codes.max(initial=0) < 0x80:     # ASCII: one byte a character
+        return codes.T.astype(np.uint8)
+    cells = np.array([s.encode("utf-8") for s in v.tolist()], dtype="S")
+    return cells.view(np.uint8).reshape(v.size, -1).T
+
+
+def _cells(column: np.ndarray) -> np.ndarray:
+    """The column's cells as a (slots, rows) uint8 matrix."""
+    if column.dtype.kind == "f":
+        return _float_cells(column)
+    if column.dtype.kind in "iu":
+        return _int_cells(column)
+    if column.dtype.kind == "b":
+        return _BOOL_TEXT[column.view(np.uint8)].view(np.uint8).reshape(column.size, -1).T
+    return _text_cells(column)
+
+
+def _render(cols: list[np.ndarray], start: int, stop: int) -> bytes:
+    """Rows start to stop of the table as CSV bytes."""
+    parts = []
+    for column in cols:
+        parts += [_cells(column[start:stop]), np.full((1, stop - start), ord(","), np.uint8)]
+    parts[-1][:] = ord("\n")
+    # each step drops the one before, so a chunk holds two at a time
+    matrix = np.concatenate(parts)
+    del parts
+    # slots no cell of the chunk uses cost the transpose for nothing
+    matrix = matrix[matrix.any(axis=1)]
+    text = matrix.T.tobytes()
+    del matrix
+    return text.translate(None, b"\0")
 
 
 def _inherit(*state) -> None:
@@ -115,7 +309,7 @@ def _inherit(*state) -> None:
     _inherited = state
 
 
-def _render_inherited(start: int, stop: int) -> str:
+def _render_inherited(start: int, stop: int) -> bytes:
     return _render(*_inherited, start, stop)
 
 
@@ -143,8 +337,29 @@ def _pooled_texts(pool, starts, stops, ahead: int):
         yield futures.popleft().result()
 
 
+def _text_column(name: str, column: np.ndarray) -> np.ndarray:
+    """A column that is neither numbers nor bools, as str cells.
+
+    A NUL inside a cell would read as the padding that rendering drops,
+    so it raises InvalidDataError.
+    """
+    if column.dtype.kind != "U":
+        cells = [str(v) for v in column.tolist()]
+        if any("\0" in cell for cell in cells):
+            raise InvalidDataError(f"text column {name!r} holds a NUL character")
+        return np.array(cells, dtype=str)
+    width = column.dtype.itemsize // 4
+    # a str array keeps no trailing NUL, so a one-character cell holds none
+    for start in range(0, column.size if width > 1 else 0, CHUNK_ROWS):
+        chunk = np.ascontiguousarray(column[start:start + CHUNK_ROWS])
+        used = chunk.view(np.uint32).reshape(-1, width) != 0
+        if (used[:, 1:] > used[:, :-1]).any():
+            raise InvalidDataError(f"text column {name!r} holds a NUL character")
+    return column
+
+
 def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write named columns as a CSV table (17 significant digits).
+    """Write named columns as a UTF-8 CSV table (17 significant digits).
 
     A file that cannot be written raises InvalidParameterError, before
     any render process starts.
@@ -156,20 +371,21 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     for c in cols:
         if c.shape != (n,):
             raise InvalidDataError("all columns must share one length")
-    row = ",".join(_cell_format(c) for c in cols) + "\n"
+    cols = [c if c.dtype.kind in "fiub" else _text_column(name, c)
+            for name, c in zip(header, cols)]
     starts = range(0, n, CHUNK_ROWS)
     stops = [min(start + CHUNK_ROWS, n) for start in starts]
     workers = min(_PROCESSES.get(), len(stops), _usable_cpus())
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
             pool = None
             if workers > 1 and hasattr(os, "fork"):
                 fh.flush()      # else the forked workers copy its buffer
-                pool = _fork_pool(workers, row, cols)
+                pool = _fork_pool(workers, cols)
             try:
                 if pool is None:
-                    texts = map(functools.partial(_render, row, cols), starts, stops)
+                    texts = map(functools.partial(_render, cols), starts, stops)
                 else:
                     texts = _pooled_texts(pool, starts, stops, 2 * workers)
                 # holds one chunk's text at a time, where a for loop would
@@ -182,8 +398,9 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
         raise InvalidParameterError(f"cannot write {path}: {exc}") from exc
 
 
-def _data_start(fh) -> tuple[list[str], int]:
-    """The header cells and the byte offset of the first data line.
+def _data_start(fh) -> tuple[list[str], int, int]:
+    """The header cells, the byte offset of the first data line and the
+    number of lines the header takes.
 
     The header is read as text with universal newlines, like the data,
     and csv pulls exactly the lines of its first record; undecoded
@@ -197,7 +414,8 @@ def _data_start(fh) -> tuple[list[str], int]:
             consumed.append(line)
             yield line
     try:
-        return next(csv.reader(lines()), []), len("".join(consumed).encode())
+        header = next(csv.reader(lines()), [])
+        return header, len("".join(consumed).encode()), len(consumed)
     finally:
         text.detach()
 
@@ -234,14 +452,42 @@ def _blocks(fh, start: int) -> tuple[list[tuple[int, int, int]], int]:
     return blocks, lines
 
 
-def _parse_blocks(path, usecols: list[int], buf: np.ndarray,
+def _loadtxt(text: str, usecols: list[int]) -> np.ndarray:
+    return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", usecols=usecols,
+                      ndmin=2, comments=None, quotechar='"')
+
+
+def _name_line(message: str, text: str, usecols: list[int], line0: int) -> str:
+    """``message``, from parsing ``text`` whose first line is line
+    ``line0`` of the file, with loadtxt's "at row N" made the file line
+    that fails when parsed alone.
+
+    loadtxt counts only the rows it keeps, from 0 for a bad cell and
+    from 1 for a short row, so the line is at least the (N - 1)th.  A
+    row that fails only with the lines around it (a quoted cell holding
+    a newline) keeps loadtxt's words.
+    """
+    row = re.search(r"\bat row (\d+)", message)
+    if row is None:
+        return message
+    lines = io.StringIO(text, newline="").readlines()
+    for i in range(max(int(row.group(1)) - 1, 0), len(lines)):
+        try:
+            _loadtxt(lines[i], usecols)
+        except ValueError:
+            return f"{message[:row.start()]}at line {line0 + i}{message[row.end():]}"
+    return message
+
+
+def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
                   blocks: list[tuple[int, int, int]]) -> tuple[list[int], str | None]:
     """Parse each (start, stop, row0) block of the file into
     ``buf[:, row0:]``; returns the blocks' row counts up to the first
     block that fails, and that block's error or None.
 
-    The error counts rows from the block's first data row, and bytes
-    from the start of the file.
+    The first data line is line ``line0`` of the file.  The error names
+    the file's line of a bad row, counted from 1 at the header, and a
+    byte not UTF-8 by its offset in the file.
     """
     counts = []
     with open(path, "rb") as fh, warnings.catch_warnings():
@@ -252,13 +498,11 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray,
             fh.seek(start)
             try:
                 text = fh.read(stop - start).decode("utf-8")
-                data = np.loadtxt(io.StringIO(text, newline=""), delimiter=",",
-                                  usecols=usecols, ndmin=2, comments=None,
-                                  quotechar='"')
+                data = _loadtxt(text, usecols)
             except UnicodeDecodeError as exc:
                 return counts, f"byte {start + exc.start} is not UTF-8 text: {exc.reason}"
             except ValueError as exc:
-                return counts, str(exc)
+                return counts, _name_line(str(exc), text, usecols, line0 + row0)
             buf[:, row0:row0 + len(data)] = data.T
             counts.append(len(data))
     return counts, None
@@ -266,12 +510,6 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray,
 
 def _parse_inherited(blocks) -> tuple[list[int], str | None]:
     return _parse_blocks(*_inherited, blocks)
-
-
-def _shift_rows(message: str, rows: int) -> str:
-    """``message`` with loadtxt's "at row N" counted ``rows`` rows later."""
-    return re.sub(r"\bat row (\d+)", lambda m: f"at row {int(m.group(1)) + rows}",
-                  message)
 
 
 def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
@@ -290,7 +528,7 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
     with fh:
         # ValueError covers header bytes that are not UTF-8
         try:
-            header, start = _data_start(fh)
+            header, start, header_lines = _data_start(fh)
         except (ValueError, csv.Error) as exc:
             raise InvalidDataError(f"{path}: {exc}") from None
         # of two columns with one name, the last is read
@@ -310,7 +548,7 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
         # MAP_SHARED: what the workers write is the parent's too
         buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]),
                             np.float64).reshape(shape)
-        pool = _fork_pool(workers, path, usecols, buf)
+        pool = _fork_pool(workers, path, usecols, buf, header_lines + 1)
         try:
             # one range of whole blocks per worker
             futures = [pool.submit(_parse_inherited,
@@ -322,12 +560,12 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
             pool.shutdown(cancel_futures=True)
     else:
         buf = np.empty(shape)
-        results = [_parse_blocks(path, usecols, buf, plan)]
+        results = [_parse_blocks(path, usecols, buf, header_lines + 1, plan)]
     counts = []
     for part, error in results:
         counts += part
         if error is not None:
-            raise InvalidDataError(f"{path}: {_shift_rows(error, sum(counts))}")
+            raise InvalidDataError(f"{path}: {error}")
     rows = 0
     for (_, _, row0), n in zip(plan, counts):
         if row0 != rows:    # blank lines above

@@ -174,9 +174,9 @@ class TestSimulate:
         class InProcess:
             """Stands in for the fork pool: records its size, renders here."""
 
-            def __init__(self, processes, row, cols):
+            def __init__(self, processes, cols):
                 asked.append(processes)
-                self.render = functools.partial(series._render, row, cols)
+                self.render = functools.partial(series._render, cols)
 
             def submit(self, fn, start, stop):
                 future = Future()
@@ -315,13 +315,13 @@ class TestFit:
         assert main(["simulate", "--kind", "product", "--n-pairs", "2000",
                      "--tau", "0.02", "--out", str(samples)]) == 0
         lines = samples.read_bytes().splitlines(keepends=True)
-        lines[-3] = lines[-3].replace(b",", b",x", 1)     # t_first of row 1997
+        lines[-3] = lines[-3].replace(b",", b",x", 1)     # t_first on line 1999
         samples.write_bytes(b"".join(lines))
         capsys.readouterr()
         assert main(command + ["--tau", "0.02", "--samples", str(samples)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "r.csv" in err and "at row 1997," in err
+        assert "r.csv" in err and "at line 1999," in err
         assert multiprocessing.active_children() == []
 
     def test_nonpositive_sample_is_data_error(self, tmp_path, capsys):

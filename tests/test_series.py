@@ -111,6 +111,21 @@ class TestReader:
         with pytest.raises(InvalidDataError, match="binary.csv"):
             read_columns(path, ["a"])
 
+    @pytest.mark.parametrize("text, where", [
+        ("a,b\n1,2\n3,4\n5,x\n", "at line 4, column 2"),
+        ("a,b\n1,2\n3,4\n5\n", "at line 4 with 1 columns"),
+        ("a,b\n\n1,2\n\n\r\n3,x\n", "at line 6, column 2"),
+        ("a,b\r\n\r\n1,2\r\n\r\n3\r\n", "at line 5 with 1 columns"),
+        ("a,b\r\r1,2\r\r3,x\r", "at line 5, column 2"),
+        ('a,b\n"1",2\n\n"3",x\n', "at line 4, column 2"),
+        ('"a\n",b\n1,x\n', "at line 3, column 2"),     # the header takes two lines
+    ], ids=["bad-cell", "short-row", "blank-lines", "crlf", "lone-cr", "quoted",
+            "two-line-header"])
+    def test_bad_row_names_its_line(self, tmp_path, text, where):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(InvalidDataError, match=where):
+            read_columns(path, [text[:text.index(",")].strip('"'), "b"])
+
     def test_missing_column_is_data_error(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n", name="cols.csv")
         with pytest.raises(InvalidDataError, match="cols.csv.*missing.*c"):
@@ -170,8 +185,8 @@ class TestReaderPool:
             assert col.dtype == np.float64 and col.flags.c_contiguous
 
     @pytest.mark.parametrize("bad, where", [
-        (b"1,x", "at row 2000, column 2"),          # 0-based, as loadtxt counts
-        (b"1", "at row 2001 with 1 columns"),       # 1-based, as loadtxt counts
+        (b"1,x", "at line 2288, column 2"),     # header, 2000 rows, 286 blank lines
+        (b"1", "at line 2288 with 1 columns"),
         (b"1,\xff", None),
     ], ids=["bad-cell", "short-row", "not-utf8"])
     @pytest.mark.parametrize("context", [1, 2, 3])
@@ -249,6 +264,23 @@ class TestWriter:
         with pytest.raises(InvalidDataError):
             write_table(path, ["a", "b"], [np.zeros(2), np.zeros(3)])
 
+    def test_utf8_round_trip(self, tmp_path):
+        header = ["t_\u00e9", "label"]
+        columns = [np.array([0.5, 1.25, 2.0]), np.array(["\u00e5", "b", "\u03c4\u00b2"])]
+        path = tmp_path / "t.csv"
+        write_table(path, header, columns)
+        assert path.read_bytes() == reference_table(header, columns).encode("utf-8")
+        assert read_columns(path, ["t_\u00e9"])["t_\u00e9"].tolist() == [0.5, 1.25, 2.0]
+
+    @pytest.mark.parametrize("column", [np.array(["a", "b\0c"]), np.array(["a", "\0b"]),
+                                        np.array(["a", "b\0"], dtype=object)],
+                             ids=["inside", "leading", "trailing-object"])
+    def test_nul_in_text_is_data_error(self, tmp_path, column):
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidDataError, match="'label'.*NUL"):
+            write_table(path, ["x", "label"], [np.zeros(2), column])
+        assert not path.exists()
+
     @pytest.mark.parametrize("processes", [1, 2, 3])
     def test_render_processes_match_reference(self, tmp_path, monkeypatch, processes):
         # 7-row chunks: 8 and 22 rows give two and four chunks, so a pool
@@ -283,6 +315,73 @@ class TestWriter:
                             "8be76ec30bb8af09")
         assert sha(tmp_path / "records.csv.summary.json") == (
             "6a82a922d830ebb9d26122300aa0c75754bd2c87befb9fba5892c4a7f1d68a03")
+
+
+def rendered(column) -> list[str]:
+    """Each cell of one column as the chunk renderer writes it."""
+    column = np.asarray(column)
+    return series._render([column], 0, column.size).decode().splitlines()
+
+
+class TestRenderKernel:
+    """The byte-matrix renderer against one %-format per cell."""
+
+    @staticmethod
+    def check_floats(x):
+        x = np.asarray(x)
+        assert rendered(x) == ["%.17g" % v for v in x.tolist()]
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False)
+        # and as many again with exponents in and around the kernel's range
+        near = rng.integers(1023 - 45, 1023 + 62, bits.size).astype(np.uint64)
+        bits2 = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | (near << np.uint64(52))
+        self.check_floats(np.concatenate([bits, bits2]).view(np.float64))
+
+    def test_exponentials_at_record_rates(self):
+        rng = np.random.default_rng(12)
+        for rate in (1.0, 1.5, 2.5):
+            t = rng.exponential(1.0 / rate, 20_000)
+            self.check_floats(np.concatenate([t, t + rng.exponential(1.0, t.size)]))
+
+    def test_ties_round_half_to_even(self):
+        # m * 2**-e with m * 5**e of 18 digits ends in a 5 just past the
+        # 17th digit: an exact tie, rounded to an even last digit
+        x = [m * 2.0 ** -e for e in range(20, 26) for m in range(1, 4096, 2)
+             if 10**17 <= m * 5**e < 10**18]
+        assert len(x) > 1000 and series._decimal(np.array(x))[2].all()
+        self.check_floats(x)
+        self.check_floats(-np.array(x))
+        # few-bit mantissas across the range, ties or not
+        rng = np.random.default_rng(13)
+        self.check_floats(rng.integers(1, 256, 20_000) * 2.0 ** rng.integers(-70, 70, 20_000))
+
+    def test_neighbours_of_powers_of_ten(self):
+        x = []
+        for k in range(-12, 19):
+            below = above = 10.0 ** k
+            x.append(below)
+            for _ in range(8):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                x += [below, above]
+        self.check_floats(x)
+        self.check_floats(-np.array(x))
+
+    def test_cells_outside_the_kernel(self):
+        self.check_floats(SPECIAL + [1e-11, 9.999999999999999e-12, 1e17, 9.999999999999999e16,
+                                     -5e-324, 2.2250738585072014e-308, 123456789012345678.0])
+        self.check_floats(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 1e-7, 3.4e38,
+                                    1e-45, 16777217.0], np.float32))
+
+    def test_integer_extremes(self):
+        for column in (np.array([-2**63, 2**63 - 1, -1, 0, 1, -10**18, 10**18], np.int64),
+                       np.array([2**64 - 1, 0, 10**19, 10**19 - 1], np.uint64),
+                       np.array([-128, 127, 0, -5], np.int8)):
+            assert rendered(column) == ["%d" % v for v in column.tolist()]
+
+    def test_bools(self):
+        assert rendered([True, False, True]) == ["True", "False", "True"]
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
