@@ -34,7 +34,7 @@ from . import __version__, analytic, estimation, kinetics, montecarlo, wavefunct
 from .analytic import RatePair, WindowConfig
 from .errors import (EXIT_INVALID_PARAMETERS, FirstPhotonError, InvalidParameterError,
                      exit_code_for)
-from .series import processes, read_columns, write_table
+from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
                        "n0f-symmetric-input")
@@ -264,12 +264,9 @@ def cmd_simulate(args, argv) -> int:
 
 
 def _load_times(args) -> np.ndarray:
-    # parse in up to one process per CPU: read_columns forks no more than
-    # the usable CPUs and the file's byte ranges, with the same values
-    with processes(os.cpu_count() or 1):
-        if not args.postselect:
-            return read_columns(args.samples, ["t_first"])["t_first"]
-        records = montecarlo.read_records_csv(args.samples)
+    if not args.postselect:
+        return read_columns(args.samples, ["t_first"])["t_first"]
+    records = montecarlo.read_records_csv(args.samples)
     kept, _ = montecarlo.postselect(records, _window(args))
     del records     # before the times are allocated
     return montecarlo.one_photon_window_times(kept)

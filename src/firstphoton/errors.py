@@ -22,11 +22,14 @@ class InvalidParameterError(FirstPhotonError, ValueError):
 
 
 class WindowTooWideError(InvalidParameterError):
-    """Coincidence window violates tau * gamma_a * gamma_b < gamma_a + gamma_b.
+    """Coincidence window too wide for the ``taylor`` window law.
 
-    Beyond this bound the ``taylor`` window law has no valid
-    normalization constant alpha, so it is rejected as a parameter
-    error; the ``exact`` law needs no alpha and holds beyond it.
+    Its normalization constant alpha exists only while
+    tau * gamma_a * gamma_b < gamma_a + gamma_b, and its product CDF
+    falls from t = 0 once 2 * tau * gamma_a * gamma_b > gamma_a +
+    gamma_b, so ``product_first_cdf`` raises this error past that
+    tighter bound.  Either is rejected as a parameter error; the
+    ``exact`` law needs no alpha and holds beyond both.
     """
 
 

@@ -17,8 +17,7 @@ A record stores t_first, channel_first and t_second.  The CSV written
 by ``write_records_csv`` adds pair_id (the row index) and
 channel_second (the other channel), which follow from those.
 ``write_records_csv`` renders the text in up to n_workers forked
-processes; the count changes no byte.  The module starts no thread,
-so those forks never copy a thread in flight.
+processes; the count changes no byte.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width

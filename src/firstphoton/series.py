@@ -20,41 +20,40 @@ the other exponents) are formatted one by one with ``%.17g``.  An
 integer is the digits of its uint64 magnitude after a sign slot.  Text
 goes byte by byte from the code points when a chunk's cells are ASCII,
 and cell by cell through UTF-8 otherwise; a text cell holding a NUL
-would read as padding, so ``write_table`` refuses it with
+would read as padding, and a surrogate code point has no UTF-8, so
+``write_table`` refuses either, in a cell or in the header, with
 InvalidDataError before it opens the file.  Memory beyond the columns
 is a few chunks' matrices and text whatever the row count, and the
 file does not depend on the chunk size.
 
-Inside ``with processes(n):`` ``write_table`` renders the chunks in up
-to n forked processes (never more than there are chunks or usable
-CPUs): the workers read the columns they inherit through fork and send
-back each chunk's text, and the parent writes the texts in chunk order,
-so the file is byte-identical for every process count.
+Both directions map their tasks in order, in this process or in up to
+one forked worker per usable CPU and task that inherits the table or
+the buffer through fork; fork copies only the calling thread, so no
+pool is forked while another thread runs.  Files, values and errors
+are the same either way.  ``write_table`` maps its chunks in at most n
+workers inside ``with processes(n):`` (one outside it) and writes the
+texts they send back in chunk order.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
 line-aligned block of about ``READ_BLOCK_BYTES`` (1 MiB) at a time.
 The parent first reads the blocks once to count their lines, which
 bounds their rows, and lays out one float64 buffer of shape
-``(len(names), lines)``; each block's rows go straight to its own
-slice, and every returned column is a contiguous row of that buffer,
-not a copy.  Inside ``with processes(n):`` the blocks are split into
-byte ranges of at least ``READ_RANGE_BYTES`` (4 MiB) and parsed in up
-to n forked processes (never more than there are ranges or usable
-CPUs); the buffer is then an anonymous shared mapping the workers
-write in place, so only block row counts come back.  Blank lines leave
-a block short of its line count; the parent closes such gaps in
-order.  Data holding a ``"`` is parsed as one block in one process,
-since a quoted cell may hold a newline.  Values and errors do not
-depend on the process count.  An error names the file, and the file's
-line of a bad row (the header is line 1, and blank lines count), which
-the failing block alone gives; a byte that is not UTF-8 is named by its
-offset in the file.
+``(len(names), lines)``, an anonymous shared mapping; each block's rows
+go straight to its own slice, and every returned column is a contiguous
+row of that buffer, not a copy.  The blocks are mapped in ranges of
+whole blocks of at least ``READ_RANGE_BYTES`` (4 MiB), so a file of two
+such ranges or more is parsed in several processes, and the workers
+write the buffer in place: only block row counts come back.  Blank
+lines leave a block short of its line count; the parent closes such
+gaps in order.  Data holding a ``"`` is parsed as one block, since a
+quoted cell may hold a newline.  An error names the file, and the
+file's line of a bad row (the header is line 1, and blank lines count),
+which the failing block alone gives; a byte that is not UTF-8 is named
+by its offset in the file.
 
 ``multiprocessing``, ``concurrent.futures`` and ``mmap`` are imported
-only when a pool is started.  Forking copies only the calling thread,
-and the package starts no thread of its own, so the CLI never forks
-with another thread running.
+only when they are used, off the import path.
 """
 from __future__ import annotations
 
@@ -62,10 +61,10 @@ import collections
 import contextlib
 import contextvars
 import csv
-import functools
 import io
 import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -96,21 +95,18 @@ _ZERO = np.uint8(ord("0"))
 _BOOL_TEXT = np.array([b"False", b"True"])
 
 
-# how many processes write_table and read_columns may use; see processes
+# how many processes write_table may use; see processes
 _PROCESSES = contextvars.ContextVar("processes", default=1)
-# what a pool worker inherited through fork: (columns,) in a render
-# worker, (path, usecols, buffer, first data line) in a parse worker
+# what a pool worker inherited through fork: the function it maps and
+# the leading arguments of every call
 _inherited = None
 
 
 @contextlib.contextmanager
 def processes(n: int):
-    """Let ``write_table`` render and ``read_columns`` parse in up to
-    ``n`` forked processes inside the block; files and values are the
-    same for every ``n``.
-
-    The workers are forked from the calling thread, so call it while no
-    other thread of the process is running.
+    """Let ``write_table`` render in up to ``n`` forked processes inside
+    the block (never more than its chunks or the usable CPUs); the file
+    is the same for every ``n``.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"processes must be a positive integer, got {n!r}")
@@ -145,17 +141,14 @@ def _scaled(m: np.ndarray, q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np
     lo = (ll & _LOW32) | (mid << _U32)
     hi = m1 * p1 + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
     shift = -(q + s) - 1
-    # mostly 0 <= shift < 64; the rest, a shift left or past lo, are
-    # formed again below, and every shift amount stays in [0, 63]
-    low = np.clip(shift, 0, 63).astype(np.uint64)
+    # shift lies in [-6, 62] for the cells _decimal covers, at its first
+    # k and the corrected one; a shift left is exact.  Other cells' results
+    # are dropped (numpy shifts by 64 bits or more to 0)
+    low = np.maximum(shift, 0).astype(np.uint64)
     t = (lo >> low) | ((hi << (np.uint64(63) - low)) << _U1)
     sticky = (lo & ((_U1 << low) - _U1)) != 0
     left = np.flatnonzero(shift < 0)
-    t[left] = lo[left] << np.minimum(-shift[left], 63).astype(np.uint64)
-    past = np.flatnonzero(shift >= 64)
-    high = np.minimum(shift[past] - 64, 63).astype(np.uint64)
-    t[past] = hi[past] >> high
-    sticky[past] = (lo[past] != 0) | ((hi[past] & ((_U1 << high) - _U1)) != 0)
+    t[left] = lo[left] << (-shift[left]).astype(np.uint64)
     floor = t >> _U1
     return floor, (t & _U1).astype(bool) & (sticky | (floor & _U1).astype(bool))
 
@@ -304,17 +297,19 @@ def _render(cols: list[np.ndarray], start: int, stop: int) -> bytes:
     return text.translate(None, b"\0")
 
 
-def _inherit(*state) -> None:
+def _inherit(fn, state: tuple) -> None:
     global _inherited
-    _inherited = state
+    _inherited = fn, state
 
 
-def _render_inherited(start: int, stop: int) -> bytes:
-    return _render(*_inherited, start, stop)
+def _call_inherited(*task):
+    fn, state = _inherited
+    return fn(*state, *task)
 
 
-def _fork_pool(processes: int, *state):
-    """Executor of ``processes`` forked workers that hold ``state``.
+def _fork_pool(processes: int, fn, state: tuple):
+    """Executor of ``processes`` forked workers that hold ``fn`` and
+    ``state``, for tasks submitted as ``_call_inherited``.
 
     With fork the initializer's arguments reach the workers in the
     copied memory, not through a pipe; only task arguments and results do.
@@ -322,39 +317,60 @@ def _fork_pool(processes: int, *state):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                               initializer=_inherit, initargs=state)
+                               initializer=_inherit, initargs=(fn, state))
 
 
-def _pooled_texts(pool, starts, stops, ahead: int):
-    """Chunk texts in order from ``pool``, with at most ``ahead`` chunks
-    submitted and not yet taken, so a slow disk cannot pile up text."""
-    futures = collections.deque()
-    for start, stop in zip(starts, stops):
-        futures.append(pool.submit(_render_inherited, start, stop))
-        if len(futures) > ahead:
+def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
+    """``fn(*state, *task)`` for each task, yielded in task order.
+
+    The calls run here, or in min(len(tasks), usable CPUs, cap) forked
+    workers that inherit ``state`` when no other thread runs.  At most
+    two results per worker wait to be taken, and the pool shuts down,
+    its queued tasks cancelled, when the generator ends or is closed.
+    """
+    workers = min(len(tasks), _usable_cpus(), cap or len(tasks))
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        for task in tasks:
+            yield fn(*state, *task)
+        return
+    pool = _fork_pool(workers, fn, state)
+    try:
+        futures = collections.deque()
+        for task in tasks:
+            futures.append(pool.submit(_call_inherited, *task))
+            if len(futures) > 2 * workers:
+                yield futures.popleft().result()
+        while futures:
             yield futures.popleft().result()
-    while futures:
-        yield futures.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _text_column(name: str, column: np.ndarray) -> np.ndarray:
     """A column that is neither numbers nor bools, as str cells.
 
     A NUL inside a cell would read as the padding that rendering drops,
-    so it raises InvalidDataError.
+    and a surrogate code point has no UTF-8, so either raises
+    InvalidDataError.
     """
     if column.dtype.kind != "U":
         cells = [str(v) for v in column.tolist()]
+        # a str array drops a cell's trailing NULs, so look before
         if any("\0" in cell for cell in cells):
             raise InvalidDataError(f"text column {name!r} holds a NUL character")
-        return np.array(cells, dtype=str)
+        column = np.array(cells, dtype=str)
     width = column.dtype.itemsize // 4
-    # a str array keeps no trailing NUL, so a one-character cell holds none
-    for start in range(0, column.size if width > 1 else 0, CHUNK_ROWS):
-        chunk = np.ascontiguousarray(column[start:start + CHUNK_ROWS])
-        used = chunk.view(np.uint32).reshape(-1, width) != 0
+    for start in range(0, column.size if width else 0, CHUNK_ROWS):
+        codes = np.ascontiguousarray(column[start:start + CHUNK_ROWS],
+                                     column.dtype.newbyteorder("="))
+        codes = codes.view(np.uint32).reshape(-1, width)
+        # a str array keeps no trailing NUL, so a NUL is a 0 before a used code
+        used = codes != 0
         if (used[:, 1:] > used[:, :-1]).any():
             raise InvalidDataError(f"text column {name!r} holds a NUL character")
+        if codes.max() >= 0xD800 and ((codes >= 0xD800) & (codes < 0xE000)).any():
+            raise InvalidDataError(f"text column {name!r} holds a surrogate code point, "
+                                   "which UTF-8 cannot encode")
     return column
 
 
@@ -373,27 +389,18 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
             raise InvalidDataError("all columns must share one length")
     cols = [c if c.dtype.kind in "fiub" else _text_column(name, c)
             for name, c in zip(header, cols)]
-    starts = range(0, n, CHUNK_ROWS)
-    stops = [min(start + CHUNK_ROWS, n) for start in starts]
-    workers = min(_PROCESSES.get(), len(stops), _usable_cpus())
+    try:
+        head = (",".join(header) + "\n").encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidDataError(f"header {header!r} is not UTF-8 text: {exc.reason}") from None
+    chunks = [(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS)]
     try:
         with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\n").encode("utf-8"))
-            pool = None
-            if workers > 1 and hasattr(os, "fork"):
-                fh.flush()      # else the forked workers copy its buffer
-                pool = _fork_pool(workers, cols)
-            try:
-                if pool is None:
-                    texts = map(functools.partial(_render, cols), starts, stops)
-                else:
-                    texts = _pooled_texts(pool, starts, stops, 2 * workers)
-                # holds one chunk's text at a time, where a for loop would
-                # keep the last one alive while the next is rendered
-                fh.writelines(texts)
-            finally:
-                if pool is not None:
-                    pool.shutdown(cancel_futures=True)
+            fh.write(head)
+            fh.flush()      # else forked render workers copy its buffer
+            # holds one chunk's text at a time, where a for loop would
+            # keep the last one alive while the next is rendered
+            fh.writelines(_ordered_map(_render, (cols,), chunks, _PROCESSES.get()))
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {path}: {exc}") from exc
 
@@ -508,18 +515,15 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
     return counts, None
 
 
-def _parse_inherited(blocks) -> tuple[list[int], str | None]:
-    return _parse_blocks(*_inherited, blocks)
-
-
 def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
     """Read the named float columns from a CSV file with a header row.
 
     Missing columns, short rows and non-numeric cells raise
     InvalidDataError; extra columns are ignored so record files with
     channel labels still load.  A header-only file gives empty arrays.
-    Inside ``with processes(n):`` a file of several ``READ_RANGE_BYTES``
-    is parsed in up to n forked processes, with the same result.
+    A file of several ``READ_RANGE_BYTES`` is parsed in up to one forked
+    process per usable CPU, or in this process while another thread
+    runs, with the same result.
     """
     try:
         fh = open(path, "rb")
@@ -539,32 +543,20 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
         usecols = [index[n] for n in names]
         plan, lines = _blocks(fh, start)
         size = fh.tell() - start
-    workers = min(_PROCESSES.get(), _usable_cpus(), len(plan),
-                  max(size // READ_RANGE_BYTES, 1))
-    shape = (len(names), lines)
-    # with no names the buffer is empty, and mmap maps no 0 bytes
-    if workers > 1 and names and hasattr(os, "fork"):
-        import mmap
-        # MAP_SHARED: what the workers write is the parent's too
-        buf = np.frombuffer(mmap.mmap(-1, 8 * shape[0] * shape[1]),
-                            np.float64).reshape(shape)
-        pool = _fork_pool(workers, path, usecols, buf, header_lines + 1)
-        try:
-            # one range of whole blocks per worker
-            futures = [pool.submit(_parse_inherited,
-                                   plan[i * len(plan) // workers:
-                                        (i + 1) * len(plan) // workers])
-                       for i in range(workers)]
-            results = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        buf = np.empty(shape)
-        results = [_parse_blocks(path, usecols, buf, header_lines + 1, plan)]
+    import mmap
+    # MAP_SHARED: what forked workers write is the parent's too; mmap
+    # maps no 0 bytes, so an empty buffer gets one
+    buf = np.ndarray((len(names), lines),
+                     buffer=mmap.mmap(-1, max(8 * len(names) * lines, 1)))
+    parts = min(len(plan), max(size // READ_RANGE_BYTES, 1))
+    ranges = [(plan[i * len(plan) // parts:(i + 1) * len(plan) // parts],)
+              for i in range(parts)]
+    results = _ordered_map(_parse_blocks, (path, usecols, buf, header_lines + 1), ranges)
     counts = []
     for part, error in results:
         counts += part
         if error is not None:
+            results.close()     # cancels the ranges still queued
             raise InvalidDataError(f"{path}: {error}")
     rows = 0
     for (_, _, row0), n in zip(plan, counts):

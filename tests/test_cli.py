@@ -174,13 +174,13 @@ class TestSimulate:
         class InProcess:
             """Stands in for the fork pool: records its size, renders here."""
 
-            def __init__(self, processes, cols):
+            def __init__(self, processes, fn, state):
                 asked.append(processes)
-                self.render = functools.partial(series._render, cols)
+                self.call = functools.partial(fn, *state)
 
-            def submit(self, fn, start, stop):
+            def submit(self, _, *task):
                 future = Future()
-                future.set_result(self.render(start, stop))
+                future.set_result(self.call(*task))
                 return future
 
             def shutdown(self, cancel_futures=False):

@@ -1,9 +1,11 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from unittest import mock
 
@@ -137,27 +139,28 @@ class TestReader:
 
 
 class TestReaderPool:
-    """read_columns on 40-byte ranges, so that a pool parses whenever the
-    machine has two CPUs, against one block parsed in this process."""
+    """read_columns on 40-byte ranges with 1, 2 and 3 usable CPUs, so that
+    a pool parses whenever there are two, against one block parsed in
+    this process."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
+    def pools(self, monkeypatch, context):
         """The size of every parse pool started, in order."""
         started = []
         fork_pool = series._fork_pool
 
-        def recording(processes, *state):
+        def recording(processes, fn, state):
             started.append(processes)
-            return fork_pool(processes, *state)
+            return fork_pool(processes, fn, state)
 
         monkeypatch.setattr(series, "READ_RANGE_BYTES", 40)
+        monkeypatch.setattr(series, "_usable_cpus", lambda: context)
         monkeypatch.setattr(series, "_fork_pool", recording)
         return started
 
     @staticmethod
     def expected_pools(context):
-        workers = min(context, series._usable_cpus())
-        return [workers] if workers > 1 else []
+        return [context] if context > 1 else []
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("block", [1, 30])
@@ -174,8 +177,7 @@ class TestReaderPool:
             lines.append(f"{a:.17g},{b:.17g}")
             lines += [""] * (i % 3 == 0) + [""] * 3 * (i == len(x) // 2)
         path = write_csv(tmp_path, newline.join(lines + ["", "", "9,9"]))
-        with series.processes(context):
-            cols = read_columns(path, ["y", "x"])
+        cols = read_columns(path, ["y", "x"])
         assert multiprocessing.active_children() == []
         # blocks end at a \n, so lone \r endings make one block, parsed here
         assert pools == ([] if newline == "\r" else self.expected_pools(context))
@@ -201,13 +203,37 @@ class TestReaderPool:
             read_columns(path, ["a", "b"])      # one block, no pool
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
         with pytest.raises(InvalidDataError) as ranged:
-            with series.processes(context):
-                read_columns(path, ["a", "b"])
+            read_columns(path, ["a", "b"])
         assert multiprocessing.active_children() == []
         assert pools == self.expected_pools(context)
         message = str(ranged.value)
         assert message == str(whole.value) and "bad.csv" in message
         assert (where or "byte %d is not UTF-8" % raw.index(b"\xff")) in message
+
+    @pytest.mark.parametrize("context", [2])
+    def test_no_pool_while_another_thread_runs(self, tmp_path, monkeypatch, pools, context):
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
+        x = np.arange(500) / 7.0
+        path = write_csv(tmp_path, "x\n" + "".join("%.17g\n" % v for v in x))
+        alone = read_columns(path, ["x"])["x"]
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            beside = read_columns(path, ["x"])["x"]
+        finally:
+            stop.set()
+            thread.join()
+        assert pools == [2]
+        assert same_bits(alone, x) and same_bits(beside, x)
+
+    @pytest.mark.parametrize("context", [2])
+    def test_closed_map_leaves_no_worker(self, pools, context):
+        results = series._ordered_map(divmod, (100,), [(d,) for d in range(1, 40)])
+        assert next(results) == (100, 0)
+        results.close()
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestWriter:
@@ -281,6 +307,19 @@ class TestWriter:
             write_table(path, ["x", "label"], [np.zeros(2), column])
         assert not path.exists()
 
+    @pytest.mark.parametrize("name, header, column", [
+        ("a\ud800", ["x", "a\ud800"], np.array(["a", "b"])),
+        ("label", ["x", "label"], np.array(["a", "x\ud800"])),
+        ("label", ["x", "label"], np.array(["\udfff", "b"])),
+        ("label", ["x", "label"], np.array(["a", "x\udc00"], dtype=object)),
+    ], ids=["header", "cell", "one-character-cell", "object-cell"])
+    def test_surrogate_is_data_error(self, tmp_path, name, header, column):
+        # a lone surrogate has no UTF-8 bytes
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidDataError, match=re.escape(repr(name)) + ".*UTF-8"):
+            write_table(path, header, [np.zeros(2), column])
+        assert not path.exists()
+
     @pytest.mark.parametrize("processes", [1, 2, 3])
     def test_render_processes_match_reference(self, tmp_path, monkeypatch, processes):
         # 7-row chunks: 8 and 22 rows give two and four chunks, so a pool
@@ -331,13 +370,41 @@ class TestRenderKernel:
         x = np.asarray(x)
         assert rendered(x) == ["%.17g" % v for v in x.tolist()]
 
-    def test_random_bit_patterns(self):
+    @staticmethod
+    def random_bit_patterns():
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64, endpoint=False)
         # and as many again with exponents in and around the kernel's range
         near = rng.integers(1023 - 45, 1023 + 62, bits.size).astype(np.uint64)
         bits2 = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | (near << np.uint64(52))
-        self.check_floats(np.concatenate([bits, bits2]).view(np.float64))
+        return np.concatenate([bits, bits2]).view(np.float64)
+
+    @staticmethod
+    def ties():
+        # m * 2**-e with m * 5**e of 18 digits ends in a 5 just past the
+        # 17th digit: an exact tie, rounded to an even last digit
+        return np.array([m * 2.0 ** -e for e in range(20, 26) for m in range(1, 4096, 2)
+                         if 10**17 <= m * 5**e < 10**18])
+
+    @staticmethod
+    def few_bit_mantissas():
+        # across the range, ties or not
+        rng = np.random.default_rng(13)
+        return rng.integers(1, 256, 20_000) * 2.0 ** rng.integers(-70, 70, 20_000)
+
+    @staticmethod
+    def neighbours_of_powers_of_ten():
+        x = []
+        for k in range(-12, 19):
+            below = above = 10.0 ** k
+            x.append(below)
+            for _ in range(8):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                x += [below, above]
+        return np.array(x)
+
+    def test_random_bit_patterns(self):
+        self.check_floats(self.random_bit_patterns())
 
     def test_exponentials_at_record_rates(self):
         rng = np.random.default_rng(12)
@@ -346,27 +413,38 @@ class TestRenderKernel:
             self.check_floats(np.concatenate([t, t + rng.exponential(1.0, t.size)]))
 
     def test_ties_round_half_to_even(self):
-        # m * 2**-e with m * 5**e of 18 digits ends in a 5 just past the
-        # 17th digit: an exact tie, rounded to an even last digit
-        x = [m * 2.0 ** -e for e in range(20, 26) for m in range(1, 4096, 2)
-             if 10**17 <= m * 5**e < 10**18]
-        assert len(x) > 1000 and series._decimal(np.array(x))[2].all()
+        x = self.ties()
+        assert len(x) > 1000 and series._decimal(x)[2].all()
         self.check_floats(x)
-        self.check_floats(-np.array(x))
-        # few-bit mantissas across the range, ties or not
-        rng = np.random.default_rng(13)
-        self.check_floats(rng.integers(1, 256, 20_000) * 2.0 ** rng.integers(-70, 70, 20_000))
+        self.check_floats(-x)
+        self.check_floats(self.few_bit_mantissas())
 
     def test_neighbours_of_powers_of_ten(self):
-        x = []
-        for k in range(-12, 19):
-            below = above = 10.0 ** k
-            x.append(below)
-            for _ in range(8):
-                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
-                x += [below, above]
+        x = self.neighbours_of_powers_of_ten()
         self.check_floats(x)
-        self.check_floats(-np.array(x))
+        self.check_floats(-x)
+
+    def test_shifts_start_inside_the_low_limb(self, monkeypatch):
+        # on the cells the kernel covers, _scaled forms no shift below -6
+        # or past 62, at the first guess of the decimal exponent or the
+        # corrected one
+        shifts = []
+        scaled = series._scaled
+
+        def recording(m, q, k):
+            with np.errstate(over="ignore"):    # nan and inf bits
+                size = np.ldexp(m.astype(np.float64), q)
+            covered = ((size >= 10.0 ** series._LOW_EXPONENT)
+                       & (size < 10.0 ** (series._HIGH_EXPONENT + 1)))
+            shifts.append((-(q + 16 - k) - 1)[covered])
+            return scaled(m, q, k)
+
+        monkeypatch.setattr(series, "_scaled", recording)
+        for x in (self.random_bit_patterns(), self.ties(), self.few_bit_mantissas(),
+                  self.neighbours_of_powers_of_ten()):
+            series._decimal(x)
+        shifts = np.concatenate(shifts)
+        assert shifts.min() >= -6 and shifts.max() <= 62
 
     def test_cells_outside_the_kernel(self):
         self.check_floats(SPECIAL + [1e-11, 9.999999999999999e-12, 1e17, 9.999999999999999e16,

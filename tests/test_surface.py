@@ -1,10 +1,11 @@
-"""Every public top-level def or class in the package has a reader.
+"""Every top-level def or class in the package has a reader.
 
-A public name counts as read when it appears in code (a Name or an
-Attribute, not inside a string) in another package module other than
-``__init__.py``, in ``scripts/*.py``, ``perfbench/*.py`` or the
-acceptance gate, or in another top-level statement of its own module.
-A name that only tests read belongs in the tests.
+A name, public or private, counts as read when it appears in code (a
+Name or an Attribute, not inside a string) in another package module
+other than ``__init__.py``, in ``scripts/*.py``, ``perfbench/*.py`` or
+the acceptance gate, or in another top-level statement of its own
+module.  A name that only tests read belongs in the tests, and a
+private helper outlives what it served once nothing calls it.
 """
 import ast
 from pathlib import Path
@@ -27,7 +28,7 @@ def code_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def unread_public_names() -> list[str]:
+def unread_names(private: bool) -> list[str]:
     modules = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = {path: code_names(ast.parse(path.read_text())) for path in READERS}
     unread = []
@@ -39,7 +40,7 @@ def unread_public_names() -> list[str]:
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if stmt.name.startswith("_"):
+            if stmt.name.startswith("_") != private:
                 continue
             own = set().union(*(code_names(other) for other in tree.body
                                 if other is not stmt))
@@ -49,4 +50,8 @@ def unread_public_names() -> list[str]:
 
 
 def test_every_public_name_has_a_reader():
-    assert unread_public_names() == []
+    assert unread_names(private=False) == []
+
+
+def test_every_private_helper_has_a_reader():
+    assert unread_names(private=True) == []
