@@ -239,7 +239,7 @@ def cmd_simulate(args, argv) -> int:
 
     summary = montecarlo.PostSelectionSummary.of_mask(
         montecarlo.keep_mask(records, window))
-    fractions = montecarlo.channel_fractions(records)
+    first_a = float(np.mean(records["first_is_a"]))
     payload = {
         "kind": args.kind,
         "n_pairs": int(args.n_pairs),
@@ -254,8 +254,8 @@ def cmd_simulate(args, argv) -> int:
         "predicted_coincidence_rate": (
             analytic.coincidence_probability(rates, window)
             if args.kind == montecarlo.KIND_PRODUCT else None),
-        "channel_fraction_first_a": fractions[analytic.CHANNEL_A],
-        "channel_fraction_first_b": fractions[analytic.CHANNEL_B],
+        "channel_fraction_first_a": first_a,
+        "channel_fraction_first_b": 1.0 - first_a,
     }
     summary_path = f"{args.out}.summary.json"
     _write_json(summary_path, payload)

@@ -13,11 +13,14 @@ grid, and each chunk fills its own slice of one preallocated record
 array in turn, in the calling thread.  Row p reads counter block p
 whatever chunk it falls in, so a shorter run is a prefix of a longer one.
 
-A record stores t_first, channel_first and t_second.  The CSV written
-by ``write_records_csv`` adds pair_id (the row index) and
-channel_second (the other channel), which follow from those.
-``write_records_csv`` renders the text in up to n_workers forked
-processes; the count changes no byte.
+A record stores t_first, first_is_a (the kernel's bool, one byte) and
+t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
+the channels: its CSV has pair_id (the row index), t_first,
+channel_first, t_second and channel_second, the letters following from
+first_is_a.  It renders the text in up to n_workers forked processes;
+the count changes no byte.  ``read_records_csv`` gives back records of
+the two time columns only, which is all that post-selection and the
+one-photon window times read.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -38,20 +41,25 @@ import numpy as np
 from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
                        WindowConfig, _require_bin_index)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import processes, read_columns, write_table
+from .series import CHUNK_ROWS, processes, read_columns, write_table
 
 KIND_ENTANGLED = "entangled"
 KIND_PRODUCT = "product"
 PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
-CHUNK_PAIRS = 1 << 16       # pairs sampled per chunk
+# pairs sampled per chunk; four times CHUNK_ROWS, because glibc
+# raises its mmap threshold to the largest block freed.  After these
+# 2 MiB word blocks the CSV render's chunk temporaries reuse heap pages;
+# after 16384-pair blocks they fault in fresh ones, and a fresh process
+# wrote 1M records in 0.61 s instead of 0.46 s.
+CHUNK_PAIRS = 1 << 16
 # -log of the smallest open uniform: the longest unit-rate wait drawn
 _LONGEST_WAIT = -math.log(0.5 * 2.0 ** -53)
 
 RECORD_DTYPE = np.dtype([
     ("t_first", np.float64),
-    ("channel_first", "U1"),
+    ("first_is_a", np.bool_),
     ("t_second", np.float64),
 ])
 
@@ -140,7 +148,7 @@ def _records(kind: str, rates: RatePair, words: np.ndarray, out: np.ndarray) -> 
     (n, 4) counter blocks."""
     t_first, first_is_a, t_second = _KERNELS[kind](rates, words)
     out["t_first"] = t_first
-    out["channel_first"] = np.where(first_is_a, CHANNEL_A, CHANNEL_B)
+    out["first_is_a"] = first_is_a
     out["t_second"] = t_second
 
 
@@ -168,8 +176,8 @@ def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:
     Boundary convention of ``grid-bin`` follows from the bin index
     floor(t / tau): a photon exactly on a bin edge belongs to the later
     bin.  ``pairwise`` keeps a pair when t_second - t_first >= tau.
-    The mask is formed CHUNK_PAIRS pairs at a time, so the temporaries
-    stay one chunk long.
+    The mask is formed CHUNK_ROWS pairs at a time, so the temporaries
+    stay one render chunk long.
     """
     t_first = np.asarray(records["t_first"], dtype=float)
     t_second = np.asarray(records["t_second"], dtype=float)
@@ -179,10 +187,10 @@ def keep_mask(records: np.ndarray, window: WindowConfig) -> np.ndarray:
         # records hold t_first <= t_second, so the latest t_second decides
         _require_bin_index(float(t_second.max(initial=0.0)), tau)
     keep = np.empty(t_first.shape, dtype=bool)
-    for start in range(0, keep.size, CHUNK_PAIRS):
-        first = t_first[start:start + CHUNK_PAIRS]
-        second = t_second[start:start + CHUNK_PAIRS]
-        out = keep[start:start + CHUNK_PAIRS]
+    for start in range(0, keep.size, CHUNK_ROWS):
+        first = t_first[start:start + CHUNK_ROWS]
+        second = t_second[start:start + CHUNK_ROWS]
+        out = keep[start:start + CHUNK_ROWS]
         if grid_bin:
             np.not_equal(np.floor(first / tau), np.floor(second / tau), out=out)
         else:
@@ -220,49 +228,36 @@ def empirical_cdf(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(times), grid, side="right") / times.size
 
 
-def channel_fractions(records: np.ndarray) -> dict[str, float]:
-    """Fraction of first photons observed in each channel; labels other
-    than A and B, as in ``read_records_csv`` output, raise InvalidDataError."""
-    n = int(records.shape[0])
-    if n == 0:
-        return {CHANNEL_A: 0.0, CHANNEL_B: 0.0}
-    first = records["channel_first"]
-    is_a = first == CHANNEL_A
-    if not np.all(is_a | (first == CHANNEL_B)):
-        raise InvalidDataError("channel_first holds labels other than A and B")
-    frac_a = float(np.mean(is_a))
-    return {CHANNEL_A: frac_a, CHANNEL_B: 1.0 - frac_a}
-
-
 def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
     """Write records as CSV with the columns of ``RECORD_COLUMNS``.
 
-    pair_id is the row index and channel_second the channel that the
-    first photon did not use.  The text is rendered in up to
-    ``n_workers`` forked processes (see ``series.processes``);
-    the file is the same for any count.
+    pair_id is the row index, channel_first the letter of first_is_a and
+    channel_second the other letter.  The text is rendered in up to
+    ``n_workers`` forked processes (see ``series.processes``); the file
+    is the same for any count.
     """
-    first = records["channel_first"]
+    n = records.shape[0]
+    first_is_a = records["first_is_a"]
     with processes(n_workers):
         write_table(path, RECORD_COLUMNS, [
-            np.arange(records.shape[0], dtype=np.int64),
+            np.arange(n, dtype=np.min_scalar_type(n)),
             records["t_first"],
-            first,
+            np.where(first_is_a, CHANNEL_A, CHANNEL_B),
             records["t_second"],
-            np.where(first == CHANNEL_A, CHANNEL_B, CHANNEL_A),
+            np.where(first_is_a, CHANNEL_B, CHANNEL_A),
         ])
 
 
 def read_records_csv(path) -> np.ndarray:
-    """Load t_first and t_second of a records file; channel_first is left
-    empty, so the result serves time statistics but not channel_fractions."""
+    """Load a records file as records of its two time columns, t_first
+    and t_second; the channel columns are not read."""
     cols = read_columns(path, ["t_first", "t_second"])
-    out = np.zeros(cols["t_first"].size, dtype=RECORD_DTYPE)
-    out["t_first"] = cols["t_first"]
-    out["t_second"] = cols["t_second"]
-    t_first, t_second = out["t_first"], out["t_second"]
+    t_first, t_second = cols["t_first"], cols["t_second"]
     # every comparison is False at NaN
     if not np.all((t_first >= 0.0) & (t_second >= t_first) & (t_second < np.inf)):
         raise InvalidDataError(
             f"{path}: records must satisfy 0 <= t_first <= t_second < inf")
+    out = np.empty(t_first.size, dtype=[(name, np.float64) for name in cols])
+    for name, column in cols.items():
+        out[name] = column
     return out

@@ -118,7 +118,7 @@ def test_criterion_3_entangled_exponential_law(acceptance_log):
     if not 2.4925 <= fit.rate_estimate <= 2.5075:
         failures.append(f"combined-rate MLE {fit.rate_estimate:.5f} outside [2.4925, 2.5075]")
 
-    frac = float(np.mean(records["channel_first"] == "A"))
+    frac = float(np.mean(records["first_is_a"]))
     limit = 3.0 * math.sqrt(0.24) / 1e3
     if abs(frac - 0.4) > limit:
         failures.append(f"channel-A fraction {frac:.5f} beyond 0.4 +- {limit:.5f}")

@@ -373,6 +373,40 @@ class TestDiscriminate:
             assert code == 0
             assert payload["preferred"] == kind, (mode, kind)
 
+    @pytest.mark.parametrize("mode, digests", [
+        ("grid-bin", {
+            ("fit",): "1e5e6ee1af3cdae82d1f602b151facc9854b61704e8c5e9cb674e43ec50bc5c3",
+            ("fit", "--postselect"):
+                "f929f4bcf94901a5fe5544346a7b8dfaa26ae1e1b57772bb2b26b1c89416e28e",
+            ("discriminate",):
+                "5995db31882ccbaea546b9ccacacd9ac6300199c3bead540412783d2945ad83d",
+            ("discriminate", "--postselect"):
+                "94e5634066afeb69f334fb7ac253c8b85b61a574f851acb28d09f7feeb53c89f",
+        }),
+        ("pairwise", {
+            ("fit",): "1e5e6ee1af3cdae82d1f602b151facc9854b61704e8c5e9cb674e43ec50bc5c3",
+            ("fit", "--postselect"):
+                "81b5b1f8a77ae6f42a2959b281e2599d7ed9f238a19e420e4f9aa2b47acee74d",
+            ("discriminate",):
+                "fd394771d3cb081dd97d8e3028ddd31e3475493d058550331c032da6ed88fd91",
+            ("discriminate", "--postselect"):
+                "f6711a279f2d746e9a9c13ef84262fce9a5f147bc073758cbdd820c14b71d5a5",
+        }),
+    ])
+    def test_reader_json_bytes_pinned(self, tmp_path, capsys, mode, digests):
+        # digests of the printed reports made when a reload built
+        # 20-byte records with an empty channel label
+        records = tmp_path / "records.csv"
+        window = ["--tau", "0.3", "--mode", mode]
+        assert main(["simulate", "--kind", "product", "--n-pairs", "20000",
+                     "--seed", "19", *window, "--out", str(records)]) == 0
+        capsys.readouterr()
+        printed = {}
+        for argv in digests:
+            assert main([*argv[:1], "--samples", str(records), *window, *argv[1:]]) == 0
+            printed[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert printed == digests
+
     def test_underflowing_density_is_model_inapplicable(self, tmp_path, capsys):
         # exp(-1000) and exp(-1500) underflow, so the product density is 0
         samples = tmp_path / "samples.csv"
@@ -632,17 +666,20 @@ class TestWavefunction:
 
 
 class TestRecordPipelineMemory:
-    # at its peak simulate holds the 20-byte records with the 8-byte
-    # pair_id and 4-byte channel_second columns that write_table renders,
-    # and discriminate --postselect holds the records with their kept
-    # copy from postselect: about 32 and 40 bytes a pair, plus one chunk
-    # of temporaries and allocator slack (about 53 and 46 measured on
-    # 2**19 pairs).  Each bound fails the step that keeps a full-length
-    # temporary it need not: keep_mask's floor(t / tau) arrays (61),
-    # 65536-row render chunks (82), the records held past postselect
-    # (57) or the density and its log over all samples (81).
+    # at its peak simulate holds the 17-byte records with the 4-byte
+    # pair_id (uint32 below 2**32 pairs) and the two 4-byte channel
+    # letter columns that write_table renders, and discriminate
+    # --postselect holds the 16-byte reloaded records with their mask
+    # and their kept copy from postselect: about 29 and 33 bytes a pair,
+    # plus a few chunks of temporaries and allocator slack (49-52 and
+    # 42-45 measured on 2**19 pairs; 48.5-50.6 for discriminate when a
+    # record took 20 bytes).  Each bound fails a step that keeps a
+    # full-length temporary it need not: 65536-row render chunks (85,
+    # simulate), keep_mask's floor(t / tau) arrays (53, discriminate),
+    # the records held past postselect (54) or the density and its log
+    # over all samples (116).
     N_PAIRS = 1 << 19
-    BYTES_PER_PAIR = {"simulate": 57, "discriminate": 52}
+    BYTES_PER_PAIR = {"simulate": 57, "discriminate": 46}
 
     def test_growth_per_pair_is_bounded(self, tmp_path):
         records = tmp_path / "records.csv"

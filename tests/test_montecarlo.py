@@ -17,7 +17,7 @@ from firstphoton.errors import InvalidDataError, InvalidParameterError
 def make_records(pairs):
     out = np.zeros(len(pairs), dtype=mc.RECORD_DTYPE)
     for i, (t1, t2) in enumerate(pairs):
-        out[i] = (t1, "A", t2)
+        out[i] = (t1, True, t2)
     return out
 
 
@@ -60,7 +60,7 @@ class TestSamplingStatistics:
 
     def test_entangled_channel_split(self, entangled_100k):
         # channel A takes gamma_a / gamma_f = 0.4 of first photons
-        frac = float(np.mean(entangled_100k["channel_first"] == "A"))
+        frac = float(np.mean(entangled_100k["first_is_a"]))
         assert abs(frac - 0.4) < 4.0 * math.sqrt(0.4 * 0.6 / 100_000)
 
     def test_entangled_first_time_distribution(self, entangled_100k):
@@ -71,7 +71,7 @@ class TestSamplingStatistics:
 
     def test_entangled_relax_time_distribution(self, entangled_100k):
         # after a channel-A first photon the B atom relaxes at rate 1.5
-        sel = entangled_100k["channel_first"] == "A"
+        sel = entangled_100k["first_is_a"]
         delays = entangled_100k["t_second"][sel] - entangled_100k["t_first"][sel]
         stat = es.ks_distance(delays, lambda t: -np.expm1(-1.5 * t))
         assert stat < es.ks_critical_value(int(sel.sum()), significance=0.01)
@@ -91,14 +91,14 @@ class TestSamplingStatistics:
 
     def test_product_first_channel_split(self, product_100k):
         # P(A first) = gamma_a / (gamma_a + gamma_b) = 0.4
-        frac = float(np.mean(product_100k["channel_first"] == "A"))
+        frac = float(np.mean(product_100k["first_is_a"]))
         assert abs(frac - 0.4) < 4.0 * math.sqrt(0.4 * 0.6 / 100_000)
 
     def test_records_are_ordered(self, entangled_100k, product_100k):
         for recs in (entangled_100k, product_100k):
             assert np.all(recs["t_first"] >= 0.0)
             assert np.all(recs["t_second"] >= recs["t_first"])
-            assert np.all(np.isin(recs["channel_first"], ["A", "B"]))
+            assert recs.dtype == mc.RECORD_DTYPE
 
     def test_relabeling_swaps_channels_only(self):
         n = 50_000
@@ -107,8 +107,8 @@ class TestSamplingStatistics:
                                         kind="entangled", window=window, seed=5))
         swapped = mc.simulate(mc.SimConfig(n_pairs=n, rates=RatePair(1.5, 1.0),
                                            kind="entangled", window=window, seed=6))
-        frac_a = float(np.mean(recs["channel_first"] == "A"))
-        frac_b_swapped = float(np.mean(swapped["channel_first"] == "B"))
+        frac_a = float(np.mean(recs["first_is_a"]))
+        frac_b_swapped = float(np.mean(~swapped["first_is_a"]))
         assert abs(frac_a - frac_b_swapped) < 5.0 * math.sqrt(0.25 / n) * math.sqrt(2.0)
         stat = ks_2samp(recs["t_first"], swapped["t_first"]).statistic
         assert stat < 1.95 * math.sqrt(2.0 / n)
@@ -116,7 +116,7 @@ class TestSamplingStatistics:
 
 class TestPreparationsShareOneLaw:
     """The entangled and the product sampler draw the same joint law of
-    (t_first, channel_first, t_second): the first of two independent
+    (t_first, first_is_a, t_second): the first of two independent
     exponentials comes at the summed rate, in channel A with probability
     gamma_a / gamma_f, and the other atom's wait is memoryless."""
 
@@ -129,7 +129,7 @@ class TestPreparationsShareOneLaw:
                              ("t_second - t_first", lambda r: r["t_second"] - r["t_first"]),
                              ("t_second", lambda r: r["t_second"])]:
             assert ks_2samp(column(entangled), column(product)).pvalue > 0.01, name
-        shares = [float(np.mean(r["channel_first"] == "A")) for r in (entangled, product)]
+        shares = [float(np.mean(r["first_is_a"])) for r in (entangled, product)]
         assert abs(shares[0] - shares[1]) < 3.0 * math.sqrt(2.0 * 0.4 * 0.6 / n)
 
 
@@ -231,16 +231,6 @@ class TestEmpiricalCdf:
         assert ecdf[-1] == 1.0
 
 
-class TestChannelFractions:
-    def test_fractions_sum_to_one(self, entangled_100k):
-        fractions = mc.channel_fractions(entangled_100k)
-        assert fractions["A"] + fractions["B"] == pytest.approx(1.0)
-
-    def test_empty_records(self):
-        fractions = mc.channel_fractions(np.zeros(0, dtype=mc.RECORD_DTYPE))
-        assert fractions == {"A": 0.0, "B": 0.0}
-
-
 class TestRecordsCsv:
     def test_roundtrip(self, tmp_path, product_100k):
         path = tmp_path / "records.csv"
@@ -248,18 +238,15 @@ class TestRecordsCsv:
         mc.write_records_csv(path, subset)
         lines = path.read_text().splitlines()
         assert lines[0] == "pair_id,t_first,channel_first,t_second,channel_second"
-        for i in (0, 1, 499):
-            pair_id, _, first, _, second = lines[i + 1].split(",")
-            assert int(pair_id) == i
-            assert first == subset[i]["channel_first"]
-            assert {first, second} == {"A", "B"}
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(500))
+        assert [row[2] for row in rows] == ["A" if a else "B" for a in subset["first_is_a"]]
+        assert all({row[2], row[4]} == {"A", "B"} for row in rows)
         loaded = mc.read_records_csv(path)
+        # a reload is its two time columns, with no channel made up
+        assert loaded.dtype.names == ("t_first", "t_second")
         assert np.array_equal(loaded["t_first"], subset["t_first"])
         assert np.array_equal(loaded["t_second"], subset["t_second"])
-        # the loaded records carry no channel labels; reporting a split
-        # from them would be a silent wrong answer
-        with pytest.raises(InvalidDataError):
-            mc.channel_fractions(loaded)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
