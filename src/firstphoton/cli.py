@@ -32,8 +32,8 @@ import numpy as np
 
 from . import __version__, analytic, estimation, kinetics, montecarlo, wavefunction
 from .analytic import RatePair, WindowConfig
-from .errors import (EXIT_INVALID_PARAMETERS, FirstPhotonError, InvalidParameterError,
-                     exit_code_for)
+from .errors import (EXIT_INVALID_PARAMETERS, FirstPhotonError, InvalidDataError,
+                     InvalidParameterError, exit_code_for)
 from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
@@ -267,8 +267,13 @@ def _load_times(args) -> np.ndarray:
     if not args.postselect:
         return read_columns(args.samples, ["t_first"])["t_first"]
     records = montecarlo.read_records_csv(args.samples)
-    kept, _ = montecarlo.postselect(records, _window(args))
+    window = _window(args)
+    kept, summary = montecarlo.postselect(records, window)
     del records     # before the times are allocated
+    if summary.kept == 0 and summary.discarded > 0:
+        raise InvalidDataError(
+            f"{args.samples}: post-selection ({window.mode}, tau = {window.tau:g}) "
+            f"kept none of its {summary.discarded} pairs")
     return montecarlo.one_photon_window_times(kept)
 
 

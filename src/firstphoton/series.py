@@ -411,7 +411,9 @@ def _data_start(fh) -> tuple[list[str], int, int]:
 
     The header is read as text with universal newlines, like the data,
     and csv pulls exactly the lines of its first record; undecoded
-    newlines make the text re-encode to the bytes it came from.
+    newlines make the text re-encode to the bytes it came from.  csv
+    does not see a leading byte-order mark (a spreadsheet's "CSV UTF-8"
+    export writes one), but the offset counts its 3 bytes.
     """
     text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
     consumed = []
@@ -419,7 +421,7 @@ def _data_start(fh) -> tuple[list[str], int, int]:
     def lines():
         for line in text:
             consumed.append(line)
-            yield line
+            yield line.removeprefix("\ufeff") if len(consumed) == 1 else line
     try:
         header = next(csv.reader(lines()), [])
         return header, len("".join(consumed).encode()), len(consumed)

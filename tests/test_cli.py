@@ -331,6 +331,44 @@ class TestFit:
         capsys.readouterr()
 
 
+class TestSamplesFromSpreadsheets:
+    @pytest.mark.parametrize("command", [["fit"], ["fit", "--postselect"],
+                                         ["discriminate", "--postselect"]])
+    def test_byte_order_mark_is_read(self, tmp_path, capsys, command):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"t_first,t_second\n0.25,1.5\n0.5,2.5\n0.75,3.5\n")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert run_json(capsys, command + ["--samples", str(marked)]) == run_json(
+            capsys, command + ["--samples", str(plain)])
+
+
+class TestPostselectionKeepsNone:
+    @pytest.mark.parametrize("command", ["fit", "discriminate"])
+    @pytest.mark.parametrize("rows, tau", [
+        (b"0,0\n", None),                    # both photons in one bin
+        (b"1e300,1e300\n", None),            # at the default tau = 5/6
+        (b"0.1,0.2\n0.3,0.35\n", "0.5"),
+    ], ids=["zero", "huge", "two-pairs"])
+    def test_names_the_file_and_the_window(self, tmp_path, capsys, command, rows, tau):
+        samples = tmp_path / "close.csv"
+        samples.write_bytes(b"t_first,t_second\n" + rows)
+        argv = [command, "--postselect", "--samples", str(samples)]
+        assert main(argv + (["--tau", tau] if tau else [])) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        pairs = rows.count(b"\n")
+        assert (f"close.csv: post-selection (grid-bin, tau = {tau or '0.833333'}) "
+                f"kept none of its {pairs} pairs") in err
+
+    @pytest.mark.parametrize("command", ["fit", "discriminate"])
+    def test_header_only_still_has_no_samples(self, tmp_path, capsys, command):
+        samples = tmp_path / "empty.csv"
+        samples.write_bytes(b"t_first,t_second\n")
+        assert main([command, "--postselect", "--samples", str(samples)]) == 3
+        assert "no samples provided" in capsys.readouterr().err
+
+
 class TestDiscriminate:
     def test_entangled_records_prefer_entangled(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

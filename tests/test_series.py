@@ -128,6 +128,22 @@ class TestReader:
         with pytest.raises(InvalidDataError, match=where):
             read_columns(path, [text[:text.index(",")].strip('"'), "b"])
 
+    @pytest.mark.parametrize("block", [1 << 20, 8], ids=["one-block", "line-blocks"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, monkeypatch,
+                                                       block):
+        # a spreadsheet's "CSV UTF-8" export starts with one; the data
+        # blocks start after its 3 bytes, and the header is still line 1
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", block)
+        path = tmp_path / "bom.csv"
+        for head in (b"t_first,b", b'"t_first",b'):
+            path.write_bytes(b"\xef\xbb\xbf" + head + b"\n1,2\n3,4\n")
+            cols = read_columns(path, ["t_first", "b"])
+            assert cols["t_first"].tolist() == [1.0, 3.0]
+            assert cols["b"].tolist() == [2.0, 4.0]
+        path.write_bytes(b"\xef\xbb\xbft_first,b\n1,2\n3,x\n")
+        with pytest.raises(InvalidDataError, match="bom.csv.*at line 3, column 2"):
+            read_columns(path, ["t_first", "b"])
+
     def test_missing_column_is_data_error(self, tmp_path):
         path = write_csv(tmp_path, "a,b\n1,2\n", name="cols.csv")
         with pytest.raises(InvalidDataError, match="cols.csv.*missing.*c"):

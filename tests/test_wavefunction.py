@@ -1,10 +1,13 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from firstphoton import series
 from firstphoton import wavefunction as wf
+from firstphoton.cli import main
 from firstphoton.errors import (DegenerateSymmetryError, GridTooSmallError,
                                 InvalidDataError, InvalidParameterError)
 
@@ -355,6 +358,95 @@ class TestKernelReferences:
         before = skewed.values.tobytes()
         kernel(skewed)
         assert skewed.values.tobytes() == before
+
+
+# the kernels that split their n x n passes into bands, as functions of
+# an amplitude and two factors, each giving an array or a number
+BANDED = {
+    "from_factors": lambda psi, f, g: wf.TwoParticleAmplitude.from_factors(
+        psi.grid, f, g).values,
+    "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
+    "antisymmetrize": lambda psi, f, g: wf.antisymmetrize(psi).values,
+    "free_propagate": lambda psi, f, g: wf.free_propagate(psi, 0.7).values,
+    "antisymmetry_defect": lambda psi, f, g: wf.antisymmetry_defect(psi),
+    "quadrature_norm": lambda psi, f, g: wf.quadrature_norm(psi),
+}
+
+
+class TestBands:
+    """The kernels with 1, 2 and 3 usable CPUs: at n = 97 and 128 the
+    bands are ragged, and at 97 the transforms are of prime length."""
+
+    @pytest.mark.parametrize("kernel", BANDED.values(), ids=BANDED)
+    def test_same_bits_for_any_band_count(self, skewed, monkeypatch, kernel):
+        f = gaussian_mode(skewed.grid, center=-1.0, momentum=1.5)
+        g = gaussian_mode(skewed.grid, center=0.7, width=1.1)
+        inputs = (skewed.values, f, g)
+        before = [a.tobytes() for a in inputs]
+        threads = threading.active_count()
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        results = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            del starts[:]
+            results[cpus] = np.asarray(kernel(skewed, f, g)).tobytes()
+            assert [a.tobytes() for a in inputs] == before
+            assert threading.active_count() == threads
+            assert (len(starts) > 0) == (cpus > 1)
+        assert results[2] == results[1] and results[3] == results[1]
+
+    def test_bands_cover_the_range_in_order(self, monkeypatch):
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
+        assert wf._bands(97) == [(0, 32), (32, 64), (64, 97)]
+        assert wf._bands(2) == [(0, 1), (1, 2)]
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 1)
+        assert wf._bands(97) == [(0, 97)]
+
+    def test_helper_error_reaches_the_caller(self, skewed, monkeypatch):
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
+        exchange = wf._exchange_band
+
+        def failing(start, stop, *args):
+            if start > 0:
+                raise ZeroDivisionError(f"band at row {start}")
+            exchange(start, stop, *args)
+
+        monkeypatch.setattr(wf, "_exchange_band", failing)
+        threads = threading.active_count()
+        # the second band is the first that fails
+        with pytest.raises(ZeroDivisionError, match=f"band at row {skewed.grid.n // 3}$"):
+            wf.swap_overlap(skewed)
+        assert threading.active_count() == threads
+
+    def test_reader_pool_starts_after_a_run(self, tmp_path, monkeypatch, capsys):
+        # _ordered_map forks only while one thread runs, so every helper
+        # must be gone when the command returns
+        started = []
+        fork_pool = series._fork_pool
+
+        def recording(processes, fn, state):
+            started.append(processes)
+            return fork_pool(processes, fn, state)
+
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(series, "_fork_pool", recording)
+        assert main(["wavefunction", "--check", "antisymmetry-preservation",
+                     "--n", "64"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
+        monkeypatch.setattr(series, "READ_RANGE_BYTES", 64)
+        x = np.arange(500) / 7.0
+        path = tmp_path / "x.csv"
+        path.write_text("x\n" + "".join("%.17g\n" % v for v in x))
+        assert series.read_columns(path, ["x"])["x"].tobytes() == x.tobytes()
+        assert started == [2]
 
 
 class TestQuadratureConvergence:
