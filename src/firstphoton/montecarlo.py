@@ -17,10 +17,10 @@ A record stores t_first, first_is_a (the kernel's bool, one byte) and
 t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
 the channels: its CSV has pair_id (the row index), t_first,
 channel_first, t_second and channel_second, the letters following from
-first_is_a.  It renders the text in up to n_workers forked processes;
-the count changes no byte.  ``read_records_csv`` gives back records of
-the two time columns only, which is all that post-selection and the
-one-photon window times read.
+first_is_a as 1-byte ``S1`` labels.  It renders the text in up to
+n_workers forked processes; the count changes no byte.
+``read_records_csv`` gives back records of the two time columns only,
+which is all that post-selection and the one-photon window times read.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -238,13 +238,14 @@ def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
     """
     n = records.shape[0]
     first_is_a = records["first_is_a"]
+    a, b = np.array([CHANNEL_A, CHANNEL_B], dtype="S1")
     with processes(n_workers):
         write_table(path, RECORD_COLUMNS, [
             np.arange(n, dtype=np.min_scalar_type(n)),
             records["t_first"],
-            np.where(first_is_a, CHANNEL_A, CHANNEL_B),
+            np.where(first_is_a, a, b),
             records["t_second"],
-            np.where(first_is_a, CHANNEL_B, CHANNEL_A),
+            np.where(first_is_a, b, a),
         ])
 
 

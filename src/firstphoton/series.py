@@ -1,11 +1,11 @@
 """CSV tables written and read at C speed.
 
 A table is one header row and one row per index of its columns, with
-``,`` between cells and ``\\n`` after each row, in UTF-8.  Floats are
-written as ``%.17g`` writes them, 17 significant digits, so a written
-file reloads to bit-identical values and reruns can be compared byte
-for byte; integers are written as ``%d``, bools as ``True`` and
-``False``, and any other value as its ``str``.
+``,`` between cells and ``\\n`` after each row, in UTF-8.  Its cells are
+numbers and ASCII labels.  Floats are written as ``%.17g`` writes them,
+17 significant digits, so a written file reloads to bit-identical
+values and reruns can be compared byte for byte; integers are written
+as ``%d``, and a str or bytes column as its ASCII labels.
 
 ``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks
 (16384 rows).  numpy renders a chunk as one uint8 matrix with a row per
@@ -17,14 +17,14 @@ exponent k.  The product is formed exactly from 32-bit limbs for s in
 [0, 27], where 5**s < 2**64: decimal exponents -11 to 16, so |x| from
 1e-11 to below 1e17.  The cells it does not cover (0, nan, inf and
 the other exponents) are formatted one by one with ``%.17g``.  An
-integer is the digits of its uint64 magnitude after a sign slot.  Text
-goes byte by byte from the code points when a chunk's cells are ASCII,
-and cell by cell through UTF-8 otherwise; a text cell holding a NUL
-would read as padding, and a surrogate code point has no UTF-8, so
-``write_table`` refuses either, in a cell or in the header, with
-InvalidDataError before it opens the file.  Memory beyond the columns
-is a few chunks' matrices and text whatever the row count, and the
-file does not depend on the chunk size.
+integer is the digits of its uint64 magnitude after a sign slot, and a
+label column's matrix is a view of its bytes.  A column of any other
+dtype (bool, object, ...), a label that is not ASCII or holds a NUL
+(which would read as padding), and a header name with a surrogate code
+point (which has no UTF-8) raise InvalidDataError before
+``write_table`` opens the file.  Memory beyond the columns is a few
+chunks' matrices and text whatever the row count, and the file does not
+depend on the chunk size.
 
 Both directions map their tasks in order, in this process or in up to
 one forked worker per usable CPU and task that inherits the table or
@@ -36,7 +36,7 @@ texts they send back in chunk order.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
-line-aligned block of about ``READ_BLOCK_BYTES`` (1 MiB) at a time.
+line-aligned block of about ``READ_BLOCK_BYTES`` (512 KiB) at a time.
 The parent first reads the blocks once to count their lines, which
 bounds their rows, and lays out one float64 buffer of shape
 ``(len(names), lines)``, an anonymous shared mapping; each block's rows
@@ -72,7 +72,9 @@ import numpy as np
 from .errors import InvalidDataError, InvalidParameterError
 
 CHUNK_ROWS = 16384
-READ_BLOCK_BYTES = 1 << 20
+# a block's parse temporaries, about five times its size, may stay on
+# glibc's heap after the parse; 1 MiB blocks kept up to 9 MB at 2**19 records
+READ_BLOCK_BYTES = 1 << 19
 READ_RANGE_BYTES = 4 << 20
 
 # decimal exponents whose 17 digits the float kernel forms exactly:
@@ -92,7 +94,6 @@ _FLOAT_BYTES = np.frombuffer(b"-0.000" + b"\1." * 16 + b"\1e-\1\1", np.uint8)[:,
 _DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
 _DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
 _ZERO = np.uint8(ord("0"))
-_BOOL_TEXT = np.array([b"False", b"True"])
 
 
 # how many processes write_table may use; see processes
@@ -260,25 +261,13 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _text_cells(v: np.ndarray) -> np.ndarray:
-    """str cells as UTF-8 bytes, padded with NUL to the widest."""
-    codes = np.ascontiguousarray(v, v.dtype.newbyteorder("=")).view(np.uint32)
-    codes = codes.reshape(v.size, -1)
-    if codes.max(initial=0) < 0x80:     # ASCII: one byte a character
-        return codes.T.astype(np.uint8)
-    cells = np.array([s.encode("utf-8") for s in v.tolist()], dtype="S")
-    return cells.view(np.uint8).reshape(v.size, -1).T
-
-
 def _cells(column: np.ndarray) -> np.ndarray:
     """The column's cells as a (slots, rows) uint8 matrix."""
     if column.dtype.kind == "f":
         return _float_cells(column)
     if column.dtype.kind in "iu":
         return _int_cells(column)
-    if column.dtype.kind == "b":
-        return _BOOL_TEXT[column.view(np.uint8)].view(np.uint8).reshape(column.size, -1).T
-    return _text_cells(column)
+    return column.view(np.uint8).reshape(column.size, column.itemsize).T
 
 
 def _render(cols: list[np.ndarray], start: int, stop: int) -> bytes:
@@ -346,31 +335,23 @@ def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
         pool.shutdown(cancel_futures=True)
 
 
-def _text_column(name: str, column: np.ndarray) -> np.ndarray:
-    """A column that is neither numbers nor bools, as str cells.
-
-    A NUL inside a cell would read as the padding that rendering drops,
-    and a surrogate code point has no UTF-8, so either raises
-    InvalidDataError.
-    """
-    if column.dtype.kind != "U":
-        cells = [str(v) for v in column.tolist()]
-        # a str array drops a cell's trailing NULs, so look before
-        if any("\0" in cell for cell in cells):
-            raise InvalidDataError(f"text column {name!r} holds a NUL character")
-        column = np.array(cells, dtype=str)
-    width = column.dtype.itemsize // 4
-    for start in range(0, column.size if width else 0, CHUNK_ROWS):
-        codes = np.ascontiguousarray(column[start:start + CHUNK_ROWS],
-                                     column.dtype.newbyteorder("="))
-        codes = codes.view(np.uint32).reshape(-1, width)
-        # a str array keeps no trailing NUL, so a NUL is a 0 before a used code
-        used = codes != 0
+def _label_column(name: str, column: np.ndarray) -> np.ndarray:
+    """A str or bytes column as contiguous ASCII bytes; InvalidDataError
+    for any other dtype, a non-ASCII label or a NUL inside a label."""
+    if column.dtype.kind not in "US":
+        raise InvalidDataError(f"column {name!r} holds {column.dtype}, not numbers or labels")
+    try:
+        column = np.ascontiguousarray(column.astype("S", copy=False))
+    except UnicodeEncodeError:      # str to bytes refuses non-ASCII
+        column = None
+    if column is None or column.view(np.uint8).max(initial=0) >= 0x80:
+        raise InvalidDataError(f"label column {name!r} is not ASCII text")
+    # an array keeps no trailing NUL, so a NUL is a 0 before a used byte
+    cells = column.view(np.uint8).reshape(column.size, column.itemsize)
+    for start in range(0, column.size, CHUNK_ROWS):
+        used = cells[start:start + CHUNK_ROWS] != 0
         if (used[:, 1:] > used[:, :-1]).any():
-            raise InvalidDataError(f"text column {name!r} holds a NUL character")
-        if codes.max() >= 0xD800 and ((codes >= 0xD800) & (codes < 0xE000)).any():
-            raise InvalidDataError(f"text column {name!r} holds a surrogate code point, "
-                                   "which UTF-8 cannot encode")
+            raise InvalidDataError(f"label column {name!r} holds a NUL character")
     return column
 
 
@@ -387,7 +368,7 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     for c in cols:
         if c.shape != (n,):
             raise InvalidDataError("all columns must share one length")
-    cols = [c if c.dtype.kind in "fiub" else _text_column(name, c)
+    cols = [c if c.dtype.kind in "fiu" else _label_column(name, c)
             for name, c in zip(header, cols)]
     try:
         head = (",".join(header) + "\n").encode("utf-8")

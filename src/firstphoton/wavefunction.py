@@ -45,19 +45,21 @@ of the others, all joined before the function returns, and an error in
 a helper is raised in the caller.  numpy's FFT and ufunc loops release
 the interpreter lock, so the bands run at once.  Row bands take the
 outer product, the exchange fill and the odd-part arithmetic, the
-axis-1 transforms, the edge check's peak, the norm's row sums and the
-defect's tile pairs; bands of TILE-column strips take the axis-0
-transforms.  The two phase multiplies ride with the inverse axis-1
-transform, a few rows at a time while they are in cache: in one thread
-that is as fast as two whole-array multiplies, where multiplying each
-strided strip after its forward transform was 40 ms slower at n = 2048.
-Every element and every row sum is formed by the same operations as in
-one band, and partial results are combined in one fixed order, so each
-result has the same bits for any band count.  The exchange overlap
-stays one whole-array einsum.  Band bodies call only private functions.
-On a 2-CPU Xeon (numpy 2.4.6) the CLI's ``antisymmetry-preservation``
-check at n = 2048 takes 0.52 s as a process, against 0.69 s before the
-passes were split into bands.
+axis-1 transforms, the edge check's peak and the norm's row sums; bands
+of TILE-column strips take the axis-0 transforms.  The two phase
+multiplies ride with the inverse axis-1 transform, a few rows at a time
+while they are in cache: in one thread that is as fast as two
+whole-array multiplies, where multiplying each strided strip after its
+forward transform was 40 ms slower at n = 2048.  Every element and
+every row sum is formed by the same operations as in one band, and
+partial results are combined in one fixed order, so each result has the
+same bits for any band count.  The exchange overlap stays one
+whole-array einsum, and the defect's tile pairs run in the calling
+thread: each pair makes about ten small numpy calls that hold the
+interpreter lock, so two bands were no faster than one.  Band bodies
+call only private functions.  On a 2-CPU Xeon (numpy 2.4.6) the CLI's
+``antisymmetry-preservation`` check at n = 2048 takes 0.52 s as a
+process, against 0.69 s before the passes were split into bands.
 """
 from __future__ import annotations
 
@@ -299,28 +301,17 @@ def antisymmetrize(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
     return TwoParticleAmplitude(grid=psi.grid, values=out)
 
 
-def _defect_band(start: int, stop: int, v: np.ndarray, w: np.ndarray,
-                 pairs: list[tuple[slice, slice]]) -> list[float]:
-    """The even-part terms of tile pairs start to stop, in order."""
-    terms = []
-    for rows, cols in pairs[start:stop]:
-        mirrored = 1.0 if rows == cols else 2.0
-        terms.append(mirrored * _weighted_square_sum(v[rows, cols] + v[cols, rows].T,
-                                                     w[rows], w[cols]))
-    return terms
-
-
 def antisymmetry_defect(psi: TwoParticleAmplitude) -> float:
     """Quadrature norm of the exchange-even part (Psi(x,y) + Psi(y,x)) / 2;
     zero iff the amplitude is antisymmetric."""
-    # the terms of block (rows, cols) are those of (cols, rows)
-    pairs = [(rows, cols) for rows, cols in _tiles(psi.grid.n)
-             if rows.start <= cols.start]
+    v, w = psi.values, psi.grid.quadrature_weights()
     even = 0.0
-    for terms in _in_bands(_defect_band, len(pairs), psi.values,
-                           psi.grid.quadrature_weights(), pairs):
-        for term in terms:
-            even += term
+    for rows, cols in _tiles(psi.grid.n):
+        # the terms of block (rows, cols) are those of (cols, rows)
+        if rows.start <= cols.start:
+            mirrored = 1.0 if rows == cols else 2.0
+            even += mirrored * _weighted_square_sum(v[rows, cols] + v[cols, rows].T,
+                                                    w[rows], w[cols])
     # the part is half this sum; halving is exact
     return 0.5 * float(np.sqrt(even))
 
@@ -361,6 +352,9 @@ def _inverse_row_band(start: int, stop: int, out: np.ndarray,
 
 def _check_boundary(values: np.ndarray, stage: str) -> None:
     peak = float(np.max(_in_bands(_peak_band, values.shape[0], values)))
+    if not math.isfinite(peak):
+        raise InvalidDataError(f"amplitude magnitude peaks at {peak!r} ({stage}); "
+                               "every amplitude must be finite")
     if peak == 0.0:
         return
     edge = max(float(np.max(np.abs(values[0, :]))),
@@ -377,7 +371,7 @@ def _check_boundary(values: np.ndarray, stage: str) -> None:
 def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
     """Evolve freely for time t (hbar = m = 1) with the spectral kernel;
     InvalidParameterError unless the phase t k^2 / 2 of the fastest mode
-    is finite."""
+    is finite, and InvalidDataError unless every amplitude is."""
     k = psi.grid.wavenumbers
     k_max = float(np.max(np.abs(k)))
     _require_exponent(0.5 * k_max * k_max, t)

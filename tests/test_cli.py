@@ -1,3 +1,4 @@
+import compileall
 import functools
 import hashlib
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -623,6 +625,20 @@ class TestExitCodeContract:
         assert sum("error:" in line for line in err.splitlines()) <= 1, err
 
 
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """A copy of the package with its bytecode, which every
+    peak_rss_bytes child imports: a child that compiles the package
+    peaks higher than one that loads it, which moved the records
+    baseline by 2-5 bytes a pair with and without the source tree's
+    __pycache__."""
+    root = tmp_path_factory.mktemp("src")
+    shutil.copytree(os.path.dirname(firstphoton.__file__), root / "firstphoton",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(root, quiet=1)
+    return root
+
+
 class TestWavefunction:
     def test_antisymmetric_coefficient_check(self, capsys):
         code, payload = run_json(capsys, ["wavefunction", "--check",
@@ -690,48 +706,49 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("check", ["antisymmetry-preservation",
                                        "n0f-antisymmetric", "n0f-symmetric-input"])
-    def test_preservation_memory_is_bounded(self, check):
+    def test_preservation_memory_is_bounded(self, check, compiled):
         # each check holds two n x n arrays at its peak: input and output
         # of a stage, or an amplitude and its swap scratch (2.0-2.1 arrays
         # measured); the bound leaves room for allocator slack and fails
         # a check that holds a third
         n = 1024
-        baseline = peak_rss_bytes("import firstphoton.cli")
+        baseline = peak_rss_bytes("import firstphoton.cli", compiled)
         peak = peak_rss_bytes(
             "import sys; from firstphoton.cli import main; sys.exit(main(["
-            f"'wavefunction', '--check', '{check}', '--n', '{n}']))")
+            f"'wavefunction', '--check', '{check}', '--n', '{n}']))", compiled)
         assert peak - baseline <= 2.6 * 16 * n * n
 
 
 class TestRecordPipelineMemory:
     # at its peak simulate holds the 17-byte records with the 4-byte
-    # pair_id (uint32 below 2**32 pairs) and the two 4-byte channel
-    # letter columns that write_table renders, and discriminate
-    # --postselect holds the 16-byte reloaded records with their mask
-    # and their kept copy from postselect: about 29 and 33 bytes a pair,
-    # plus a few chunks of temporaries and allocator slack (49-52 and
-    # 42-45 measured on 2**19 pairs; 48.5-50.6 for discriminate when a
-    # record took 20 bytes).  Each bound fails a step that keeps a
-    # full-length temporary it need not: 65536-row render chunks (85,
-    # simulate), keep_mask's floor(t / tau) arrays (53, discriminate),
-    # the records held past postselect (54) or the density and its log
-    # over all samples (116).
+    # pair_id (uint32 below 2**32 pairs) and the two 1-byte channel
+    # label columns that write_table renders, 17 + 4 + 2 = 23 bytes a
+    # pair, and discriminate --postselect holds the 16-byte reloaded
+    # records with their mask and their kept copy from postselect, about
+    # 33; each step adds a few chunks of temporaries and allocator slack
+    # (46.2-46.6 and 44.4-45.1 measured on 2**19 pairs; simulate 52.1-52.5
+    # with 4-byte channel letters, discriminate 48.5-50.6 when a record
+    # took 20 bytes).  Each bound fails a step that keeps a full-length
+    # temporary it need not: 4-byte channel letters or 65536-row render
+    # chunks (85, simulate), keep_mask's floor(t / tau) arrays (53,
+    # discriminate), the records held past postselect (54) or the
+    # density and its log over all samples (116).
     N_PAIRS = 1 << 19
-    BYTES_PER_PAIR = {"simulate": 57, "discriminate": 46}
+    BYTES_PER_PAIR = {"simulate": 50, "discriminate": 46}
 
-    def test_growth_per_pair_is_bounded(self, tmp_path):
+    def test_growth_per_pair_is_bounded(self, tmp_path, compiled):
         records = tmp_path / "records.csv"
-        baseline = peak_rss_bytes("import firstphoton.cli")
+        baseline = peak_rss_bytes("import firstphoton.cli", compiled)
         peaks = {
             "simulate": peak_rss_bytes(
                 "import sys; from firstphoton.cli import main; sys.exit(main(["
                 "'simulate', '--kind', 'product', '--tau', '0.02', "
                 f"'--n-pairs', '{self.N_PAIRS}', '--workers', '1', '--seed', '7', "
-                f"'--out', r'{records}']))"),
+                f"'--out', r'{records}']))", compiled),
             "discriminate": peak_rss_bytes(
                 "import sys; from firstphoton.cli import main; sys.exit(main(["
                 "'discriminate', '--tau', '0.02', '--postselect', "
-                f"'--samples', r'{records}']))"),
+                f"'--samples', r'{records}']))", compiled),
         }
         growth = {step: (peak - baseline) / self.N_PAIRS for step, peak in peaks.items()}
         assert all(growth[step] <= bound for step, bound in self.BYTES_PER_PAIR.items()), growth
@@ -756,11 +773,11 @@ atexit.register(_report_peak)
 """
 
 
-def peak_rss_bytes(code: str, timeout: float = 60.0) -> int:
-    """Peak resident set size of a child Python running ``code``."""
-    src = os.path.dirname(os.path.dirname(firstphoton.__file__))
+def peak_rss_bytes(code: str, src, timeout: float = 60.0) -> int:
+    """Peak resident set size of a child Python running ``code`` with
+    the package from the directory ``src``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", REPORT_PEAK + code], env=env,
                           capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr

@@ -246,6 +246,17 @@ class TestFreePropagation:
         with pytest.raises(GridTooSmallError):
             wf.free_propagate(state, 0.5)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_amplitude_not_finite_is_data_error(self, cell):
+        # a NaN peak would pass the edge check and spread to every cell
+        grid = wf.Grid1D(x_min=-12.0, x_max=12.0, n=32)
+        values = wf.antisymmetrize(wf.TwoParticleAmplitude.from_factors(
+            grid, wf.oscillator_mode(grid, 0), wf.oscillator_mode(grid, 1))).values.copy()
+        values[16, 9] = cell
+        with pytest.raises(InvalidDataError, match=r"\(input\)"):
+            wf.free_propagate(wf.TwoParticleAmplitude(grid=grid, values=values), 0.5)
+
     def test_allocates_little_beyond_its_output(self):
         # the edge checks take the peak one strip at a time; a whole-array
         # magnitude table would add half an n x n array
@@ -368,9 +379,21 @@ BANDED = {
     "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
     "antisymmetrize": lambda psi, f, g: wf.antisymmetrize(psi).values,
     "free_propagate": lambda psi, f, g: wf.free_propagate(psi, 0.7).values,
-    "antisymmetry_defect": lambda psi, f, g: wf.antisymmetry_defect(psi),
     "quadrature_norm": lambda psi, f, g: wf.quadrature_norm(psi),
 }
+
+
+def counting_starts(monkeypatch) -> list:
+    """The threads started from now on, as a list that can be cleared."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
 
 
 class TestBands:
@@ -384,14 +407,7 @@ class TestBands:
         inputs = (skewed.values, f, g)
         before = [a.tobytes() for a in inputs]
         threads = threading.active_count()
-        starts = []
-        start = threading.Thread.start
-
-        def counted(thread):
-            starts.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
+        starts = counting_starts(monkeypatch)
         results = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
@@ -401,6 +417,15 @@ class TestBands:
             assert threading.active_count() == threads
             assert (len(starts) > 0) == (cpus > 1)
         assert results[2] == results[1] and results[3] == results[1]
+
+    def test_defect_runs_in_the_calling_thread(self, skewed, monkeypatch):
+        # its tile pairs hold the interpreter lock, so helpers gain nothing
+        starts = counting_starts(monkeypatch)
+        results = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            results.add(wf.antisymmetry_defect(skewed))
+        assert starts == [] and len(results) == 1
 
     def test_bands_cover_the_range_in_order(self, monkeypatch):
         monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
