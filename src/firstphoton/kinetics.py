@@ -21,7 +21,21 @@ system is linear, dy/dt = A y, so one RK4 step of size h is exactly
 
     y <- y + D y,    D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-and D is built once per run.  ``IntegratorConfig`` holds the step plan
+and D is built once per run.  The system being linear, j steps from y
+give exactly y + Delta_j y with Delta_j = (I + D)^j - I.  ``integrate``
+builds the table Delta_1 ... Delta_B once per run, B = min(CHECK_STEPS,
+n_steps), in increment form:
+
+    Delta_1 = D,    Delta_{j+1} = Delta_j + D (I + Delta_j).
+
+Each block of B rows then comes from the block's first row y_s in one
+(6B x 6) matrix product, row s + j being y_s + Delta_j y_s, and the
+block's last row starts the next block.  The conservation identities
+are left vectors w with w A = 0, so w D = 0 and every increment adds
+nothing to w Delta_j but rounding: the defect of each row is that of
+y_s plus rounding of the size of the small increments.  Forming the
+powers (I + D)^j instead would round entries near 1 at every product
+and let the identities drift.  ``IntegratorConfig`` holds the step plan
 alone: n_0 enters only through ``initial_state``, and since the system
 is linear every count scales with it.  With the compatible channel
 rates (c_i equal to the single-atom rate g_i and g_f = g_a + g_b) the
@@ -105,29 +119,42 @@ def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,
     """Integrate with classical fourth-order Runge-Kutta at fixed step.
 
     Returns an (n_steps + 1, 6) array in ``STATE_FIELDS`` order whose
-    row k is the state at t = k * step, row 0 being ``initial``.  Raises
-    IntegrationBlowupError, at most ``CHECK_STEPS`` steps after some
-    component stops being finite, naming the first such t (the scheme is
-    conditionally stable, so absurd steps diverge).
+    row k is the state at t = k * step, row 0 being ``initial``, which
+    must hold six finite numbers.  Raises IntegrationBlowupError, at
+    most ``CHECK_STEPS`` steps after some component stops being finite,
+    naming the first such t (the scheme is conditionally stable, so
+    absurd steps diverge).
     """
+    y_0 = np.asarray(initial, dtype=float)
+    if y_0.shape != (len(STATE_FIELDS),) or not np.isfinite(y_0).all():
+        raise InvalidParameterError(
+            f"initial state must be {len(STATE_FIELDS)} finite numbers, got {initial!r}")
     eye = np.eye(len(STATE_FIELDS))
-    # stepping the increment keeps the conservation identities at
-    # rounding level; multiplying by (I + D) lets them drift.  Overflow,
-    # in D itself or in the steps, is caught by the finiteness check
-    # below, not warned about: a non-finite D makes row 1 non-finite
+    n_steps = config.n_steps
+    block = min(CHECK_STEPS, n_steps)
+    # Overflow, in D, in the table or in the steps, is caught by the
+    # finiteness check below, not warned about: a non-finite entry of
+    # delta[j] makes the row it fills non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         ha = config.step * _rate_matrix(rates, first_emission_scale)
         d = ha @ (eye + ha @ (eye + ha @ (eye + ha / 4.0) / 3.0) / 2.0)
-        traj = np.empty((config.n_steps + 1, len(STATE_FIELDS)))
-        traj[0] = initial
-        # a non-finite component stays so (inf + x is inf or nan), so
-        # the last row of each block tells whether the block blew up
-        for start in range(0, config.n_steps, CHECK_STEPS):
-            stop = min(start + CHECK_STEPS, config.n_steps)
-            for k in range(start, stop):
-                traj[k + 1] = traj[k] + d @ traj[k]
-            if not np.isfinite(traj[stop]).all():
-                k = start + int(np.argmin(np.isfinite(traj[start:stop + 1]).all(axis=1)))
+        delta = np.empty((block, len(STATE_FIELDS), len(STATE_FIELDS)))
+        delta[0] = d
+        for j in range(1, block):
+            delta[j] = delta[j - 1] + d @ (eye + delta[j - 1])
+        traj = np.empty((n_steps + 1, len(STATE_FIELDS)))
+        traj[0] = y_0
+        for start in range(0, n_steps, block):
+            stop = min(start + block, n_steps)
+            y_s = traj[start]
+            rows = traj[start + 1:stop + 1]
+            # one flat (6m x 6) product: a stacked (m, 6, 6) @ (6,) one
+            # takes several times as long
+            rows[...] = y_s + (delta[:stop - start].reshape(-1, len(STATE_FIELDS))
+                               @ y_s).reshape(rows.shape)
+            bad = ~np.isfinite(rows).all(axis=1)
+            if bad.any():
+                k = start + 1 + int(np.argmax(bad))
                 raise IntegrationBlowupError(
                     f"state became non-finite at t={k * config.step:.6g} "
                     f"(step={config.step}); reduce the step size")

@@ -48,11 +48,9 @@ KIND_PRODUCT = "product"
 PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
-# pairs sampled per chunk; four times CHUNK_ROWS, because glibc
-# raises its mmap threshold to the largest block freed.  After these
-# 2 MiB word blocks the CSV render's chunk temporaries reuse heap pages;
-# after 16384-pair blocks they fault in fresh ones, and a fresh process
-# wrote 1M records in 0.61 s instead of 0.46 s.
+# pairs sampled per chunk (2 MiB of words); ``write_table`` raises glibc's
+# mmap threshold for its own render, so this size does not set how fast
+# the record CSV is written
 CHUNK_PAIRS = 1 << 16
 # -log of the smallest open uniform: the longest unit-rate wait drawn
 _LONGEST_WAIT = -math.log(0.5 * 2.0 ** -53)

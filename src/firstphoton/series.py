@@ -375,6 +375,17 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     except UnicodeEncodeError as exc:
         raise InvalidDataError(f"header {header!r} is not UTF-8 text: {exc.reason}") from None
     chunks = [(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS)]
+    # glibc serves a block above its mmap threshold (128 KiB at first)
+    # with fresh pages, and freeing such a block raises the threshold to
+    # its size and the heap's trim threshold to twice that (mallopt(3),
+    # M_MMAP_THRESHOLD).  A chunk holds at most its cell matrix and the
+    # text transposed from it at once, so one dropped block of both
+    # sizes lets every chunk reuse heap pages where a fresh process
+    # would fault in new ones for each chunk.  A row's slots: a float's,
+    # an integer's sign and 20 digits, a label's bytes, and a separator each
+    slots = [len(_FLOAT_BYTES) if c.dtype.kind == "f" else 21 if c.dtype.kind in "iu"
+             else c.itemsize for c in cols]
+    np.empty(2 * min(n, CHUNK_ROWS) * (sum(slots) + len(cols)), np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write(head)

@@ -20,6 +20,35 @@ def one_step(state, rates, step=0.1, first_emission_scale=1.0):
                         first_emission_scale=first_emission_scale)[1]
 
 
+def per_step(rates, config, first_emission_scale=1.0):
+    """Reference trajectory from all pairs excited: the RK4 matrix of the
+    module docstring's system, applied one step at a time."""
+    g_a, g_b = rates.gamma_a, rates.gamma_b
+    c_a, c_b = first_emission_scale * g_a, first_emission_scale * g_b
+    g_f = c_a + c_b
+    ha = config.step * np.array([
+        [-g_f, 0, 0, 0, 0, 0],
+        [c_b, -g_a, 0, 0, 0, 0],
+        [c_a, 0, -g_b, 0, 0, 0],
+        [c_a, g_a, 0, 0, 0, 0],
+        [c_b, 0, g_b, 0, 0, 0],
+        [g_f, 0, 0, 0, 0, 0],
+    ], dtype=float)
+    d = ha + ha @ ha / 2 + ha @ ha @ ha / 6 + ha @ ha @ ha @ ha / 24
+    y = kn.initial_state(1.0)
+    traj = [y]
+    for _ in range(config.n_steps):
+        y = y + d @ y
+        traj.append(y)
+    return np.array(traj)
+
+
+def blowup_message(rates, config, first_emission_scale=1.0) -> str:
+    with pytest.raises(IntegrationBlowupError) as info:
+        kn.integrate(kn.initial_state(1.0), rates, config, first_emission_scale)
+    return str(info.value)
+
+
 def taylor4(x):
     """exp(-x) to fourth order: what one RK4 step makes of exp(-g h)."""
     return 1.0 - x + x ** 2 / 2.0 - x ** 3 / 6.0 + x ** 4 / 24.0
@@ -152,13 +181,54 @@ class TestIntegrate:
         # inside the sixth block of CHECK_STEPS
         config = kn.IntegratorConfig(step=1.15, t_end=1.15 * 8000)
         messages = []
-        for check_steps in (kn.CHECK_STEPS, config.n_steps):     # per block, at the end
+        for check_steps in (1, 7, kn.CHECK_STEPS, config.n_steps):   # down to one step a block
             monkeypatch.setattr(kn, "CHECK_STEPS", check_steps)
-            with pytest.raises(IntegrationBlowupError) as info:
-                kn.integrate(kn.initial_state(1.0), rates_ref, config)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+            messages.append(blowup_message(rates_ref, config))
+        assert len(set(messages)) == 1
         assert "t=6072 " in messages[0]
+
+    @pytest.mark.parametrize("rates, step, scale, t", [
+        (RatePair(1.0, 1.5), 2.0, 1.0, "544"),
+        (RatePair(0.3, 7.0), 1.2, 2.5, "94.8"),
+        (RatePair(1.0, 1.5), 50.0, 2.5, "1800"),
+    ])
+    def test_blowup_names_its_first_step(self, rates, step, scale, t):
+        config = kn.IntegratorConfig(step=step, t_end=step * 20000)
+        assert f"t={t} " in blowup_message(rates, config, scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.1])
+    def test_matches_per_step_oracle(self, rates_ref, scale):
+        config = kn.IntegratorConfig(step=1e-4, t_end=4.0)
+        traj = kn.integrate(kn.initial_state(1.0), rates_ref, config, scale)
+        assert config.n_steps == 40000
+        assert np.max(np.abs(traj - per_step(rates_ref, config, scale))) < 1e-13
+
+    def test_same_trajectory_for_any_block_length(self, rates_ref, monkeypatch):
+        config = kn.IntegratorConfig(step=1e-3, t_end=4.0)
+        trajectories = []
+        for check_steps in (1, 7, 1024, config.n_steps):
+            monkeypatch.setattr(kn, "CHECK_STEPS", check_steps)
+            trajectories.append(kn.integrate(kn.initial_state(1.0), rates_ref, config))
+        for traj in trajectories[1:]:
+            assert np.max(np.abs(traj - trajectories[0])) < 1e-13
+
+    def test_conservation_at_rounding_level(self, rates_ref):
+        config = kn.IntegratorConfig(step=1e-4, t_end=4.0)
+        traj = kn.integrate(kn.initial_state(1.0), rates_ref, config)
+        excitation, first = kn.conservation_defects(traj, 1.0)
+        assert np.max(np.abs(excitation)) < 1e-13
+        assert np.max(np.abs(first)) < 1e-13
+
+    @pytest.mark.parametrize("initial", [
+        [math.nan, 0, 0, 0, 0, 0],
+        [1, 0, 0, math.inf, 0, 0],
+        [1, 0, 0, 0, 0],
+        np.zeros((2, 6)),
+    ], ids=["nan", "inf", "five-components", "two-states"])
+    def test_rejects_bad_initial(self, rates_ref, initial):
+        config = kn.IntegratorConfig(step=1e-3, t_end=1.0)
+        with pytest.raises(InvalidParameterError, match="initial state"):
+            kn.integrate(np.asarray(initial, dtype=float), rates_ref, config)
 
     def test_n0_scales_linearly(self, rates_ref):
         config = kn.IntegratorConfig(step=1e-2, t_end=1.0)
