@@ -135,11 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(path) -> list[tuple[str, str]]:
     """Parse ``key = value`` lines into (flag, value) pairs.
 
-    '#' starts a comment, a key is a long flag name in ``-`` or ``_``
-    spelling, and matching quotes around a value are stripped.
+    The file is UTF-8, perhaps behind a byte-order mark; '#' starts a
+    comment, a key is a long flag name in ``-`` or ``_`` spelling, and
+    matching quotes around a value are stripped.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read config file {path}: {exc}") from exc
@@ -200,10 +201,12 @@ def _write_manifest(args, argv, outputs: list[str]) -> None:
 
 
 def _emit_json(payload: dict, args, argv) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Write ``--out`` and its manifest, if asked, then print the
+    payload: a run that cannot write prints nothing."""
     if args.out:
         _write_json(args.out, payload)
         _write_manifest(args, argv, [args.out])
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_analytic(args, argv) -> int:

@@ -8,10 +8,10 @@ log() never sees zero:
 
     u = ((word >> 11) + 0.5) * 2**-53
 
-Work is split into chunks of a fixed size laid out on the pair-index
-grid, and each chunk fills its own slice of one preallocated record
-array in turn, in the calling thread.  Row p reads counter block p
-whatever chunk it falls in, so a shorter run is a prefix of a longer one.
+Work is split into ``series.CHUNK_ROWS``-pair chunks, which fill their
+slices of one preallocated record array in turn, in the calling thread.
+Row p reads counter block p whatever chunk it falls in, so a shorter
+run is a prefix of a longer one.
 
 A record stores t_first, first_is_a (the kernel's bool, one byte) and
 t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
@@ -19,8 +19,10 @@ the channels: its CSV has pair_id (the row index), t_first,
 channel_first, t_second and channel_second, the letters following from
 first_is_a as 1-byte ``S1`` labels.  It renders the text in up to
 n_workers forked processes; the count changes no byte.
-``read_records_csv`` gives back records of the two time columns only,
-which is all that post-selection and the one-photon window times read.
+``read_records_csv`` gives back the table ``series.read_columns``
+parses of the two time columns only, float64 fields t_first and
+t_second, which is all that post-selection and the one-photon window
+times read.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -48,10 +50,6 @@ KIND_PRODUCT = "product"
 PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
-# pairs sampled per chunk (2 MiB of words); ``write_table`` raises glibc's
-# mmap threshold for its own render, so this size does not set how fast
-# the record CSV is written
-CHUNK_PAIRS = 1 << 16
 # -log of the smallest open uniform: the longest unit-rate wait drawn
 _LONGEST_WAIT = -math.log(0.5 * 2.0 ** -53)
 
@@ -161,8 +159,8 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
-    for start in range(0, config.n_pairs, CHUNK_PAIRS):
-        stop = min(start + CHUNK_PAIRS, config.n_pairs)
+    for start in range(0, config.n_pairs, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, config.n_pairs)
         _records(config.kind, config.rates,
                  _block_words(config.seed, start, stop - start), records[start:stop])
     return records
@@ -248,15 +246,12 @@ def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
 
 
 def read_records_csv(path) -> np.ndarray:
-    """Load a records file as records of its two time columns, t_first
-    and t_second; the channel columns are not read."""
-    cols = read_columns(path, ["t_first", "t_second"])
-    t_first, t_second = cols["t_first"], cols["t_second"]
+    """Load a records file as the ``read_columns`` table of its two time
+    columns, t_first and t_second; the channel columns are not read."""
+    records = read_columns(path, ["t_first", "t_second"])
+    t_first, t_second = records["t_first"], records["t_second"]
     # every comparison is False at NaN
     if not np.all((t_first >= 0.0) & (t_second >= t_first) & (t_second < np.inf)):
         raise InvalidDataError(
             f"{path}: records must satisfy 0 <= t_first <= t_second < inf")
-    out = np.empty(t_first.size, dtype=[(name, np.float64) for name in cols])
-    for name, column in cols.items():
-        out[name] = column
-    return out
+    return records

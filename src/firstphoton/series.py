@@ -38,19 +38,19 @@ texts they send back in chunk order.
 work) and parses the named columns with ``numpy.loadtxt``, one
 line-aligned block of about ``READ_BLOCK_BYTES`` (512 KiB) at a time.
 The parent first reads the blocks once to count their lines, which
-bounds their rows, and lays out one float64 buffer of shape
-``(len(names), lines)``, an anonymous shared mapping; each block's rows
-go straight to its own slice, and every returned column is a contiguous
-row of that buffer, not a copy.  The blocks are mapped in ranges of
+bounds their rows, and lays out the table in an anonymous shared
+mapping: ``lines`` rows with one float64 field per name.  Each block's
+rows go straight to its own rows of the table, and the table comes back
+cut to the rows parsed, not copied.  The blocks are mapped in ranges of
 whole blocks of at least ``READ_RANGE_BYTES`` (4 MiB), so a file of two
 such ranges or more is parsed in several processes, and the workers
-write the buffer in place: only block row counts come back.  Blank
-lines leave a block short of its line count; the parent closes such
-gaps in order.  Data holding a ``"`` is parsed as one block, since a
-quoted cell may hold a newline.  An error names the file, and the
-file's line of a bad row (the header is line 1, and blank lines count),
-which the failing block alone gives; a byte that is not UTF-8 is named
-by its offset in the file.
+write the table in place: only block row counts come back.  Blank lines
+leave a block short of its line count; the parent closes such gaps in
+order by moving whole rows.  Data holding a ``"`` is parsed as one
+block, since a quoted cell may hold a newline.  An error names the
+file, and the file's line of a bad row (the header is line 1, and blank
+lines count), which the failing block alone gives; a byte that is not
+UTF-8 is named by its offset in the file.
 
 ``multiprocessing``, ``concurrent.futures`` and ``mmap`` are imported
 only when they are used, off the import path.
@@ -482,8 +482,8 @@ def _name_line(message: str, text: str, usecols: list[int], line0: int) -> str:
 
 def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
                   blocks: list[tuple[int, int, int]]) -> tuple[list[int], str | None]:
-    """Parse each (start, stop, row0) block of the file into
-    ``buf[:, row0:]``; returns the blocks' row counts up to the first
+    """Parse each (start, stop, row0) block of the file into the float
+    matrix ``buf[row0:]``; returns the blocks' row counts up to the first
     block that fails, and that block's error or None.
 
     The first data line is line ``line0`` of the file.  The error names
@@ -504,21 +504,23 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
                 return counts, f"byte {start + exc.start} is not UTF-8 text: {exc.reason}"
             except ValueError as exc:
                 return counts, _name_line(str(exc), text, usecols, line0 + row0)
-            buf[:, row0:row0 + len(data)] = data.T
+            buf[row0:row0 + len(data)] = data
             counts.append(len(data))
     return counts, None
 
 
-def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
-    """Read the named float columns from a CSV file with a header row.
+def read_columns(path, names: list[str]) -> np.ndarray:
+    """Read the named columns of a CSV file with a header row as a
+    table: a structured array of one float64 field per name (once each).
 
     Missing columns, short rows and non-numeric cells raise
     InvalidDataError; extra columns are ignored so record files with
-    channel labels still load.  A header-only file gives empty arrays.
+    channel labels still load.  A header-only file gives no rows.
     A file of several ``READ_RANGE_BYTES`` is parsed in up to one forked
     process per usable CPU, or in this process while another thread
     runs, with the same result.
     """
+    names = list(dict.fromkeys(names))
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -538,10 +540,12 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
         plan, lines = _blocks(fh, start)
         size = fh.tell() - start
     import mmap
-    # MAP_SHARED: what forked workers write is the parent's too; mmap
-    # maps no 0 bytes, so an empty buffer gets one
-    buf = np.ndarray((len(names), lines),
-                     buffer=mmap.mmap(-1, max(8 * len(names) * lines, 1)))
+    # MAP_SHARED: what forked workers write to the table's float matrix
+    # is the parent's too; mmap maps no 0 bytes, so an empty table gets
+    # one.  A dtype dict keeps an empty name, which a field list calls f0
+    memory = mmap.mmap(-1, max(8 * len(names) * lines, 1))
+    table = np.ndarray(lines, {"names": names, "formats": ["f8"] * len(names)}, memory)
+    buf = np.ndarray((lines, len(names)), buffer=memory)
     parts = min(len(plan), max(size // READ_RANGE_BYTES, 1))
     ranges = [(plan[i * len(plan) // parts:(i + 1) * len(plan) // parts],)
               for i in range(parts)]
@@ -555,6 +559,6 @@ def read_columns(path, names: list[str]) -> dict[str, np.ndarray]:
     rows = 0
     for (_, _, row0), n in zip(plan, counts):
         if row0 != rows:    # blank lines above
-            buf[:, rows:rows + n] = buf[:, row0:row0 + n]
+            buf[rows:rows + n] = buf[row0:row0 + n]
         rows += n
-    return {name: buf[i, :rows] for i, name in enumerate(names)}
+    return table[:rows]

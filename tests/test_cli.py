@@ -51,8 +51,8 @@ class TestAnalytic:
         out = tmp_path / "curves.csv"
         assert main(["analytic", "--t-max", "8", "--out", str(out)]) == 0
         cols = read_columns(out, ["nf_entangled", "nf_product", "n_a", "n_b"])
-        for name, col in cols.items():
-            assert col[-1] == pytest.approx(1.0, abs=1e-3), name
+        for name in cols.dtype.names:
+            assert cols[name][-1] == pytest.approx(1.0, abs=1e-3), name
 
     def test_wide_window_is_parameter_error(self, tmp_path, capsys):
         code = main(["analytic", "--tau", "1.7", "--out", str(tmp_path / "x.csv")])
@@ -818,6 +818,30 @@ class TestConfigFile:
         assert err.startswith("error:") and "bad.cfg" in err
         assert len(err.splitlines()) == 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # a Windows editor's "UTF-8 with BOM" starts the file with one
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn_points = 7\n")
+        out = tmp_path / "curves.csv"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_columns(out, ["t"]).shape == (7,)
+        cfg.write_bytes(b"\xef\xbb\xbfn_points = 7\n\xff\n")
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bom.cfg" in capsys.readouterr().err
+
+    def test_utf8_comment_read_in_the_c_locale(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("# \u00e9tape\nn_points = 7\n".encode())
+        code = ("import sys; from firstphoton.cli import main; "
+                f"sys.exit(main(['analytic', '--config', {str(cfg)!r}, '--out', 'c.csv']))")
+        src = os.path.dirname(os.path.dirname(firstphoton.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert read_columns(tmp_path / "c.csv", ["t"]).shape == (7,)
+
     @pytest.mark.parametrize("switch, n_samples", [("false", 2), ("true", 4)])
     def test_switch_values(self, tmp_path, capsys, switch, n_samples):
         samples = tmp_path / "records.csv"
@@ -904,6 +928,20 @@ class TestOutputErrors:
         out = tmp_path / "missing" / "fit.json"
         assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--samples"], ["discriminate", "--samples"],
+        ["wavefunction", "--check", "n0f-antisymmetric", "--n", "64"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_json_out_prints_nothing(self, tmp_path, capsys, argv):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t_first,t_second\n0.5,0.9\n0.25,2\n")
+        if argv[-1] == "--samples":
+            argv = argv + [str(samples)]
+        out = tmp_path / "missing" / "out.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot write" in captured.err
 
     @pytest.mark.parametrize("blocked", ["out.csv.summary.json",
                                          "out.csv.manifest.json"])

@@ -10,8 +10,10 @@ from scipy.stats import ks_2samp
 from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
+from firstphoton import series
 from firstphoton.analytic import RatePair, WindowConfig
 from firstphoton.errors import InvalidDataError, InvalidParameterError
+from firstphoton.series import CHUNK_ROWS
 
 
 def make_records(pairs):
@@ -63,19 +65,6 @@ class TestSamplingStatistics:
         frac = float(np.mean(entangled_100k["first_is_a"]))
         assert abs(frac - 0.4) < 4.0 * math.sqrt(0.4 * 0.6 / 100_000)
 
-    def test_entangled_first_time_distribution(self, entangled_100k):
-        rates = RatePair(1.0, 1.5)
-        stat = es.ks_distance(entangled_100k["t_first"],
-                              lambda t: an.first_emission_cdf_entangled(t, rates))
-        assert stat < es.ks_critical_value(100_000, significance=0.01)
-
-    def test_entangled_relax_time_distribution(self, entangled_100k):
-        # after a channel-A first photon the B atom relaxes at rate 1.5
-        sel = entangled_100k["first_is_a"]
-        delays = entangled_100k["t_second"][sel] - entangled_100k["t_first"][sel]
-        stat = es.ks_distance(delays, lambda t: -np.expm1(-1.5 * t))
-        assert stat < es.ks_critical_value(int(sel.sum()), significance=0.01)
-
     def test_product_first_is_minimum_law(self, product_100k):
         # min of two independent exponentials is exponential at the sum rate
         rates = RatePair(1.0, 1.5)
@@ -114,6 +103,58 @@ class TestSamplingStatistics:
         assert stat < 1.95 * math.sqrt(2.0 / n)
 
 
+LAW_RATES = RatePair(1.0, 1.5)
+
+
+@pytest.fixture(scope="module")
+def both_kinds():
+    """200 000 pairs of each kind at the rates of ``LAW_RATES``."""
+    kw = dict(n_pairs=200_000, rates=LAW_RATES, window=WindowConfig(tau=0.1))
+    return {kind: mc.simulate(mc.SimConfig(kind=kind, seed=seed, **kw))
+            for kind, seed in [("entangled", 11), ("product", 12)]}
+
+
+def delays(records, first_is_a: bool) -> np.ndarray:
+    pick = records["first_is_a"] == first_is_a
+    return records["t_second"][pick] - records["t_first"][pick]
+
+
+def exponential_cdf(rate: float):
+    return lambda t: -np.expm1(-rate * t)
+
+
+def kept_photons(mode: str, tau: float):
+    """Both photons of the pairs the window keeps, with their exact law."""
+    window = WindowConfig(tau=tau, mode=mode)
+    return (lambda r: mc.one_photon_window_times(mc.postselect(r, window)[0]),
+            lambda t: an.product_first_cdf(t, LAW_RATES, window, "exact"))
+
+
+# observable of a record array, and the CDF its samples follow for either kind
+KIND_LAWS = {
+    "t_first": (lambda r: r["t_first"], exponential_cdf(LAW_RATES.gamma_f)),
+    # after a channel-A first photon the B atom relaxes at gamma_b, and
+    # the other way round
+    "delay-after-A": (lambda r: delays(r, True), exponential_cdf(LAW_RATES.gamma_b)),
+    "delay-after-B": (lambda r: delays(r, False), exponential_cdf(LAW_RATES.gamma_a)),
+    **{f"kept-{mode}-{tau:.3g}": kept_photons(mode, tau)
+       for mode in ("grid-bin", "pairwise") for tau in (0.02, 5.0 / 6.0)},
+}
+
+
+class TestEachKindFollowsEachLaw:
+    """Every observable follows its law whichever way the pairs were
+    prepared: the premise that both kinds share one law."""
+
+    @pytest.mark.parametrize("law", list(KIND_LAWS))
+    @pytest.mark.parametrize("kind", mc.PAIR_KINDS)
+    def test_ks_distance_below_critical(self, both_kinds, kind, law):
+        observable, cdf = KIND_LAWS[law]
+        samples = observable(both_kinds[kind])
+        stat = es.ks_distance(samples, cdf)
+        assert stat < es.ks_critical_value(samples.size, significance=0.01)
+
+
 class TestPreparationsShareOneLaw:
     """The entangled and the product sampler draw the same joint law of
     (t_first, first_is_a, t_second): the first of two independent
@@ -140,8 +181,8 @@ class TestDeterminism:
         # block p whatever the chunk it falls in or the run length
         kw = dict(rates=RatePair(1.0, 1.5), kind=kind, window=WindowConfig(tau=0.1),
                   seed=31)
-        short = mc.simulate(mc.SimConfig(n_pairs=mc.CHUNK_PAIRS + 1717, **kw))
-        long = mc.simulate(mc.SimConfig(n_pairs=2 * mc.CHUNK_PAIRS + 5, **kw))
+        short = mc.simulate(mc.SimConfig(n_pairs=CHUNK_ROWS + 1717, **kw))
+        long = mc.simulate(mc.SimConfig(n_pairs=2 * CHUNK_ROWS + 5, **kw))
         assert np.array_equal(short, long[:short.size])
 
     def test_simulate_starts_no_thread(self, monkeypatch):
@@ -149,7 +190,7 @@ class TestDeterminism:
             raise AssertionError(f"simulate started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        config = mc.SimConfig(n_pairs=2 * mc.CHUNK_PAIRS + 5, rates=RatePair(1.0, 1.5),
+        config = mc.SimConfig(n_pairs=2 * CHUNK_ROWS + 5, rates=RatePair(1.0, 1.5),
                               kind="product", window=WindowConfig(tau=0.1), seed=99)
         records = mc.simulate(config, n_workers=8)
         assert records.size == config.n_pairs
@@ -247,6 +288,21 @@ class TestRecordsCsv:
         assert loaded.dtype.names == ("t_first", "t_second")
         assert np.array_equal(loaded["t_first"], subset["t_first"])
         assert np.array_equal(loaded["t_second"], subset["t_second"])
+
+    def test_reload_is_the_table_read(self, tmp_path, monkeypatch, product_100k):
+        # the records are the table read_columns parsed, not a copy of it
+        path = tmp_path / "records.csv"
+        mc.write_records_csv(path, product_100k[:500])
+        tables = []
+
+        def recording(*args):
+            tables.append(series.read_columns(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(mc, "read_columns", recording)
+        loaded = mc.read_records_csv(path)
+        [table] = tables
+        assert np.shares_memory(loaded, table) and loaded.nbytes == table.nbytes == 500 * 16
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

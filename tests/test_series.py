@@ -65,9 +65,7 @@ class TestReader:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 cols = read_columns(path, ["a", "b"])
-            assert set(cols) == {"a", "b"}
-            for col in cols.values():
-                assert col.shape == (0,) and col.dtype == np.float64
+            assert cols.shape == (0,) and cols.dtype == [("a", "f8"), ("b", "f8")]
 
     def test_quoted_header_name(self, tmp_path):
         path = write_csv(tmp_path, '"a","b c"\n1,2\n3,4\n')
@@ -84,7 +82,7 @@ class TestReader:
     def test_extra_cells_and_columns_ignored(self, tmp_path):
         path = write_csv(tmp_path, "a,label,b\n1,A,2,extra\n3,B,4\n")
         cols = read_columns(path, ["b"])
-        assert list(cols) == ["b"]
+        assert cols.dtype.names == ("b",)
         assert cols["b"].tolist() == [2.0, 4.0]
 
     def test_nan_and_inf_pass_through(self, tmp_path):
@@ -94,9 +92,26 @@ class TestReader:
         assert a[1:].tolist() == [np.inf, -np.inf, 1e308]
 
     def test_columns_are_contiguous_float_arrays(self, tmp_path):
+        # the columns are float64 fields of one contiguous table, not copies
         path = write_csv(tmp_path, "a,b\n1,2\n3,4\n")
-        for col in read_columns(path, ["a", "b"]).values():
-            assert col.dtype == np.float64 and col.flags.c_contiguous
+        table = read_columns(path, ["a", "b"])
+        assert table.flags.c_contiguous and table.dtype == [("a", "f8"), ("b", "f8")]
+        assert all(np.shares_memory(table[name], table) for name in table.dtype.names)
+        # a one-column read, as fit's, is a contiguous float array
+        a = read_columns(path, ["a"])["a"]
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+
+    def test_repeated_name_reads_one_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,b\n1,2\n3,4\n")
+        cols = read_columns(path, ["b", "a", "b"])
+        assert cols.dtype.names == ("b", "a")
+        assert cols["b"].tolist() == [2.0, 4.0] and cols["a"].tolist() == [1.0, 3.0]
+
+    def test_empty_header_name_is_a_column(self, tmp_path):
+        path = write_csv(tmp_path, "a,,b\n1,2,3\n")
+        cols = read_columns(path, ["", "b"])
+        assert cols.dtype.names == ("", "b")
+        assert cols[""].tolist() == [2.0] and cols["b"].tolist() == [3.0]
 
     @pytest.mark.parametrize("text", [
         "a,b\n1,2\n3\n",          # short row
@@ -204,8 +219,7 @@ class TestReaderPool:
         assert pools == ([] if newline == "\r" else self.expected_pools(context))
         assert same_bits(cols["x"], np.append(x, 9.0))
         assert same_bits(cols["y"], np.append(y, 9.0))
-        for col in cols.values():
-            assert col.dtype == np.float64 and col.flags.c_contiguous
+        assert cols.dtype == [("y", "f8"), ("x", "f8")] and cols.flags.c_contiguous
 
     @pytest.mark.parametrize("bad, where", [
         (b"1,x", "at line 2288, column 2"),     # header, 2000 rows, 286 blank lines
