@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default=montecarlo.KIND_ENTANGLED,
                    help="initial pair state (default entangled)")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes that render the CSV (at most one per "
-                        "usable CPU); output is identical for any count")
+                   help="processes that render the CSV, this one included and "
+                        "the others forked (at most one per usable CPU); output "
+                        "is identical for any count")
     p.add_argument("--out", required=True, help="records CSV path")
     p.set_defaults(handler=cmd_simulate)
 

@@ -229,8 +229,8 @@ def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
 
     pair_id is the row index, channel_first the letter of first_is_a and
     channel_second the other letter.  The text is rendered in up to
-    ``n_workers`` forked processes (see ``series.processes``); the file
-    is the same for any count.
+    ``n_workers`` processes, this one and forked children (see
+    ``series.processes``); the file is the same for any count.
     """
     n = records.shape[0]
     first_is_a = records["first_is_a"]

@@ -26,13 +26,15 @@ point (which has no UTF-8) raise InvalidDataError before
 chunks' matrices and text whatever the row count, and the file does not
 depend on the chunk size.
 
-Both directions map their tasks in order, in this process or in up to
-one forked worker per usable CPU and task that inherits the table or
-the buffer through fork; fork copies only the calling thread, so no
-pool is forked while another thread runs.  Files, values and errors
-are the same either way.  ``write_table`` maps its chunks in at most n
-workers inside ``with processes(n):`` (one outside it) and writes the
-texts they send back in chunk order.
+Both directions map their tasks in order, in this process or in this
+process and forked children: with w workers, task i runs in worker
+i % w, worker 0 being the caller, and each child inherits the table or
+the buffer through fork and pickles its results down a pipe.  Fork
+copies only the calling thread, so no child is forked while another
+thread runs.  Files, values and errors are the same for every process
+count.  ``write_table`` maps its chunks in at most n processes inside
+``with processes(n):`` (one outside it) and writes the texts in chunk
+order.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
@@ -52,17 +54,17 @@ file, and the file's line of a bad row (the header is line 1, and blank
 lines count), which the failing block alone gives; a byte that is not
 UTF-8 is named by its offset in the file.
 
-``multiprocessing``, ``concurrent.futures`` and ``mmap`` are imported
-only when they are used, off the import path.
+``mmap`` and ``signal`` are imported only when they are used, off the
+import path, and the map needs no process pool module.
 """
 from __future__ import annotations
 
-import collections
 import contextlib
 import contextvars
 import csv
 import io
 import os
+import pickle
 import re
 import threading
 import warnings
@@ -98,16 +100,13 @@ _ZERO = np.uint8(ord("0"))
 
 # how many processes write_table may use; see processes
 _PROCESSES = contextvars.ContextVar("processes", default=1)
-# what a pool worker inherited through fork: the function it maps and
-# the leading arguments of every call
-_inherited = None
 
 
 @contextlib.contextmanager
 def processes(n: int):
-    """Let ``write_table`` render in up to ``n`` forked processes inside
-    the block (never more than its chunks or the usable CPUs); the file
-    is the same for every ``n``.
+    """Let ``write_table`` render in up to ``n`` processes inside the
+    block, this one and ``n - 1`` forked children (never more than its
+    chunks or the usable CPUs); the file is the same for every ``n``.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameterError(f"processes must be a positive integer, got {n!r}")
@@ -286,53 +285,90 @@ def _render(cols: list[np.ndarray], start: int, stop: int) -> bytes:
     return text.translate(None, b"\0")
 
 
-def _inherit(fn, state: tuple) -> None:
-    global _inherited
-    _inherited = fn, state
+def _serve(fn, state: tuple, tasks: list[tuple], read, write: int) -> None:
+    """A forked child's whole life: close ``read``, its pipe's other end,
+    pickle ``(True, fn(*state, *task))`` for each task down the pipe's
+    ``write`` end, or ``(False, exception)`` for the first task that
+    raises, and exit without unwinding into the caller's frames."""
+    status = 1
+    try:
+        read.close()
+        with open(write, "wb") as pipe:
+            for task in tasks:
+                try:
+                    result = True, fn(*state, *task)
+                except Exception as exc:
+                    pickle.dump((False, exc), pipe)
+                    break
+                pickle.dump(result, pipe)
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _call_inherited(*task):
-    fn, state = _inherited
-    return fn(*state, *task)
-
-
-def _fork_pool(processes: int, fn, state: tuple):
-    """Executor of ``processes`` forked workers that hold ``fn`` and
-    ``state``, for tasks submitted as ``_call_inherited``.
-
-    With fork the initializer's arguments reach the workers in the
-    copied memory, not through a pipe; only task arguments and results do.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(processes, multiprocessing.get_context("fork"),
-                               initializer=_inherit, initargs=(fn, state))
+def _receive(children: dict, worker: int):
+    """The next result of ``worker``, or what it raised; a worker that
+    ends without sending one is reaped and named in a RuntimeError."""
+    pid, pipe = children[worker]
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        import signal
+        del children[worker]
+        os.kill(pid, signal.SIGKILL)
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
+        raise RuntimeError(f"worker {worker} {how} before sending its result") from None
+    if not ok:
+        raise value
+    return value
 
 
 def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
     """``fn(*state, *task)`` for each task, yielded in task order.
 
-    The calls run here, or in min(len(tasks), usable CPUs, cap) forked
-    workers that inherit ``state`` when no other thread runs.  At most
-    two results per worker wait to be taken, and the pool shuts down,
-    its queued tasks cancelled, when the generator ends or is closed.
+    With w = min(len(tasks), usable CPUs, cap) of 2 or more and no other
+    thread running (fork copies only the calling thread), w - 1 forked
+    children inherit ``state`` and task i runs in worker i % w, worker 0
+    being this process; otherwise every call runs here.  A child pickles
+    each result, or the exception it raised, down its own pipe, and
+    blocks while the pipe is full, so about one result per child waits
+    to be taken.  When the generator ends, is closed or raises, every
+    child is killed and reaped.
     """
     workers = min(len(tasks), _usable_cpus(), cap or len(tasks))
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         for task in tasks:
             yield fn(*state, *task)
         return
-    pool = _fork_pool(workers, fn, state)
+    import signal
+    children = {}       # worker -> (pid, the read end of its pipe)
     try:
-        futures = collections.deque()
-        for task in tasks:
-            futures.append(pool.submit(_call_inherited, *task))
-            if len(futures) > 2 * workers:
-                yield futures.popleft().result()
-        while futures:
-            yield futures.popleft().result()
+        for worker in range(1, workers):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+            except BaseException:
+                # fork fails, or its warning raised as an error after the
+                # child started: the child then ends on a broken pipe
+                os.close(write)
+                pipe.close()
+                raise
+            if pid == 0:
+                _serve(fn, state, tasks[worker::workers], pipe, write)
+            os.close(write)
+            children[worker] = pid, pipe
+        for i, task in enumerate(tasks):
+            yield fn(*state, *task) if i % workers == 0 else _receive(children, i % workers)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in children.values():
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def _label_column(name: str, column: np.ndarray) -> np.ndarray:
@@ -389,7 +425,7 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(head)
-            fh.flush()      # else forked render workers copy its buffer
+            fh.flush()      # else forked render children copy its buffer
             # holds one chunk's text at a time, where a for loop would
             # keep the last one alive while the next is rendered
             fh.writelines(_ordered_map(_render, (cols,), chunks, _PROCESSES.get()))
@@ -453,13 +489,21 @@ def _blocks(fh, start: int) -> tuple[list[tuple[int, int, int]], int]:
     return blocks, lines
 
 
-def _loadtxt(text: str, usecols: list[int]) -> np.ndarray:
-    return np.loadtxt(io.StringIO(text, newline=""), delimiter=",", usecols=usecols,
-                      ndmin=2, comments=None, quotechar='"')
+def _loadtxt(raw: bytes, usecols: list[int]) -> np.ndarray:
+    """The ``usecols`` of the CSV lines in ``raw`` as a 2-d float array.
+
+    loadtxt takes the lines of a bytes buffer, which ends them at ``\\n``
+    only, and decodes each line by itself, so no copy of the text is made;
+    ``\\r\\n`` and a lone ``\\r`` become ``\\n`` first, which keeps every line.
+    """
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return np.loadtxt(io.BytesIO(raw), delimiter=",", usecols=usecols, ndmin=2,
+                      comments=None, quotechar='"', encoding="utf-8")
 
 
-def _name_line(message: str, text: str, usecols: list[int], line0: int) -> str:
-    """``message``, from parsing ``text`` whose first line is line
+def _name_line(message: str, raw: bytes, usecols: list[int], line0: int) -> str:
+    """``message``, from parsing ``raw`` whose first line is line
     ``line0`` of the file, with loadtxt's "at row N" made the file line
     that fails when parsed alone.
 
@@ -471,7 +515,8 @@ def _name_line(message: str, text: str, usecols: list[int], line0: int) -> str:
     row = re.search(r"\bat row (\d+)", message)
     if row is None:
         return message
-    lines = io.StringIO(text, newline="").readlines()
+    # bytes end lines at \n, \r\n and \r, as _line_count counts them
+    lines = raw.splitlines(keepends=True)
     for i in range(max(int(row.group(1)) - 1, 0), len(lines)):
         try:
             _loadtxt(lines[i], usecols)
@@ -487,8 +532,8 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
     block that fails, and that block's error or None.
 
     The first data line is line ``line0`` of the file.  The error names
-    the file's line of a bad row, counted from 1 at the header, and a
-    byte not UTF-8 by its offset in the file.
+    the file's line of a bad row, counted from 1 at the header, or the
+    offset in the file of a byte that is not UTF-8, whichever comes first.
     """
     counts = []
     with open(path, "rb") as fh, warnings.catch_warnings():
@@ -497,13 +542,19 @@ def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
                                 UserWarning)
         for start, stop, row0 in blocks:
             fh.seek(start)
+            raw = fh.read(stop - start)
             try:
-                text = fh.read(stop - start).decode("utf-8")
-                data = _loadtxt(text, usecols)
-            except UnicodeDecodeError as exc:
-                return counts, f"byte {start + exc.start} is not UTF-8 text: {exc.reason}"
+                data = _loadtxt(raw, usecols)
+            except UnicodeDecodeError:
+                # loadtxt decodes line by line and stops at the first line
+                # that fails, which holds the block's first byte not UTF-8
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return counts, f"byte {start + exc.start} is not UTF-8 text: {exc.reason}"
+                raise
             except ValueError as exc:
-                return counts, _name_line(str(exc), text, usecols, line0 + row0)
+                return counts, _name_line(str(exc), raw, usecols, line0 + row0)
             buf[row0:row0 + len(data)] = data
             counts.append(len(data))
     return counts, None
@@ -516,9 +567,9 @@ def read_columns(path, names: list[str]) -> np.ndarray:
     Missing columns, short rows and non-numeric cells raise
     InvalidDataError; extra columns are ignored so record files with
     channel labels still load.  A header-only file gives no rows.
-    A file of several ``READ_RANGE_BYTES`` is parsed in up to one forked
-    process per usable CPU, or in this process while another thread
-    runs, with the same result.
+    A file of several ``READ_RANGE_BYTES`` is parsed in up to one
+    process per usable CPU, this one and forked children, or in this
+    process alone while another thread runs, with the same result.
     """
     names = list(dict.fromkeys(names))
     try:
@@ -540,7 +591,7 @@ def read_columns(path, names: list[str]) -> np.ndarray:
         plan, lines = _blocks(fh, start)
         size = fh.tell() - start
     import mmap
-    # MAP_SHARED: what forked workers write to the table's float matrix
+    # MAP_SHARED: what forked children write to the table's float matrix
     # is the parent's too; mmap maps no 0 bytes, so an empty table gets
     # one.  A dtype dict keeps an empty name, which a field list calls f0
     memory = mmap.mmap(-1, max(8 * len(names) * lines, 1))
@@ -554,7 +605,7 @@ def read_columns(path, names: list[str]) -> np.ndarray:
     for part, error in results:
         counts += part
         if error is not None:
-            results.close()     # cancels the ranges still queued
+            results.close()     # kills the children still parsing
             raise InvalidDataError(f"{path}: {error}")
     rows = 0
     for (_, _, row0), n in zip(plan, counts):

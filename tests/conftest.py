@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -44,3 +46,32 @@ def window_ref() -> WindowConfig:
 @pytest.fixture
 def tgrid() -> np.ndarray:
     return np.linspace(0.0, 4.0, 401)
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """The pid of every child that os.fork starts during the test, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+@pytest.fixture
+def no_child_left():
+    """A check that this process has no child, running or unreaped;
+    multiprocessing.active_children sees only its own processes."""
+    def check() -> bool:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+    return check

@@ -1,17 +1,14 @@
 import compileall
-import functools
 import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import time
 import warnings
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -157,7 +154,7 @@ class TestSimulate:
         assert main(argv) == 0
         assert sha(out) == first
 
-    def test_worker_count_invariant(self, tmp_path):
+    def test_worker_count_invariant(self, tmp_path, no_child_left):
         # two full chunks and a short one, so two and three workers
         # really split both the sampling and the rendering
         common = ["simulate", "--n-pairs", str(2 * series.CHUNK_ROWS + 17),
@@ -166,47 +163,28 @@ class TestSimulate:
         for workers in ("1", "2", "3"):
             out = tmp_path / f"w{workers}.csv"
             assert main(common + ["--workers", workers, "--out", str(out)]) == 0
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
             digests.add(sha(out))
         assert len(digests) == 1
 
-    def test_render_processes_capped_by_chunks_and_cpus(self, tmp_path, monkeypatch):
-        asked = []
-
-        class InProcess:
-            """Stands in for the fork pool: records its size, renders here."""
-
-            def __init__(self, processes, fn, state):
-                asked.append(processes)
-                self.call = functools.partial(fn, *state)
-
-            def submit(self, _, *task):
-                future = Future()
-                future.set_result(self.call(*task))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(series, "_fork_pool", InProcess)
+    def test_render_processes_capped_by_chunks_and_cpus(self, tmp_path, monkeypatch, forks):
+        # three chunks on eight usable CPUs: the caller and two children
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 8)
         common = ["simulate", "--n-pairs", str(3 * series.CHUNK_ROWS), "--seed", "5"]
         base, capped = tmp_path / "w1.csv", tmp_path / "wmany.csv"
         assert main(common + ["--workers", "1", "--out", str(base)]) == 0
-        assert asked == []
+        assert forks == []
         assert main(common + ["--workers", "100000", "--out", str(capped)]) == 0
-        expected = min(3, series._usable_cpus())
-        assert asked == ([expected] if expected > 1 else [])
+        assert len(forks) == 2
         assert sha(capped) == sha(base)
 
-    def test_unwritable_out_starts_no_pool(self, tmp_path, capsys, monkeypatch):
-        started = []
-        monkeypatch.setattr(series, "_fork_pool", lambda *args: started.append(args))
+    def test_unwritable_out_starts_no_pool(self, tmp_path, capsys, forks):
         out = tmp_path / "missing" / "r.csv"
         assert main(["simulate", "--n-pairs", str(2 * series.CHUNK_ROWS + 1),
                      "--workers", "2", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert started == []
+        assert forks == []
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_are_parameter_errors(self, tmp_path, capsys, workers):
@@ -310,8 +288,8 @@ class TestFit:
     @pytest.mark.parametrize("command", [["fit"], ["fit", "--postselect"],
                                          ["discriminate", "--postselect"]])
     def test_bad_cell_in_last_range_is_data_error(self, tmp_path, capsys, monkeypatch,
-                                                  command):
-        # 4 KiB ranges: the 2000-row file is parsed in a pool on two CPUs
+                                                  no_child_left, command):
+        # 4 KiB ranges: the 2000-row file is parsed in two processes on two CPUs
         monkeypatch.setattr(series, "READ_RANGE_BYTES", 4096)
         samples = tmp_path / "r.csv"
         assert main(["simulate", "--kind", "product", "--n-pairs", "2000",
@@ -324,7 +302,7 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "r.csv" in err and "at line 1999," in err
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_nonpositive_sample_is_data_error(self, tmp_path, capsys):
         samples = tmp_path / "bad.csv"
@@ -725,16 +703,19 @@ class TestRecordPipelineMemory:
     # label columns that write_table renders, 17 + 4 + 2 = 23 bytes a
     # pair, and discriminate --postselect holds the 16-byte reloaded
     # records with their mask and their kept copy from postselect, about
-    # 33; each step adds a few chunks of temporaries and allocator slack
-    # (46.2-46.6 and 44.4-45.1 measured on 2**19 pairs; simulate 52.1-52.5
+    # 33; each step adds a few chunks of temporaries, allocator slack and
+    # the modules it imports past the baseline (45.0-45.5 and 40.4-40.9
+    # measured on 2**19 pairs, on one CPU and on two; simulate 52.1-52.5
     # with 4-byte channel letters, discriminate 48.5-50.6 when a record
     # took 20 bytes).  Each bound fails a step that keeps a full-length
-    # temporary it need not: 4-byte channel letters or 65536-row render
-    # chunks (85, simulate), keep_mask's floor(t / tau) arrays (53,
-    # discriminate), the records held past postselect (54) or the
-    # density and its log over all samples (116).
+    # temporary or a module it need not: 4-byte channel letters or
+    # 65536-row render chunks (85, simulate), a process pool's
+    # multiprocessing and concurrent.futures, about 2 MB (44.7-44.9,
+    # discriminate on two CPUs), keep_mask's floor(t / tau) arrays (53),
+    # the records held past postselect (54) or the density and its log
+    # over all samples (116).
     N_PAIRS = 1 << 19
-    BYTES_PER_PAIR = {"simulate": 50, "discriminate": 46}
+    BYTES_PER_PAIR = {"simulate": 50, "discriminate": 43}
 
     def test_growth_per_pair_is_bounded(self, tmp_path, compiled):
         records = tmp_path / "records.csv"

@@ -1,7 +1,7 @@
 import hashlib
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -148,6 +148,21 @@ class TestReader:
         with pytest.raises(InvalidDataError, match=where):
             read_columns(path, [text[:text.index(",")].strip('"'), "b"])
 
+    @pytest.mark.parametrize("block", [1 << 20, 1], ids=["one-block", "line-blocks"])
+    def test_first_failing_line_names_the_error(self, tmp_path, monkeypatch, block):
+        # a bad cell and a byte that is not UTF-8, either first, in one
+        # block or in a block each: the earlier line is the one named.
+        # 3000 good rows first, more than the header reader decodes ahead
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", block)
+        path = tmp_path / "mixed.csv"
+        head = b"a,b\n" + b"1,2\n" * 3000
+        path.write_bytes(head + b"3,x\n5,\xff\n")
+        with pytest.raises(InvalidDataError, match="at line 3002, column 2"):
+            read_columns(path, ["a", "b"])
+        path.write_bytes(head + b"3,\xff\n5,x\n")
+        with pytest.raises(InvalidDataError, match=f"byte {len(head) + 2} is not UTF-8"):
+            read_columns(path, ["a", "b"])
+
     @pytest.mark.parametrize("block", [1 << 20, 8], ids=["one-block", "line-blocks"])
     def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, monkeypatch,
                                                        block):
@@ -176,32 +191,21 @@ class TestReader:
 
 class TestReaderPool:
     """read_columns on 40-byte ranges with 1, 2 and 3 usable CPUs, so that
-    a pool parses whenever there are two, against one block parsed in
-    this process."""
+    forked children parse beside this process whenever there are two,
+    against one block parsed in this process."""
 
     @pytest.fixture
-    def pools(self, monkeypatch, context):
-        """The size of every parse pool started, in order."""
-        started = []
-        fork_pool = series._fork_pool
-
-        def recording(processes, fn, state):
-            started.append(processes)
-            return fork_pool(processes, fn, state)
-
+    def pools(self, monkeypatch, forks, context):
+        """The children forked to parse, in order."""
         monkeypatch.setattr(series, "READ_RANGE_BYTES", 40)
         monkeypatch.setattr(series, "_usable_cpus", lambda: context)
-        monkeypatch.setattr(series, "_fork_pool", recording)
-        return started
-
-    @staticmethod
-    def expected_pools(context):
-        return [context] if context > 1 else []
+        return forks
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("block", [1, 30])
     @pytest.mark.parametrize("context", [1, 2, 3])
-    def test_same_bits(self, tmp_path, monkeypatch, pools, context, block, newline):
+    def test_same_bits(self, tmp_path, monkeypatch, pools, no_child_left, context, block,
+                       newline):
         # blank lines lead, follow every third row, pile up in the middle
         # and trail, so some fall on every range edge; the last line has
         # no newline.  Block 1 makes each line a block of its own.
@@ -214,9 +218,9 @@ class TestReaderPool:
             lines += [""] * (i % 3 == 0) + [""] * 3 * (i == len(x) // 2)
         path = write_csv(tmp_path, newline.join(lines + ["", "", "9,9"]))
         cols = read_columns(path, ["y", "x"])
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         # blocks end at a \n, so lone \r endings make one block, parsed here
-        assert pools == ([] if newline == "\r" else self.expected_pools(context))
+        assert len(pools) == (0 if newline == "\r" else context - 1)
         assert same_bits(cols["x"], np.append(x, 9.0))
         assert same_bits(cols["y"], np.append(y, 9.0))
         assert cols.dtype == [("y", "f8"), ("x", "f8")] and cols.flags.c_contiguous
@@ -227,7 +231,8 @@ class TestReaderPool:
         (b"1,\xff", None),
     ], ids=["bad-cell", "short-row", "not-utf8"])
     @pytest.mark.parametrize("context", [1, 2, 3])
-    def test_error_in_last_range(self, tmp_path, monkeypatch, pools, context, bad, where):
+    def test_error_in_last_range(self, tmp_path, monkeypatch, pools, no_child_left, context,
+                                 bad, where):
         # 2000 good rows with a blank line after every seventh, more bytes
         # than the header reader decodes ahead, then the bad row and two more
         rows = [b"%d,%d.5" % (i, i) + b"\n" * (1 + (i % 7 == 0)) for i in range(2000)]
@@ -235,12 +240,12 @@ class TestReaderPool:
         path = tmp_path / "bad.csv"
         path.write_bytes(raw)
         with pytest.raises(InvalidDataError) as whole:
-            read_columns(path, ["a", "b"])      # one block, no pool
+            read_columns(path, ["a", "b"])      # one block, no child
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
         with pytest.raises(InvalidDataError) as ranged:
             read_columns(path, ["a", "b"])
-        assert multiprocessing.active_children() == []
-        assert pools == self.expected_pools(context)
+        assert no_child_left()
+        assert len(pools) == context - 1
         message = str(ranged.value)
         assert message == str(whole.value) and "bad.csv" in message
         assert (where or "byte %d is not UTF-8" % raw.index(b"\xff")) in message
@@ -259,16 +264,78 @@ class TestReaderPool:
         finally:
             stop.set()
             thread.join()
-        assert pools == [2]
+        assert len(pools) == 1
         assert same_bits(alone, x) and same_bits(beside, x)
 
-    @pytest.mark.parametrize("context", [2])
-    def test_closed_map_leaves_no_worker(self, pools, context):
+    @pytest.mark.parametrize("context", [2, 3])
+    def test_closed_map_leaves_no_worker(self, pools, no_child_left, context):
+        # closed after one task of each worker, the children still running
         results = series._ordered_map(divmod, (100,), [(d,) for d in range(1, 40)])
-        assert next(results) == (100, 0)
+        assert [next(results) for _ in range(context)] == [divmod(100, d)
+                                                           for d in range(1, context + 1)]
         results.close()
-        assert pools == [2]
-        assert multiprocessing.active_children() == []
+        assert len(pools) == context - 1
+        assert no_child_left()
+
+
+def exit_3():
+    os._exit(3)
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def child_fate(parent: int, target: int, fate, i: int) -> int:
+    """Task ``i`` of a map: ``fate()`` when it is task ``target`` and runs
+    in a forked child of ``parent``, else ``i``."""
+    if i == target and os.getpid() != parent:
+        fate()
+    return i
+
+
+class TestForkedMap:
+    """_ordered_map with 2 and 3 usable CPUs, where task i runs in worker
+    i % w: a worker that dies or fails ends the map within the call, and
+    no child outlives it (an early close is TestReaderPool's)."""
+
+    @pytest.fixture
+    def cpus(self, request, monkeypatch, no_child_left):
+        monkeypatch.setattr(series, "_usable_cpus", lambda: request.param)
+        # a map that hangs fails here instead of holding the suite
+        signal.signal(signal.SIGALRM, lambda *_: pytest.fail("the map hung"))
+        signal.alarm(60)
+        yield request.param
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        assert no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+    @pytest.mark.parametrize("fate, how", [(exit_3, "exited with status 3"),
+                                           (kill_self, "was killed by SIGKILL")],
+                             ids=["exit", "sigkill"])
+    def test_dead_child_ends_the_map(self, cpus, fate, how):
+        # the last child dies in its first task
+        tasks = [(i,) for i in range(4 * cpus)]
+        results = series._ordered_map(child_fate, (os.getpid(), cpus - 1, fate), tasks)
+        assert [next(results) for _ in range(cpus - 1)] == list(range(cpus - 1))
+        with pytest.raises(RuntimeError, match=f"^worker {cpus - 1} {how} "):
+            next(results)
+
+    @pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+    def test_task_error_reaches_the_caller(self, cpus, failing):
+        # task 0 runs in this process and task 1 in the first child; the
+        # error is the one a map in this process raises, in task order
+        tasks = [(d,) for d in [7, 5, 3, 9, 4, 6]]
+        tasks[failing] = (0,)
+        with pytest.raises(ZeroDivisionError) as serial:
+            [divmod(100, *task) for task in tasks]
+        results = series._ordered_map(divmod, (100,), tasks)
+        assert [next(results) for _ in range(failing)] == [divmod(100, 7)] * failing
+        with pytest.raises(ZeroDivisionError) as forked:
+            next(results)
+        assert str(forked.value) == str(serial.value)
 
 
 class TestWriter:
@@ -379,9 +446,10 @@ class TestWriter:
         assert not path.exists()
 
     @pytest.mark.parametrize("processes", [1, 2, 3])
-    def test_render_processes_match_reference(self, tmp_path, monkeypatch, processes):
-        # 7-row chunks: 8 and 22 rows give two and four chunks, so a pool
-        # renders them whenever the machine has two CPUs
+    def test_render_processes_match_reference(self, tmp_path, monkeypatch, no_child_left,
+                                              processes):
+        # 7-row chunks: 8 and 22 rows give two and four chunks, so forked
+        # children render beside this process whenever the machine has two CPUs
         monkeypatch.setattr(series, "CHUNK_ROWS", 7)
         values = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e308, -1.5] * 3)
         header = ["i", "x", "y", "odd", "c"]
@@ -393,7 +461,7 @@ class TestWriter:
             with series.processes(processes):
                 write_table(path, header, columns)
             assert path.read_bytes() == reference_table(header, columns).encode(), n
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
     def test_render_processes_must_be_positive_integer(self, bad):
@@ -520,14 +588,13 @@ class TestRenderKernel:
 def test_cli_import_leaves_scipy_out(tmp_path):
     # numpy is the only runtime dependency: importing every module,
     # solving the compatibility relations, evaluating both window laws
-    # and running every subcommand load no scipy; with one worker, and
-    # on files smaller than a read range, they load no multiprocessing or
-    # concurrent.futures either, whose import the render and parse pools
-    # defer
+    # and running every subcommand load no scipy, and no multiprocessing
+    # or concurrent.futures either: rendering with two workers over three
+    # chunks and parsing a file of several read ranges fork plain children
     code = textwrap.dedent("""
         import importlib, os, pkgutil, sys
         import firstphoton
-        from firstphoton import analytic as an
+        from firstphoton import analytic as an, series
         from firstphoton.cli import main
         for module in pkgutil.iter_modules(firstphoton.__path__):
             importlib.import_module("firstphoton." + module.name)
@@ -549,6 +616,14 @@ def test_cli_import_leaves_scipy_out(tmp_path):
                       "--tau", "0.1"],
                      ["kinetics", "--t-end", "0.5", "--out", "k.csv"],
                      ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
+            assert main(argv) == 0, argv
+        # 40000 records: 3 render chunks, and 64 KiB blocks each a read range
+        series.READ_BLOCK_BYTES = series.READ_RANGE_BYTES = 1 << 16
+        for argv in (["simulate", "--kind", "product", "--n-pairs", "40000",
+                      "--tau", "0.1", "--workers", "2", "--out", "r2.csv"],
+                     ["fit", "--samples", "r2.csv", "--tau", "0.1"],
+                     ["discriminate", "--samples", "r2.csv", "--postselect",
+                      "--tau", "0.1"]):
             assert main(argv) == 0, argv
         loaded = sorted(m for m in sys.modules
                         if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))

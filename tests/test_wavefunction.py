@@ -450,18 +450,10 @@ class TestBands:
             wf.swap_overlap(skewed)
         assert threading.active_count() == threads
 
-    def test_reader_pool_starts_after_a_run(self, tmp_path, monkeypatch, capsys):
+    def test_reader_pool_starts_after_a_run(self, tmp_path, monkeypatch, capsys, forks):
         # _ordered_map forks only while one thread runs, so every helper
         # must be gone when the command returns
-        started = []
-        fork_pool = series._fork_pool
-
-        def recording(processes, fn, state):
-            started.append(processes)
-            return fork_pool(processes, fn, state)
-
         monkeypatch.setattr(series, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(series, "_fork_pool", recording)
         assert main(["wavefunction", "--check", "antisymmetry-preservation",
                      "--n", "64"]) == 0
         capsys.readouterr()
@@ -471,7 +463,7 @@ class TestBands:
         path = tmp_path / "x.csv"
         path.write_text("x\n" + "".join("%.17g\n" % v for v in x))
         assert series.read_columns(path, ["x"])["x"].tobytes() == x.tobytes()
-        assert started == [2]
+        assert len(forks) == 1
 
 
 class TestQuadratureConvergence:
