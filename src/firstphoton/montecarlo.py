@@ -18,7 +18,7 @@ t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
 the channels: its CSV has pair_id (the row index), t_first,
 channel_first, t_second and channel_second, the letters following from
 first_is_a as 1-byte ``S1`` labels.  It renders the text in up to
-n_workers forked processes; the count changes no byte.
+n_workers processes; the count changes no byte.
 ``read_records_csv`` gives back the table ``series.read_columns``
 parses of the two time columns only, float64 fields t_first and
 t_second, which is all that post-selection and the one-photon window

@@ -32,9 +32,10 @@ i % w, worker 0 being the caller, and each child inherits the table or
 the buffer through fork and pickles its results down a pipe.  Fork
 copies only the calling thread, so no child is forked while another
 thread runs.  Files, values and errors are the same for every process
-count.  ``write_table`` maps its chunks in at most n processes inside
-``with processes(n):`` (one outside it) and writes the texts in chunk
-order.
+count.  ``write_table`` maps its chunks in up to one process per usable
+CPU, as ``read_columns`` maps its ranges, or in at most n inside
+``with processes(n):``, and writes the texts in chunk order; a table of
+one chunk never forks.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
@@ -98,8 +99,9 @@ _DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
 _ZERO = np.uint8(ord("0"))
 
 
-# how many processes write_table may use; see processes
-_PROCESSES = contextvars.ContextVar("processes", default=1)
+# how many processes write_table may use, None for one per usable CPU;
+# see processes
+_PROCESSES = contextvars.ContextVar("processes", default=None)
 
 
 @contextlib.contextmanager
@@ -394,8 +396,11 @@ def _label_column(name: str, column: np.ndarray) -> np.ndarray:
 def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write named columns as a UTF-8 CSV table (17 significant digits).
 
-    A file that cannot be written raises InvalidParameterError, before
-    any render process starts.
+    The chunks are rendered in up to one process per usable CPU, this
+    one and forked children, or in at most n inside ``processes(n)``;
+    the file is the same for every count.  A file that cannot be
+    written raises InvalidParameterError, before any render process
+    starts.
     """
     if len(header) != len(columns):
         raise InvalidDataError("header and column count differ")
@@ -441,9 +446,12 @@ def _data_start(fh) -> tuple[list[str], int, int]:
     and csv pulls exactly the lines of its first record; undecoded
     newlines make the text re-encode to the bytes it came from.  csv
     does not see a leading byte-order mark (a spreadsheet's "CSV UTF-8"
-    export writes one), but the offset counts its 3 bytes.
+    export writes one), but the offset counts its 3 bytes.  The text
+    decodes ahead of the header, so a byte that is not UTF-8 decodes to
+    a surrogate escape: only one in the header's own lines raises a
+    ValueError, which names its offset as the data blocks do.
     """
-    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    text = io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
     consumed = []
 
     def lines():
@@ -452,9 +460,14 @@ def _data_start(fh) -> tuple[list[str], int, int]:
             yield line.removeprefix("\ufeff") if len(consumed) == 1 else line
     try:
         header = next(csv.reader(lines()), [])
-        return header, len("".join(consumed).encode()), len(consumed)
     finally:
         text.detach()
+    raw = "".join(consumed).encode("utf-8", "surrogateescape")
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"byte {exc.start} is not UTF-8 text: {exc.reason}") from None
+    return header, len(raw), len(consumed)
 
 
 def _line_count(block: bytes) -> int:

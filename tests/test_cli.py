@@ -890,6 +890,38 @@ class TestConfigFile:
         assert kin["t"].shape == (101,)
 
 
+class TestTableRender:
+    """analytic and kinetics tables of three chunks render in the caller
+    and forked children, one per usable CPU up to the chunk count."""
+
+    TABLES = [
+        ["analytic", "--window-variant", "exact", "--n-points", str(3 * series.CHUNK_ROWS)],
+        ["kinetics", "--step", "1e-4", "--t-end", "4"],     # 40001 rows
+    ]
+
+    @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: argv[0])
+    def test_bytes_do_not_depend_on_process_count(self, tmp_path, monkeypatch, forks,
+                                                  no_child_left, argv):
+        base, forked = tmp_path / "one.csv", tmp_path / "many.csv"
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 1)
+        assert main(argv + ["--out", str(base)]) == 0
+        assert forks == []
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 8)
+        assert main(argv + ["--out", str(forked)]) == 0
+        assert len(forks) == 2 and no_child_left()
+        assert sha(forked) == sha(base)
+
+    @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: argv[0])
+    def test_unwritable_out_starts_no_pool(self, tmp_path, monkeypatch, capsys, forks,
+                                           argv):
+        monkeypatch.setattr(series, "_usable_cpus", lambda: 8)
+        out = tmp_path / "missing" / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert forks == []
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--n-pairs", "10"],

@@ -148,19 +148,26 @@ class TestReader:
         with pytest.raises(InvalidDataError, match=where):
             read_columns(path, [text[:text.index(",")].strip('"'), "b"])
 
+    @pytest.mark.parametrize("raw, where", [
+        (b"a,b\n" + b"1,2\n" * 3000 + b"3,x\n5,\xff\n", "at line 3002, column 2"),
+        (b"a,b\n" + b"1,2\n" * 3000 + b"3,\xff\n5,x\n", "byte 12006 is not UTF-8 text"),
+        (b"a,b\n3,x\n5,\xff\n", "at line 2, column 2"),
+        (b"a,\xffb\n1,2\n", "byte 2 is not UTF-8 text"),
+        (b"\xef\xbb\xbfa,\xffb\n1,2\n", "byte 5 is not UTF-8 text"),
+    ], ids=["long-bad-cell", "long-bad-byte", "short-bad-cell", "header-byte",
+            "header-byte-after-bom"])
     @pytest.mark.parametrize("block", [1 << 20, 1], ids=["one-block", "line-blocks"])
-    def test_first_failing_line_names_the_error(self, tmp_path, monkeypatch, block):
+    def test_first_failing_line_names_the_error(self, tmp_path, monkeypatch, block, raw,
+                                                where):
         # a bad cell and a byte that is not UTF-8, either first, in one
-        # block or in a block each: the earlier line is the one named.
-        # 3000 good rows first, more than the header reader decodes ahead
+        # block or in a block each: the earlier line is the one named,
+        # whether the file is longer than the header reader decodes ahead
+        # (3000 good rows) or not; a bad byte in the header is named as
+        # one in the data is
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", block)
         path = tmp_path / "mixed.csv"
-        head = b"a,b\n" + b"1,2\n" * 3000
-        path.write_bytes(head + b"3,x\n5,\xff\n")
-        with pytest.raises(InvalidDataError, match="at line 3002, column 2"):
-            read_columns(path, ["a", "b"])
-        path.write_bytes(head + b"3,\xff\n5,x\n")
-        with pytest.raises(InvalidDataError, match=f"byte {len(head) + 2} is not UTF-8"):
+        path.write_bytes(raw)
+        with pytest.raises(InvalidDataError, match=where):
             read_columns(path, ["a", "b"])
 
     @pytest.mark.parametrize("block", [1 << 20, 8], ids=["one-block", "line-blocks"])
@@ -233,8 +240,8 @@ class TestReaderPool:
     @pytest.mark.parametrize("context", [1, 2, 3])
     def test_error_in_last_range(self, tmp_path, monkeypatch, pools, no_child_left, context,
                                  bad, where):
-        # 2000 good rows with a blank line after every seventh, more bytes
-        # than the header reader decodes ahead, then the bad row and two more
+        # 2000 good rows with a blank line after every seventh, so blank
+        # lines fall on range edges, then the bad row and two more
         rows = [b"%d,%d.5" % (i, i) + b"\n" * (1 + (i % 7 == 0)) for i in range(2000)]
         raw = b"a,b\n" + b"".join(rows) + bad + b"\n7,7\n8,8\n"
         path = tmp_path / "bad.csv"
