@@ -377,8 +377,15 @@ def product_first_cdf(t, rates: RatePair, window: WindowConfig,
                         + 2.0 * window.tau * g_a * g_b / g_f * np.expm1(-g_f * t))
     if variant == VARIANT_EXACT:
         kept = 2.0 * _kept_fraction(rates, window)
-        return np.clip((_unshared_cumulative(t, g_a, g_b, window)
-                        + _unshared_cumulative(t, g_b, g_a, window)) / kept, 0.0, 1.0)
+        cdf = np.clip((_unshared_cumulative(t, g_a, g_b, window)
+                       + _unshared_cumulative(t, g_b, g_a, window)) / kept, 0.0, 1.0)
+        # rounding can step the sum back by a few ulp between close times
+        # (where floor(t / tau) changes, in grid-bin mode): the running
+        # maximum in time order keeps the CDF non-decreasing
+        flat = cdf.reshape(-1)
+        order = np.argsort(t, axis=None, kind="stable")
+        flat[order] = np.maximum.accumulate(flat[order])
+        return flat.reshape(cdf.shape)[()]
     raise InvalidParameterError(f"variant must be one of {WINDOW_VARIANTS}, got {variant!r}")
 
 

@@ -12,8 +12,8 @@ Every file-writing invocation also writes ``<out>.manifest.json``
 recording the exact argv, parameters, and outputs; re-running the
 stored argv reproduces every output byte for byte.
 
-Exit codes: 0 success, 2 invalid parameters, 3 invalid data,
-4 model inapplicable.
+Exit codes: 0 success, else the error's ``exit_code`` (``errors``):
+2 invalid parameters or out of memory, 3 invalid data, 4 model inapplicable.
 
 A ``--config`` file supplies defaults as ``key = value`` lines (long
 flag names, ``-`` or ``_`` spelling).  Its lines become flag tokens
@@ -32,8 +32,7 @@ import numpy as np
 
 from . import __version__, analytic, estimation, kinetics, montecarlo, wavefunction
 from .analytic import RatePair, WindowConfig
-from .errors import (EXIT_INVALID_PARAMETERS, FirstPhotonError, InvalidDataError,
-                     InvalidParameterError, exit_code_for)
+from .errors import FirstPhotonError, InvalidDataError, InvalidParameterError
 from .series import read_columns, write_table
 
 WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
@@ -195,22 +194,13 @@ def _write_manifest(args, argv, outputs: list[str]) -> None:
                   if key not in ("handler", "config")}
     _write_json(f"{outputs[0]}.manifest.json",
                 {"subcommand": args.subcommand,
-                 "argv": list(argv),
+                 "argv": argv,
                  "parameters": parameters,
                  "outputs": [str(p) for p in outputs],
                  "version": __version__})
 
 
-def _emit_json(payload: dict, args, argv) -> None:
-    """Write ``--out`` and its manifest, if asked, then print the
-    payload: a run that cannot write prints nothing."""
-    if args.out:
-        _write_json(args.out, payload)
-        _write_manifest(args, argv, [args.out])
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def cmd_analytic(args, argv) -> int:
+def cmd_analytic(args) -> tuple[None, list[str]]:
     rates = _rates(args)
     window = _window(args)
     if args.n_points < 2:
@@ -227,11 +217,10 @@ def cmd_analytic(args, argv) -> int:
         analytic.single_type_cdf(t, rates.gamma_b),
     ]
     write_table(args.out, ["t", "nf_entangled", "nf_product", "n_a", "n_b"], columns)
-    _write_manifest(args, argv, [args.out])
-    return 0
+    return None, [args.out]
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args) -> tuple[None, list[str]]:
     rates = _rates(args)
     window = _window(args)
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
@@ -263,8 +252,7 @@ def cmd_simulate(args, argv) -> int:
     }
     summary_path = f"{args.out}.summary.json"
     _write_json(summary_path, payload)
-    _write_manifest(args, argv, [args.out, summary_path])
-    return 0
+    return None, [args.out, summary_path]
 
 
 def _load_times(args) -> np.ndarray:
@@ -281,21 +269,16 @@ def _load_times(args) -> np.ndarray:
     return montecarlo.one_photon_window_times(kept)
 
 
-def cmd_fit(args, argv) -> int:
+def cmd_fit(args) -> tuple[dict, list[str]]:
+    return asdict(estimation.mle_exponential(_load_times(args))), []
+
+
+def cmd_discriminate(args) -> tuple[dict, list[str]]:
     times = _load_times(args)
-    result = estimation.mle_exponential(times)
-    _emit_json(asdict(result), args, argv)
-    return 0
+    return asdict(estimation.discriminate(times, _rates(args), _window(args))), []
 
 
-def cmd_discriminate(args, argv) -> int:
-    times = _load_times(args)
-    comparison = estimation.discriminate(times, _rates(args), _window(args))
-    _emit_json(asdict(comparison), args, argv)
-    return 0
-
-
-def cmd_kinetics(args, argv) -> int:
+def cmd_kinetics(args) -> tuple[None, list[str]]:
     rates = _rates(args)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end)
     _require_array_size(f"--t-end / --step = {args.t_end!r} / {args.step!r}",
@@ -304,8 +287,7 @@ def cmd_kinetics(args, argv) -> int:
                               first_emission_scale=args.rate_scale)
     write_table(args.out, ["t", *kinetics.STATE_FIELDS],
                 [args.step * np.arange(len(traj)), *traj.T])
-    _write_manifest(args, argv, [args.out])
-    return 0
+    return None, [args.out]
 
 
 def _wavefunction_report(args) -> dict:
@@ -356,9 +338,8 @@ def _wavefunction_report(args) -> dict:
     return report
 
 
-def cmd_wavefunction(args, argv) -> int:
-    _emit_json(_wavefunction_report(args), args, argv)
-    return 0
+def cmd_wavefunction(args) -> tuple[dict, list[str]]:
+    return _wavefunction_report(args), []
 
 
 def _with_config(parser, argv: list[str]) -> list[str]:
@@ -404,14 +385,23 @@ def main(argv=None) -> int:
             args = parser.parse_args(_with_config(parser, argv))
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.handler(args, argv)
+        # a table command has written its files; a run that cannot write prints nothing
+        payload, outputs = args.handler(args)
+        if payload is not None and args.out:
+            _write_json(args.out, payload)
+            outputs.append(args.out)
+        if outputs:
+            _write_manifest(args, argv, outputs)
+        if payload is not None:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
     except FirstPhotonError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     except MemoryError:
         # sizes below physical memory that the process may not allocate
         print("error: out of memory", file=sys.stderr)
-        return EXIT_INVALID_PARAMETERS
+        return InvalidParameterError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,24 +1,25 @@
 """Exception taxonomy shared across the package.
 
-Every error that the command line surfaces maps onto one of three base
-classes so that exit codes stay predictable:
+Every error that the command line surfaces derives from one of three
+base classes, and its ``exit_code`` attribute, inherited from that
+base, is the process exit code:
 
     InvalidParameterError  -> exit 2   (bad rates, windows, grids, flags)
     InvalidDataError       -> exit 3   (unusable sample files or arrays)
     ModelInapplicableError -> exit 4   (model evaluated outside its domain)
 """
 
-EXIT_INVALID_PARAMETERS = 2
-EXIT_INVALID_DATA = 3
-EXIT_MODEL_INAPPLICABLE = 4
-
 
 class FirstPhotonError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+
 
 class InvalidParameterError(FirstPhotonError, ValueError):
     """A configuration value is outside its allowed domain."""
+
+    exit_code = 2
 
 
 class WindowTooWideError(InvalidParameterError):
@@ -36,9 +37,13 @@ class WindowTooWideError(InvalidParameterError):
 class InvalidDataError(FirstPhotonError, ValueError):
     """Input samples are empty, non-numeric, or otherwise unusable."""
 
+    exit_code = 3
+
 
 class ModelInapplicableError(FirstPhotonError, ValueError):
     """A likelihood or density was requested where the model is undefined."""
+
+    exit_code = 4
 
 
 class IntegrationBlowupError(InvalidParameterError):
@@ -57,13 +62,3 @@ class GridTooSmallError(InvalidParameterError):
     """Amplitude support reaches the grid boundary; periodic wrap-around
     from the spectral propagator would corrupt the result."""
 
-
-def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the process exit code the CLI should use."""
-    if isinstance(exc, ModelInapplicableError):
-        return EXIT_MODEL_INAPPLICABLE
-    if isinstance(exc, InvalidDataError):
-        return EXIT_INVALID_DATA
-    if isinstance(exc, InvalidParameterError):
-        return EXIT_INVALID_PARAMETERS
-    return 1

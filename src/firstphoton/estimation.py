@@ -20,11 +20,10 @@ import numpy as np
 from . import analytic
 from .analytic import RatePair, WindowConfig
 from .errors import InvalidDataError, ModelInapplicableError
+from .series import CHUNK_ROWS
 
 PREFER_ENTANGLED = "entangled"
 PREFER_PRODUCT = "product"
-# samples per product-density evaluation in log_likelihood_product
-LOG_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,14 +109,15 @@ def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> floa
     the density underflows to 0, as it does once g * t passes about 745
     for both rates.
 
-    The density is evaluated LOG_BLOCK samples at a time into one buffer
-    of logs, which is summed once, so the result has the bits of
+    The density is evaluated ``series.CHUNK_ROWS`` samples at a time, the
+    chunk that sampling and post-selection use, into one buffer of logs,
+    which is summed once, so the result has the bits of
     ``np.sum(np.log(pdf))`` over all samples at once.
     """
     t = _clean_times(times, require_positive=False)
     logs = np.empty_like(t)
-    for start in range(0, t.size, LOG_BLOCK):
-        block = t[start:start + LOG_BLOCK]
+    for start in range(0, t.size, CHUNK_ROWS):
+        block = t[start:start + CHUNK_ROWS]
         pdf = analytic.product_first_pdf(block, rates, window)
         k = int(np.argmin(pdf))
         if not pdf[k] > 0.0:
@@ -125,7 +125,7 @@ def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> floa
                 f"window density underflows to 0 at t={block[k]:.6g} for tau="
                 f"{window.tau}, rates=({rates.gamma_a}, "
                 f"{rates.gamma_b}); likelihood undefined")
-        np.log(pdf, out=logs[start:start + LOG_BLOCK])
+        np.log(pdf, out=logs[start:start + CHUNK_ROWS])
     return float(np.sum(logs))
 
 

@@ -20,11 +20,12 @@ the other exponents) are formatted one by one with ``%.17g``.  An
 integer is the digits of its uint64 magnitude after a sign slot, and a
 label column's matrix is a view of its bytes.  A column of any other
 dtype (bool, object, ...), a label that is not ASCII or holds a NUL
-(which would read as padding), and a header name with a surrogate code
-point (which has no UTF-8) raise InvalidDataError before
-``write_table`` opens the file.  Memory beyond the columns is a few
-chunks' matrices and text whatever the row count, and the file does not
-depend on the chunk size.
+(which would read as padding), a header name with a surrogate code
+point (which has no UTF-8), and a header name or label holding a
+separator (``,``, ``"``, CR or LF, which would split or quote its row)
+raise InvalidDataError before ``write_table`` opens the file.  Memory
+beyond the columns is a few chunks' matrices and text whatever the row
+count, and the file does not depend on the chunk size.
 
 Both directions map their tasks in order, in this process or in this
 process and forked children: with w workers, task i runs in worker
@@ -97,6 +98,8 @@ _FLOAT_BYTES = np.frombuffer(b"-0.000" + b"\1." * 16 + b"\1e-\1\1", np.uint8)[:,
 _DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
 _DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
 _ZERO = np.uint8(ord("0"))
+# what no header name or label may hold: its row would not read back
+_SEPARATORS = b',"\r\n'
 
 
 # how many processes write_table may use, None for one per usable CPU;
@@ -375,7 +378,8 @@ def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
 
 def _label_column(name: str, column: np.ndarray) -> np.ndarray:
     """A str or bytes column as contiguous ASCII bytes; InvalidDataError
-    for any other dtype, a non-ASCII label or a NUL inside a label."""
+    for any other dtype, a non-ASCII label, or a NUL or separator inside a
+    label."""
     if column.dtype.kind not in "US":
         raise InvalidDataError(f"column {name!r} holds {column.dtype}, not numbers or labels")
     try:
@@ -387,9 +391,11 @@ def _label_column(name: str, column: np.ndarray) -> np.ndarray:
     # an array keeps no trailing NUL, so a NUL is a 0 before a used byte
     cells = column.view(np.uint8).reshape(column.size, column.itemsize)
     for start in range(0, column.size, CHUNK_ROWS):
-        used = cells[start:start + CHUNK_ROWS] != 0
-        if (used[:, 1:] > used[:, :-1]).any():
-            raise InvalidDataError(f"label column {name!r} holds a NUL character")
+        chunk = cells[start:start + CHUNK_ROWS]
+        used = chunk != 0
+        if (used[:, 1:] > used[:, :-1]).any() or any((chunk == b).any() for b in _SEPARATORS):
+            raise InvalidDataError(
+                f"label column {name!r} holds a NUL, comma, quote or line break")
     return column
 
 
@@ -409,6 +415,9 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     for c in cols:
         if c.shape != (n,):
             raise InvalidDataError("all columns must share one length")
+    for name in header:
+        if any(chr(byte) in name for byte in _SEPARATORS):
+            raise InvalidDataError(f"header name {name!r} holds a comma, quote or line break")
     cols = [c if c.dtype.kind in "fiu" else _label_column(name, c)
             for name, c in zip(header, cols)]
     try:

@@ -370,9 +370,28 @@ class TestProductWindowLaw:
         t = np.sort(np.concatenate([[0.0, tau], t]))
         cdf = an.product_first_cdf(t, rates, window, "exact")
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
-        # rounding may step back a few ulp where the bin index changes
-        assert np.all(np.diff(cdf) >= -1e-12)
+        assert np.all(np.diff(cdf) >= 0.0)
         assert np.all(an.product_first_pdf(t, rates, window) >= 0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("mode", an.WINDOW_MODES)
+    def test_exact_cdf_never_steps_back(self, mode, seed):
+        # the 4 ulp on either side of the first five multiples of tau, where
+        # the bin index changes, at 500 random (rates, tau) per seed: before
+        # the running maximum, rounding stepped the CDF back at 685 of the
+        # 2000 grid-bin points and 229 of the pairwise ones, by up to 3.8e-13
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            g_a, g_b = np.exp(rng.uniform(-2.0, 2.0, 2))
+            window = WindowConfig(tau=math.exp(rng.uniform(-3.0, 1.0)), mode=mode)
+            below = above = window.tau * np.arange(1.0, 6.0)
+            t = [below]
+            for _ in range(4):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                t += [below, above]
+            cdf = an.product_first_cdf(np.sort(np.concatenate(t)), RatePair(g_a, g_b),
+                                       window, "exact")
+            assert np.all(np.diff(cdf) >= 0.0), (g_a, g_b, window)
 
     @given(g_a=rates_st, g_b=rates_st, factor=st.floats(min_value=1.01, max_value=4.0),
            mode=st.sampled_from(an.WINDOW_MODES),
@@ -387,7 +406,7 @@ class TestProductWindowLaw:
         t = np.sort(np.concatenate([[0.0, window.tau], t]))
         cdf = an.product_first_cdf(t, rates, window, "exact")
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
-        assert np.all(np.diff(cdf) >= -1e-12)
+        assert np.all(np.diff(cdf) >= 0.0)
         assert np.all(an.product_first_pdf(t, rates, window) >= 0.0)
 
     @pytest.mark.parametrize("mode", an.WINDOW_MODES)

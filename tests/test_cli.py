@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import firstphoton
-from firstphoton import series
+from firstphoton import analytic, errors, series
 from firstphoton.cli import main
 from firstphoton.series import read_columns
 
@@ -575,6 +575,53 @@ PROBE_CASES = [(base, flag, value) for base, flags in PROBED
                for flag in flags for value in PROBE_VALUES]
 
 
+# Sample files whose contents a reader must refuse or read, each run by
+# every reader subcommand in both window modes.
+SAMPLE_FILES = {
+    "empty": b"",
+    "bom-only": b"\xef\xbb\xbf",
+    "header-only": b"t_first,t_second\n",
+    "one-row": b"t_first,t_second\n0.5,1\n",
+    "nan": b"t_first,t_second\nnan,1\n0.5,nan\n",
+    "inf": b"t_first,t_second\ninf,inf\n",
+    "1e308": b"t_first,t_second\n1e308,1e308\n0.5,1e308\n",
+    "subnormal": b"t_first,t_second\n5e-324,1e-320\n",
+    "negative": b"t_first,t_second\n-0.5,1\n",
+    "out-of-order": b"t_first,t_second\n2,1\n",
+    "open-quote": b't_first,t_second\n"0.5,1\n',
+    "quoted-newline": b't_first,t_second\n"0.5\n",1\n',
+    "cr-only": b"t_first,t_second\r0.5,1\r0.25,2\r",
+    "nul": b"t_first,t_second\n0.5,\x001\n",
+    "not-utf8": b"t_first,t_second\n0.5,\xff\n",
+    "surrogate": b"t_first,t_second\n0.5,\xed\xa0\x80\n",
+    "blank-lines": b"t_first,t_second\n\n0.5,1\n\n",
+    "whitespace-lines": b"t_first,t_second\n   \n0.5,1\n\t\n",
+    "short-row": b"t_first,t_second\n0.5\n",
+    "tab": b"t_first\tt_second\n0.5\t1\n",
+    "semicolon": b"t_first;t_second\n0.5;1\n",
+}
+READERS = [[command, *switch, "--mode", mode]
+           for command in ("fit", "discriminate") for switch in ([], ["--postselect"])
+           for mode in analytic.WINDOW_MODES]
+SAMPLE_CASES = [(name, reader) for name in SAMPLE_FILES for reader in READERS]
+
+# --config files, each read by every probed subcommand
+CONFIG_FILES = {
+    "nul": b"gamma_a = \x001\n",
+    "not-utf8": b"gamma_a = \xff\n",
+    "no-equals": b"gamma_a 1\n",
+    "empty-key": b" = 1\n",
+    "mismatched-quotes": b"gamma_a = \"1.5'\n",
+    "help": b"help = true\n",
+    "version": b"version = true\n",
+    "subcommand": b"subcommand = fit\n",
+    "handler": b"handler = fit\n",
+    "100kB-value": b"gamma_a = " + b"1" * 100_000 + b"\n",
+    "cr-only": b"gamma_a = 2\rgamma_b = 3\r",
+}
+CONFIG_CASES = [(name, base) for name in CONFIG_FILES for base, _ in PROBED]
+
+
 @pytest.fixture(scope="module")
 def probe_records(tmp_path_factory):
     records = tmp_path_factory.mktemp("probe") / "records.csv"
@@ -587,20 +634,54 @@ class TestExitCodeContract:
     """Every input ends with exit 0, 2, 3 or 4 and at most one error
     line, never an exception or a warning."""
 
+    @staticmethod
+    def check(capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) <= 1, err
+
+    @staticmethod
+    def complete(base, tmp_path, samples):
+        """``base`` with the flags its subcommand requires."""
+        if base[0] in ("fit", "discriminate"):
+            return [*base, "--samples", str(samples)]
+        if base[0] != "wavefunction":
+            return [*base, "--out", str(tmp_path / "out")]
+        return base
+
     @pytest.mark.parametrize("base, flag, value", PROBE_CASES,
                              ids=[" ".join([*base, flag, value]) for base, flag, value
                                   in PROBE_CASES])
     def test_numeric_flag(self, tmp_path, capsys, probe_records, base, flag, value):
-        if base[0] in ("fit", "discriminate"):
-            base = [*base, "--samples", str(probe_records)]
-        elif base[0] != "wavefunction":
-            base = [*base, "--out", str(tmp_path / "out")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main([*base, f"{flag}={value}"])
-        assert code in (0, 2, 3, 4)
-        err = capsys.readouterr().err
-        assert sum("error:" in line for line in err.splitlines()) <= 1, err
+        self.check(capsys, [*self.complete(base, tmp_path, probe_records), f"{flag}={value}"])
+
+    @pytest.mark.parametrize("name, reader", SAMPLE_CASES,
+                             ids=[f"{name} {' '.join(reader)}" for name, reader in SAMPLE_CASES])
+    def test_sample_file_contents(self, tmp_path, capsys, name, reader):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(SAMPLE_FILES[name])
+        self.check(capsys, [*reader, "--tau", "0.02", "--samples", str(samples)])
+
+    @pytest.mark.parametrize("name, base", CONFIG_CASES,
+                             ids=[f"{name} {' '.join(base)}" for name, base in CONFIG_CASES])
+    def test_config_file_contents(self, tmp_path, capsys, probe_records, name, base):
+        config = tmp_path / "defaults.conf"
+        config.write_bytes(CONFIG_FILES[name])
+        self.check(capsys, [*self.complete(base, tmp_path, probe_records),
+                            "--config", str(config)])
+
+    def test_each_error_class_has_the_exit_code_of_its_base(self):
+        codes = {errors.FirstPhotonError: 1, errors.InvalidParameterError: 2,
+                 errors.InvalidDataError: 3, errors.ModelInapplicableError: 4}
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.FirstPhotonError)]
+        assert len(classes) > len(codes)
+        for cls in classes:
+            base = next(b for b in cls.__mro__ if b in codes)
+            assert cls.exit_code == codes[base], cls
 
 
 @pytest.fixture(scope="module")

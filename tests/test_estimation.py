@@ -11,6 +11,7 @@ from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
 from firstphoton.analytic import RatePair, WindowConfig
 from firstphoton.errors import InvalidDataError, ModelInapplicableError
+from firstphoton.series import CHUNK_ROWS
 
 RATES = RatePair(1.0, 1.5)
 
@@ -145,7 +146,7 @@ class TestProductLikelihood:
 
     def test_blocks_give_the_single_pass_bits(self, product_window_times):
         # three full blocks and a short one
-        t = np.resize(product_window_times, 3 * es.LOG_BLOCK + 5)
+        t = np.resize(product_window_times, 3 * CHUNK_ROWS + 5)
         window = WindowConfig(tau=0.02)
         single = float(np.sum(np.log(an.product_first_pdf(t, RATES, window))))
         assert es.log_likelihood_product(t, RATES, window) == single
@@ -154,11 +155,11 @@ class TestProductLikelihood:
         # block 0 holds a density that underflows to 0, block 2 the
         # smallest positive one; the error names the zero
         window = WindowConfig(tau=5.0 / 6.0)
-        t = np.full(3 * es.LOG_BLOCK + 5, 2.0)
+        t = np.full(3 * CHUNK_ROWS + 5, 2.0)
         t[7] = 1000.0
-        t[2 * es.LOG_BLOCK + 11] = 700.0
+        t[2 * CHUNK_ROWS + 11] = 700.0
         pdf = an.product_first_pdf(t, RATES, window)
-        assert pdf[7] == 0.0 and 0.0 < pdf[2 * es.LOG_BLOCK + 11] < 1e-300
+        assert pdf[7] == 0.0 and 0.0 < pdf[2 * CHUNK_ROWS + 11] < 1e-300
         with pytest.raises(ModelInapplicableError, match="t=1000 "):
             es.log_likelihood_product(t, RATES, window)
 

@@ -434,22 +434,31 @@ class TestWriter:
         assert not path.exists()
 
     @pytest.mark.parametrize("column", [np.array(["a", "b\0c"]), np.array(["a", "\0b"]),
-                                        np.array([b"a", b"b\0c"])],
-                             ids=["inside", "leading", "bytes"])
+                                        np.array([b"a", b"b\0c"]),
+                                        np.array([b"A,B", b"C"]), np.array(['"A"', "B"]),
+                                        np.array([b"A", b"C\nD"]), np.array(["A", "B\r"])],
+                             ids=["inside", "leading", "bytes",
+                                  "comma", "quote", "lf", "cr"])
     def test_nul_in_text_is_data_error(self, tmp_path, column):
+        # a label "C\nD" would read back as two rows, "A,B" as two cells
         path = tmp_path / "t.csv"
         with pytest.raises(InvalidDataError, match="'label'.*NUL"):
             write_table(path, ["x", "label"], [np.zeros(2), column])
         assert not path.exists()
 
-    @pytest.mark.parametrize("name, header, column", [
-        ("a\ud800", ["x", "a\ud800"], np.array(["a", "b"])),
-    ], ids=["header"])
-    def test_surrogate_is_data_error(self, tmp_path, name, header, column):
-        # a lone surrogate has no UTF-8 bytes
+    @pytest.mark.parametrize("name, header, reason", [
+        ("a\ud800", ["x", "a\ud800"], "UTF-8"),
+        ("a,b", ["a,b", "c"], "comma"),
+        ('a"', ['a"', "c"], "quote"),
+        ("a\rb", ["a\rb", "c"], "line break"),
+        ("c\n", ["a", "c\n"], "line break"),
+    ], ids=["header", "header-comma", "header-quote", "header-cr", "header-lf"])
+    def test_surrogate_is_data_error(self, tmp_path, name, header, reason):
+        # a lone surrogate has no UTF-8 bytes; a header of ["a,b", "c"]
+        # would read back as three names over rows of two cells
         path = tmp_path / "t.csv"
-        with pytest.raises(InvalidDataError, match=re.escape(repr(name)) + ".*UTF-8"):
-            write_table(path, header, [np.zeros(2), column])
+        with pytest.raises(InvalidDataError, match=re.escape(repr(name)) + ".*" + reason):
+            write_table(path, header, [np.zeros(2), np.array(["a", "b"])])
         assert not path.exists()
 
     @pytest.mark.parametrize("processes", [1, 2, 3])

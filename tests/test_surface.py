@@ -8,6 +8,9 @@ module.  A name that only tests read belongs in the tests, and a
 private helper outlives what it served once nothing calls it.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +58,18 @@ def test_every_public_name_has_a_reader():
 
 def test_every_private_helper_has_a_reader():
     assert unread_names(private=True) == []
+
+
+def test_importing_one_module_loads_only_what_it_imports():
+    # the package __init__ imports no submodule, so the Monte Carlo layer
+    # comes without the solvers it never calls
+    code = ("import sys, firstphoton.montecarlo; "
+            "print(sorted(m for m in sys.modules if m.startswith('firstphoton')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    loaded = ast.literal_eval(proc.stdout)
+    assert "firstphoton.montecarlo" in loaded
+    assert "firstphoton.wavefunction" not in loaded
+    assert "firstphoton.kinetics" not in loaded
