@@ -159,14 +159,6 @@ def load_config(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _rates(args) -> RatePair:
-    return RatePair(gamma_a=args.gamma_a, gamma_b=args.gamma_b)
-
-
-def _window(args) -> WindowConfig:
-    return WindowConfig(tau=args.tau, mode=args.mode)
-
-
 def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
     """InvalidParameterError naming ``flag``, before anything is allocated,
     when an array of n_items items of ``itemsize`` bytes exceeds physical
@@ -201,8 +193,8 @@ def _write_manifest(args, argv, outputs: list[str]) -> None:
 
 
 def cmd_analytic(args) -> tuple[None, list[str]]:
-    rates = _rates(args)
-    window = _window(args)
+    rates = RatePair(args.gamma_a, args.gamma_b)
+    window = WindowConfig(args.tau, args.mode)
     if args.n_points < 2:
         raise InvalidParameterError("need at least 2 grid points")
     if not (np.isfinite(args.t_max) and args.t_max > 0.0):
@@ -221,8 +213,8 @@ def cmd_analytic(args) -> tuple[None, list[str]]:
 
 
 def cmd_simulate(args) -> tuple[None, list[str]]:
-    rates = _rates(args)
-    window = _window(args)
+    rates = RatePair(args.gamma_a, args.gamma_b)
+    window = WindowConfig(args.tau, args.mode)
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
                                   kind=args.kind, window=window, seed=args.seed)
     _require_array_size(f"--n-pairs {args.n_pairs}", args.n_pairs,
@@ -255,11 +247,10 @@ def cmd_simulate(args) -> tuple[None, list[str]]:
     return None, [args.out, summary_path]
 
 
-def _load_times(args) -> np.ndarray:
+def _load_times(args, window: WindowConfig) -> np.ndarray:
     if not args.postselect:
         return read_columns(args.samples, ["t_first"])["t_first"]
     records = montecarlo.read_records_csv(args.samples)
-    window = _window(args)
     kept, summary = montecarlo.postselect(records, window)
     del records     # before the times are allocated
     if summary.kept == 0 and summary.discarded > 0:
@@ -269,17 +260,34 @@ def _load_times(args) -> np.ndarray:
     return montecarlo.one_photon_window_times(kept)
 
 
+def _score_samples(args, score) -> dict:
+    """``score(times, rates, window)`` of the ``--samples`` times, as a dict.
+
+    The flags are checked first at the latest time a simulated record can
+    hold under them, with the checks the times meet later (the bin index,
+    and for ``discriminate`` the product law): a failure there is the
+    flags' (exit 2), and one only at the samples' times is theirs (exit 3).
+    """
+    rates, window = RatePair(args.gamma_a, args.gamma_b), WindowConfig(args.tau, args.mode)
+    latest = montecarlo.latest_time(rates, window)
+    if args.subcommand == "discriminate":
+        analytic.product_first_pdf(latest, rates, window)
+    try:
+        return asdict(score(_load_times(args, window), rates, window))
+    except InvalidParameterError as exc:
+        raise InvalidDataError(f"{args.samples}: {exc}") from None
+
+
 def cmd_fit(args) -> tuple[dict, list[str]]:
-    return asdict(estimation.mle_exponential(_load_times(args))), []
+    return _score_samples(args, lambda times, *_: estimation.mle_exponential(times)), []
 
 
 def cmd_discriminate(args) -> tuple[dict, list[str]]:
-    times = _load_times(args)
-    return asdict(estimation.discriminate(times, _rates(args), _window(args))), []
+    return _score_samples(args, estimation.discriminate), []
 
 
 def cmd_kinetics(args) -> tuple[None, list[str]]:
-    rates = _rates(args)
+    rates = RatePair(args.gamma_a, args.gamma_b)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end)
     _require_array_size(f"--t-end / --step = {args.t_end!r} / {args.step!r}",
                         (config.n_steps + 1) * len(kinetics.STATE_FIELDS), 8)
@@ -396,7 +404,9 @@ def main(argv=None) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     except FirstPhotonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a path that is not UTF-8 holds surrogate escapes, printed as
+        # \udcXX whatever the stream's error handler
+        print("error:", str(exc).encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
         return exc.exit_code
     except MemoryError:
         # sizes below physical memory that the process may not allocate

@@ -62,6 +62,21 @@ RECORD_DTYPE = np.dtype([
 RECORD_COLUMNS = ["pair_id", "t_first", "channel_first", "t_second", "channel_second"]
 
 
+def latest_time(rates: RatePair, window: WindowConfig) -> float:
+    """The latest photon time either kernel can draw: the longest wait at
+    gamma_f, then the longest at the slower rate.  InvalidParameterError
+    when it, or in grid-bin mode its bin index t / tau, leaves the float range."""
+    g_a, g_b = rates.gamma_a, rates.gamma_b
+    latest = _LONGEST_WAIT / rates.gamma_f + _LONGEST_WAIT / min(g_a, g_b)
+    if not math.isfinite(latest):
+        raise InvalidParameterError(
+            f"rates ({g_a!r}, {g_b!r}) are too small: their photon times "
+            "overflow the float range")
+    if window.mode == MODE_GRID_BIN:
+        _require_bin_index(latest, window.tau)
+    return latest
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one simulation run."""
@@ -79,16 +94,7 @@ class SimConfig:
             raise InvalidParameterError(f"kind must be one of {PAIR_KINDS}, got {self.kind!r}")
         if not isinstance(self.seed, (int, np.integer)):
             raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
-        # the latest photon time either kernel can draw: the longest wait
-        # at gamma_f, then the longest at the slower rate
-        g_a, g_b = self.rates.gamma_a, self.rates.gamma_b
-        latest = _LONGEST_WAIT / self.rates.gamma_f + _LONGEST_WAIT / min(g_a, g_b)
-        if not math.isfinite(latest):
-            raise InvalidParameterError(
-                f"rates ({g_a!r}, {g_b!r}) are too small: their photon times "
-                "overflow the float range")
-        if self.window.mode == MODE_GRID_BIN:
-            _require_bin_index(latest, self.window.tau)
+        latest_time(self.rates, self.window)
 
 
 @dataclass(frozen=True)

@@ -27,34 +27,28 @@ raise InvalidDataError before ``write_table`` opens the file.  Memory
 beyond the columns is a few chunks' matrices and text whatever the row
 count, and the file does not depend on the chunk size.
 
-Both directions map their tasks in order, in this process or in this
-process and forked children: with w workers, task i runs in worker
-i % w, worker 0 being the caller, and each child inherits the table or
-the buffer through fork and pickles its results down a pipe.  Fork
-copies only the calling thread, so no child is forked while another
-thread runs.  Files, values and errors are the same for every process
-count.  ``write_table`` maps its chunks in up to one process per usable
-CPU, as ``read_columns`` maps its ranges, or in at most n inside
-``with processes(n):``, and writes the texts in chunk order; a table of
-one chunk never forks.
+Both directions map their tasks with ``_ordered_map``: a map of two
+tasks or more runs in up to one process per usable CPU, this one and
+forked children that inherit the table or the buffer, and yields the
+results, or raises the first error, in task order, so files, values and
+errors are the same for every process count.  ``write_table``'s tasks
+are its chunks (in at most n processes inside ``with processes(n):``),
+whose texts it writes in order.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
-line-aligned block of about ``READ_BLOCK_BYTES`` (512 KiB) at a time.
+line-aligned block of about ``READ_BLOCK_BYTES`` (512 KiB) per task.
 The parent first reads the blocks once to count their lines, which
 bounds their rows, and lays out the table in an anonymous shared
-mapping: ``lines`` rows with one float64 field per name.  Each block's
-rows go straight to its own rows of the table, and the table comes back
-cut to the rows parsed, not copied.  The blocks are mapped in ranges of
-whole blocks of at least ``READ_RANGE_BYTES`` (4 MiB), so a file of two
-such ranges or more is parsed in several processes, and the workers
-write the table in place: only block row counts come back.  Blank lines
-leave a block short of its line count; the parent closes such gaps in
-order by moving whole rows.  Data holding a ``"`` is parsed as one
-block, since a quoted cell may hold a newline.  An error names the
-file, and the file's line of a bad row (the header is line 1, and blank
-lines count), which the failing block alone gives; a byte that is not
-UTF-8 is named by its offset in the file.
+mapping: ``lines`` rows with one float64 field per name.  A task writes
+its block's rows straight to the table from the block's first line on
+and returns their count; the table comes back cut to the rows parsed,
+not copied.  Blank lines leave a block short of its line count; the
+parent closes such gaps in order by moving whole rows.  Data holding a
+``"`` is parsed as one block, since a quoted cell may hold a newline.
+An error names the file, and the file's line of a bad row (the header
+is line 1, and blank lines count), which the failing block alone gives;
+a byte that is not UTF-8 is named by its offset in the file.
 
 ``mmap`` and ``signal`` are imported only when they are used, off the
 import path, and the map needs no process pool module.
@@ -79,7 +73,6 @@ CHUNK_ROWS = 16384
 # a block's parse temporaries, about five times its size, may stay on
 # glibc's heap after the parse; 1 MiB blocks kept up to 9 MB at 2**19 records
 READ_BLOCK_BYTES = 1 << 19
-READ_RANGE_BYTES = 4 << 20
 
 # decimal exponents whose 17 digits the float kernel forms exactly:
 # s = 16 - k must keep 5**s below 2**64
@@ -547,39 +540,37 @@ def _name_line(message: str, raw: bytes, usecols: list[int], line0: int) -> str:
     return message
 
 
-def _parse_blocks(path, usecols: list[int], buf: np.ndarray, line0: int,
-                  blocks: list[tuple[int, int, int]]) -> tuple[list[int], str | None]:
-    """Parse each (start, stop, row0) block of the file into the float
-    matrix ``buf[row0:]``; returns the blocks' row counts up to the first
-    block that fails, and that block's error or None.
+def _parse_block(path, usecols: list[int], buf: np.ndarray, line0: int,
+                 start: int, stop: int, row0: int) -> int:
+    """Parse bytes ``start`` to ``stop`` of the file into the float matrix
+    ``buf[row0:]`` and return the row count.
 
-    The first data line is line ``line0`` of the file.  The error names
-    the file's line of a bad row, counted from 1 at the header, or the
-    offset in the file of a byte that is not UTF-8, whichever comes first.
+    The first data line is line ``line0`` of the file.  InvalidDataError
+    names the file and the file's line of a bad row, counted from 1 at
+    the header, or the offset in the file of a byte that is not UTF-8,
+    whichever comes first in the block.
     """
-    counts = []
     with open(path, "rb") as fh, warnings.catch_warnings():
         # a block of blank lines, or a header-only file, holds no rows
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                UserWarning)
-        for start, stop, row0 in blocks:
-            fh.seek(start)
-            raw = fh.read(stop - start)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        fh.seek(start)
+        raw = fh.read(stop - start)
+        try:
+            data = _loadtxt(raw, usecols)
+        except UnicodeDecodeError:
+            # loadtxt decodes line by line and stops at the first line
+            # that fails, which holds the block's first byte not UTF-8
             try:
-                data = _loadtxt(raw, usecols)
-            except UnicodeDecodeError:
-                # loadtxt decodes line by line and stops at the first line
-                # that fails, which holds the block's first byte not UTF-8
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    return counts, f"byte {start + exc.start} is not UTF-8 text: {exc.reason}"
-                raise
-            except ValueError as exc:
-                return counts, _name_line(str(exc), raw, usecols, line0 + row0)
-            buf[row0:row0 + len(data)] = data
-            counts.append(len(data))
-    return counts, None
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InvalidDataError(f"{path}: byte {start + exc.start} is not UTF-8 "
+                                       f"text: {exc.reason}") from None
+            raise
+        except ValueError as exc:
+            raise InvalidDataError(
+                f"{path}: {_name_line(str(exc), raw, usecols, line0 + row0)}") from None
+    buf[row0:row0 + len(data)] = data
+    return len(data)
 
 
 def read_columns(path, names: list[str]) -> np.ndarray:
@@ -589,8 +580,8 @@ def read_columns(path, names: list[str]) -> np.ndarray:
     Missing columns, short rows and non-numeric cells raise
     InvalidDataError; extra columns are ignored so record files with
     channel labels still load.  A header-only file gives no rows.
-    A file of several ``READ_RANGE_BYTES`` is parsed in up to one
-    process per usable CPU, this one and forked children, or in this
+    A file of two ``READ_BLOCK_BYTES`` blocks or more is parsed in up to
+    one process per usable CPU, this one and forked children, or in this
     process alone while another thread runs, with the same result.
     """
     names = list(dict.fromkeys(names))
@@ -611,7 +602,6 @@ def read_columns(path, names: list[str]) -> np.ndarray:
             raise InvalidDataError(f"{path}: missing required column(s) {', '.join(missing)}")
         usecols = [index[n] for n in names]
         plan, lines = _blocks(fh, start)
-        size = fh.tell() - start
     import mmap
     # MAP_SHARED: what forked children write to the table's float matrix
     # is the parent's too; mmap maps no 0 bytes, so an empty table gets
@@ -619,17 +609,10 @@ def read_columns(path, names: list[str]) -> np.ndarray:
     memory = mmap.mmap(-1, max(8 * len(names) * lines, 1))
     table = np.ndarray(lines, {"names": names, "formats": ["f8"] * len(names)}, memory)
     buf = np.ndarray((lines, len(names)), buffer=memory)
-    parts = min(len(plan), max(size // READ_RANGE_BYTES, 1))
-    ranges = [(plan[i * len(plan) // parts:(i + 1) * len(plan) // parts],)
-              for i in range(parts)]
-    results = _ordered_map(_parse_blocks, (path, usecols, buf, header_lines + 1), ranges)
-    counts = []
-    for part, error in results:
-        counts += part
-        if error is not None:
-            results.close()     # kills the children still parsing
-            raise InvalidDataError(f"{path}: {error}")
+    counts = _ordered_map(_parse_block, (path, usecols, buf, header_lines + 1), plan)
     rows = 0
+    # a later block writes only at or past its own row0, which is at
+    # least ``rows + n``, so gaps close while it parses
     for (_, _, row0), n in zip(plan, counts):
         if row0 != rows:    # blank lines above
             buf[rows:rows + n] = buf[row0:row0 + n]

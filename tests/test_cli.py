@@ -15,7 +15,7 @@ import pytest
 
 import firstphoton
 from firstphoton import analytic, errors, series
-from firstphoton.cli import main
+from firstphoton.cli import build_parser, main
 from firstphoton.series import read_columns
 
 
@@ -289,8 +289,8 @@ class TestFit:
                                          ["discriminate", "--postselect"]])
     def test_bad_cell_in_last_range_is_data_error(self, tmp_path, capsys, monkeypatch,
                                                   no_child_left, command):
-        # 4 KiB ranges: the 2000-row file is parsed in two processes on two CPUs
-        monkeypatch.setattr(series, "READ_RANGE_BYTES", 4096)
+        # 4 KiB blocks: the 2000-row file is parsed in two processes on two CPUs
+        monkeypatch.setattr(series, "READ_BLOCK_BYTES", 4096)
         samples = tmp_path / "r.csv"
         assert main(["simulate", "--kind", "product", "--n-pairs", "2000",
                      "--tau", "0.02", "--out", str(samples)]) == 0
@@ -303,6 +303,24 @@ class TestFit:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "r.csv" in err and "at line 1999," in err
         assert no_child_left()
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma-a", "nan", "--gamma-b", "-5", "--tau", "inf"],
+        ["--gamma-a", "0"],
+        ["--gamma-b", "1e-320"],
+        ["--tau", "-1"],
+        ["--postselect", "--tau", "nan"],
+    ], ids=["three", "gamma-a", "gamma-b", "tau", "postselect-tau"])
+    def test_invalid_rate_or_window_flag_is_parameter_error(self, tmp_path, capsys, flags):
+        # fit reads no rate, but it takes the rate flags and records them
+        samples = tmp_path / "r.csv"
+        samples.write_text("t_first,t_second\n0.5,1\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--samples", str(samples), *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [samples]
 
     def test_nonpositive_sample_is_data_error(self, tmp_path, capsys):
         samples = tmp_path / "bad.csv"
@@ -542,6 +560,30 @@ class TestTimeOverflow:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--postselect"],
+        ["discriminate"],
+        ["discriminate", "--postselect"],
+        ["discriminate", "--mode", "pairwise"],
+        ["discriminate", "--postselect", "--mode", "pairwise"],
+    ], ids=["fit-postselect", "discriminate", "discriminate-postselect",
+            "discriminate-pairwise", "discriminate-postselect-pairwise"])
+    def test_in_the_samples_is_data_error(self, tmp_path, capsys, argv):
+        # the flags hold at the latest time a simulated record can reach;
+        # only the file's times of 1e308 overflow a bin index t / tau or an
+        # exponent rate * t
+        samples = tmp_path / "far.csv"
+        samples.write_bytes(b"t_first,t_second\n1e308,1e308\n0.5,1e308\n")
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*argv, "--tau", "0.02", "--samples", str(samples),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "far.csv: " in err and "overflows" in err
+        assert not out.exists()
+
     def test_pairwise_window_keeps_every_pair(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
         with warnings.catch_warnings():
@@ -573,6 +615,19 @@ PROBED = [
 ]
 PROBE_CASES = [(base, flag, value) for base, flags in PROBED
                for flag in flags for value in PROBE_VALUES]
+
+
+# String flags, each given these values on top of every probed base that
+# takes it: a choice an empty and an unknown value, a path each of
+# PATH_PROBES (see TestExitCodeContract.path)
+PATH_PROBES = ["directory", "missing-directory", "empty", "long-name", "not-utf8"]
+STRING_PROBES = {**{flag: ["", "unknown"]
+                    for flag in ("--mode", "--kind", "--window-variant", "--check")},
+                 **{flag: PATH_PROBES for flag in ("--samples", "--out", "--config")}}
+OPTIONS = {name: p._option_string_actions for name, p in build_parser().command_parsers.items()}
+STRING_CASES = [(base, flag, value) for base, _ in PROBED
+                for flag, values in STRING_PROBES.items() if flag in OPTIONS[base[0]]
+                for value in values]
 
 
 # Sample files whose contents a reader must refuse or read, each run by
@@ -656,6 +711,27 @@ class TestExitCodeContract:
                              ids=[" ".join([*base, flag, value]) for base, flag, value
                                   in PROBE_CASES])
     def test_numeric_flag(self, tmp_path, capsys, probe_records, base, flag, value):
+        self.check(capsys, [*self.complete(base, tmp_path, probe_records), f"{flag}={value}"])
+
+    @staticmethod
+    def path(name, tmp_path, records) -> str:
+        """The path a PATH_PROBES name stands for; the non-UTF-8 name (a
+        surrogate escape of byte 0xff) is a copy of the records."""
+        if name == "not-utf8":
+            path = tmp_path / os.fsdecode(b"records-\xff.csv")
+            shutil.copy(records, path)
+            return str(path)
+        return {"directory": str(tmp_path),
+                "missing-directory": str(tmp_path / "missing" / "f.csv"),
+                "empty": "",
+                "long-name": str(tmp_path / ("n" * 300))}[name]
+
+    @pytest.mark.parametrize("base, flag, value", STRING_CASES,
+                             ids=[" ".join([*base, flag, repr(value)]) for base, flag, value
+                                  in STRING_CASES])
+    def test_string_flag(self, tmp_path, capsys, probe_records, base, flag, value):
+        if flag in ("--samples", "--out", "--config"):
+            value = self.path(value, tmp_path, probe_records)
         self.check(capsys, [*self.complete(base, tmp_path, probe_records), f"{flag}={value}"])
 
     @pytest.mark.parametrize("name, reader", SAMPLE_CASES,

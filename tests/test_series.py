@@ -197,14 +197,13 @@ class TestReader:
 
 
 class TestReaderPool:
-    """read_columns on 40-byte ranges with 1, 2 and 3 usable CPUs, so that
-    forked children parse beside this process whenever there are two,
-    against one block parsed in this process."""
+    """read_columns on small blocks with 1, 2 and 3 usable CPUs, so that
+    forked children parse beside this process whenever there are two
+    blocks, against one block parsed in this process."""
 
     @pytest.fixture
     def pools(self, monkeypatch, forks, context):
         """The children forked to parse, in order."""
-        monkeypatch.setattr(series, "READ_RANGE_BYTES", 40)
         monkeypatch.setattr(series, "_usable_cpus", lambda: context)
         return forks
 
@@ -214,8 +213,8 @@ class TestReaderPool:
     def test_same_bits(self, tmp_path, monkeypatch, pools, no_child_left, context, block,
                        newline):
         # blank lines lead, follow every third row, pile up in the middle
-        # and trail, so some fall on every range edge; the last line has
-        # no newline.  Block 1 makes each line a block of its own.
+        # and trail, so some fall on block edges; the last line has no
+        # newline.  Block 1 makes each line a block of its own.
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", block)
         x = np.array(SPECIAL * 3)
         y = -x[::-1]
@@ -241,7 +240,7 @@ class TestReaderPool:
     def test_error_in_last_range(self, tmp_path, monkeypatch, pools, no_child_left, context,
                                  bad, where):
         # 2000 good rows with a blank line after every seventh, so blank
-        # lines fall on range edges, then the bad row and two more
+        # lines fall on block edges, then the bad row and two more
         rows = [b"%d,%d.5" % (i, i) + b"\n" * (1 + (i % 7 == 0)) for i in range(2000)]
         raw = b"a,b\n" + b"".join(rows) + bad + b"\n7,7\n8,8\n"
         path = tmp_path / "bad.csv"
@@ -249,13 +248,37 @@ class TestReaderPool:
         with pytest.raises(InvalidDataError) as whole:
             read_columns(path, ["a", "b"])      # one block, no child
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
-        with pytest.raises(InvalidDataError) as ranged:
+        with pytest.raises(InvalidDataError) as blocked:
             read_columns(path, ["a", "b"])
         assert no_child_left()
         assert len(pools) == context - 1
-        message = str(ranged.value)
+        message = str(blocked.value)
         assert message == str(whole.value) and "bad.csv" in message
         assert (where or "byte %d is not UTF-8" % raw.index(b"\xff")) in message
+
+    @pytest.mark.parametrize("context", [2])
+    def test_three_default_blocks_fork_one_child(self, tmp_path, monkeypatch, pools,
+                                                 no_child_left, context):
+        # about 1.1 MB is three blocks of the default size, so on two CPUs
+        # each read forks one child, and reads as one CPU does.  The bad
+        # file fails in the second block, the child's, and in the third
+        x = np.arange(32000) / 7.0
+        rows = ["%.17g,%.17g\n" % (v, -v) for v in x]
+        good = write_csv(tmp_path, "".join(["x,y\n", *rows]), "good.csv")
+        bad = write_csv(tmp_path, "".join(["x,y\n", *rows[:16000], "1,x\n", *rows[16000:],
+                                           "2,x\n"]))
+        assert 2 * series.READ_BLOCK_BYTES < good.stat().st_size < 3 * series.READ_BLOCK_BYTES
+        results = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            with pytest.raises(InvalidDataError) as error:
+                read_columns(bad, ["x", "y"])
+            results[cpus] = read_columns(good, ["x", "y"]), str(error.value)
+            assert len(pools) == 2 and no_child_left()
+        (forked, forked_error), (alone, alone_error) = results[2], results[1]
+        assert same_bits(forked["x"], x) and same_bits(forked["y"], -x)
+        assert same_bits(alone["x"], x) and same_bits(alone["y"], -x)
+        assert forked_error == alone_error and "at line 16002, column 2" in forked_error
 
     @pytest.mark.parametrize("context", [2])
     def test_no_pool_while_another_thread_runs(self, tmp_path, monkeypatch, pools, context):
@@ -606,7 +629,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # solving the compatibility relations, evaluating both window laws
     # and running every subcommand load no scipy, and no multiprocessing
     # or concurrent.futures either: rendering with two workers over three
-    # chunks and parsing a file of several read ranges fork plain children
+    # chunks and parsing a file of several read blocks fork plain children
     code = textwrap.dedent("""
         import importlib, os, pkgutil, sys
         import firstphoton
@@ -633,8 +656,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
                      ["kinetics", "--t-end", "0.5", "--out", "k.csv"],
                      ["wavefunction", "--check", "n0f-antisymmetric", "--n", "32"]):
             assert main(argv) == 0, argv
-        # 40000 records: 3 render chunks, and 64 KiB blocks each a read range
-        series.READ_BLOCK_BYTES = series.READ_RANGE_BYTES = 1 << 16
+        # 40000 records: 3 render chunks and 4 read blocks
         for argv in (["simulate", "--kind", "product", "--n-pairs", "40000",
                       "--tau", "0.1", "--workers", "2", "--out", "r2.csv"],
                      ["fit", "--samples", "r2.csv", "--tau", "0.1"],

@@ -458,7 +458,6 @@ class TestBands:
                      "--n", "64"]) == 0
         capsys.readouterr()
         monkeypatch.setattr(series, "READ_BLOCK_BYTES", 64)
-        monkeypatch.setattr(series, "READ_RANGE_BYTES", 64)
         x = np.arange(500) / 7.0
         path = tmp_path / "x.csv"
         path.write_text("x\n" + "".join("%.17g\n" % v for v in x))
