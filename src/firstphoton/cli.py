@@ -39,8 +39,21 @@ WAVEFUNCTION_CHECKS = ("antisymmetry-preservation", "n0f-antisymmetric",
                        "n0f-symmetric-input")
 
 
+def _printable(text: str) -> str:
+    """``text`` with the surrogate escapes of bytes that are not UTF-8
+    (in a path or argument) as ``\\udcXX``, which any stream prints."""
+    return text.encode("utf-8", "backslashreplace").decode()
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors printed as ``main`` prints its own, in subparsers too."""
+
+    def error(self, message):
+        super().error(_printable(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="firstphoton",
         description="Kinetics of first-photon emission from two-atom pairs")
     parser.add_argument("--version", action="version",
@@ -358,7 +371,7 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     subcommands take is skipped, so one file can serve them all; a key
     that no subcommand takes is an error.
     """
-    mini = argparse.ArgumentParser(add_help=False)
+    mini = _Parser(add_help=False)
     mini.add_argument("--config", default=None)
     path = mini.parse_known_args(argv)[0].config
     at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
@@ -404,9 +417,7 @@ def main(argv=None) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     except FirstPhotonError as exc:
-        # a path that is not UTF-8 holds surrogate escapes, printed as
-        # \udcXX whatever the stream's error handler
-        print("error:", str(exc).encode("utf-8", "backslashreplace").decode(), file=sys.stderr)
+        print("error:", _printable(str(exc)), file=sys.stderr)
         return exc.exit_code
     except MemoryError:
         # sizes below physical memory that the process may not allocate

@@ -11,12 +11,12 @@ as ``%d``, and a str or bytes column as its ASCII labels.
 (16384 rows).  numpy renders a chunk as one uint8 matrix with a row per
 byte slot of a table row and a column per table row, 0 meaning "no
 byte"; the chunk's text is the matrix transposed, with the 0 bytes
-deleted.  A float |x| = m * 2**q has the 17 digits
-round-half-even(m * 5**s * 2**(q + s)) with s = 16 - k for its decimal
-exponent k.  The product is formed exactly from 32-bit limbs for s in
-[0, 27], where 5**s < 2**64: decimal exponents -11 to 16, so |x| from
-1e-11 to below 1e17.  The cells it does not cover (0, nan, inf and
-the other exponents) are formatted one by one with ``%.17g``.  An
+deleted.  A float x has the 17 digits round-half-even(|x| * 10**s)
+with s = 16 - k for its decimal exponent k.  The product is formed
+exactly as Dekker's two-product of two doubles for s in [0, 22], where
+10**s is an exact double: decimal exponents -6 to 16, so |x| from 1e-6
+to below 1e17.  The cells it does not cover (0, nan, inf and the other
+exponents) are formatted one by one with ``%.17g``.  An
 integer is the digits of its uint64 magnitude after a sign slot, and a
 label column's matrix is a view of its bytes.  A column of any other
 dtype (bool, object, ...), a label that is not ASCII or holds a NUL
@@ -75,13 +75,16 @@ CHUNK_ROWS = 16384
 READ_BLOCK_BYTES = 1 << 19
 
 # decimal exponents whose 17 digits the float kernel forms exactly:
-# s = 16 - k must keep 5**s below 2**64
-_LOW_EXPONENT, _HIGH_EXPONENT = -11, 16
-_POW5 = np.array([5 ** s for s in range(16 - _LOW_EXPONENT + 1)], dtype=np.uint64)
+# s = 16 - k must keep 10**s an exact double
+_LOW_EXPONENT, _HIGH_EXPONENT = -6, 16
+_TEN = np.array([float(10 ** s) for s in range(16 - _LOW_EXPONENT + 1)])
+# the doubles nearest 10**j: from 1e-5 on 10**j or the next above it,
+# so |x| >= _BOUNDS[j + 6] exactly when |x| >= 10**j; 1e-6's is below
+_BOUNDS = np.array([float(f"1e{j}") for j in range(_LOW_EXPONENT, _HIGH_EXPONENT + 2)])
+# Veltkamp's splitter for doubles, 2**27 + 1
+_SPLITTER = 134217729.0
 # 0 and then 10**j, the least magnitude whose jth digit shows
 _POW10 = np.array([0] + [10 ** j for j in range(1, 20)], dtype=np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_U32, _U1 = np.uint64(32), np.uint64(1)
 # the float cell's slots: sign, "0." and up to three zeros before the
 # digits of a fixed form below 1, 17 digits with a point slot after each
 # of the first 16, and the exponent "e-XX"; _FLOAT_BYTES is the byte of
@@ -122,68 +125,52 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _scaled(m: np.ndarray, q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(m * 2**q * 10**(16 - k)) and whether rounding it half to
-    even goes up, for uint64 m < 2**53 and k in the covered range.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a as high + low, each of at most 26 significant bits (Veltkamp)."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
 
-    m * 5**s is formed exactly as hi * 2**64 + lo from 32-bit limbs,
-    then shifted right by -(q + s) with one bit kept below the point
-    (the round bit) and the bits below it or-ed into a sticky flag.
-    """
-    s = 16 - k
-    p = _POW5[s]
-    m0, m1 = m & _LOW32, m >> _U32
-    p0, p1 = p & _LOW32, p >> _U32
-    ll, lh, hl = m0 * p0, m0 * p1, m1 * p0
-    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    lo = (ll & _LOW32) | (mid << _U32)
-    hi = m1 * p1 + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
-    shift = -(q + s) - 1
-    # shift lies in [-6, 62] for the cells _decimal covers, at its first
-    # k and the corrected one; a shift left is exact.  Other cells' results
-    # are dropped (numpy shifts by 64 bits or more to 0)
-    low = np.maximum(shift, 0).astype(np.uint64)
-    t = (lo >> low) | ((hi << (np.uint64(63) - low)) << _U1)
-    sticky = (lo & ((_U1 << low) - _U1)) != 0
-    left = np.flatnonzero(shift < 0)
-    t[left] = lo[left] << (-shift[left]).astype(np.uint64)
-    floor = t >> _U1
-    return floor, (t & _U1).astype(bool) & (sticky | (floor & _U1).astype(bool))
+
+_TEN_HIGH, _TEN_LOW = _split(_TEN)
 
 
 def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits D (an integer in [1e16, 1e17)) and the
     decimal exponent k of |x|, rounded half to even as ``%.17g`` rounds,
-    and where they are valid: finite non-zero x with k in
-    [_LOW_EXPONENT, _HIGH_EXPONENT].
+    and where they are valid: finite x with k in [_LOW_EXPONENT,
+    _HIGH_EXPONENT], so |x| from 1e-6 to below 1e17.
 
     k is first taken from log10, which can miss by one next to a power
-    of ten; the unrounded product tells, and those cells are formed
-    again.  D rounding up to 1e17 moves k up by one.
+    of ten, and then set by comparing |x| with the exact bounds.  D is
+    the floor of |x| * 10**s, s = 16 - k, plus its round-half-even bit,
+    both read off Dekker's two-product hi + lo of |x| and 10**s.  That
+    is exact: 10**s is an exact double for s <= 22, no step under- or
+    overflows, and numpy never fuses separate ufuncs into an FMA, so
+    each step rounds as written.  hi >= 1e16 > 2**53 is an integer, and
+    lo is a multiple of |x|'s ulp times 2**s, so of 2**-50 (the least
+    at |x| = 1e-6, s = 22): floor(lo), lo - floor(lo) and the tie test
+    are exact.  D never rounds up to 1e17: that takes a double less than
+    a relative 5e-18 below a power of ten, and none in the range is.
     """
-    bits = x.view(np.uint64)
-    m = (bits & np.uint64((1 << 52) - 1)) | np.uint64(1 << 52)
-    q = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64) - 1075
     size = np.abs(x)
-    # NaN compares False, and no log10 sees 0 or inf; subnormals fall outside
-    covered = (size >= 10.0 ** _LOW_EXPONENT) & (size < 10.0 ** (_HIGH_EXPONENT + 1))
-    k = np.floor(np.log10(np.where(covered, size, 1.0))).astype(np.int64)
+    # NaN compares False, and neither log10 nor the product sees 0 or inf
+    covered = (size > _BOUNDS[0]) & (size < _BOUNDS[-1])
+    size[~covered] = 1.0
+    k = np.floor(np.log10(size)).astype(np.int64)
     np.clip(k, _LOW_EXPONENT, _HIGH_EXPONENT, out=k)
-    digits, up = _scaled(m, q, k)
-    below = digits < np.uint64(10 ** 16)
-    above = digits >= np.uint64(10 ** 17)
-    redo = np.flatnonzero(covered & (below | above))
-    if redo.size:
-        k[redo] += above[redo].astype(np.int64) - below[redo]
-        inside = (k[redo] >= _LOW_EXPONENT) & (k[redo] <= _HIGH_EXPONENT)
-        covered[redo[~inside]] = False
-        redo = redo[inside]
-        digits[redo], up[redo] = _scaled(m[redo], q[redo], k[redo])
-    digits += up
-    carry = digits == np.uint64(10 ** 17)
-    digits[carry] = np.uint64(10 ** 16)
-    k += carry
-    covered &= k <= _HIGH_EXPONENT
+    k += size >= _BOUNDS[k - _LOW_EXPONENT + 1]
+    k -= size < _BOUNDS[k - _LOW_EXPONENT]
+    s = 16 - k
+    ten_high, ten_low = _TEN_HIGH[s], _TEN_LOW[s]
+    hi = size * _TEN[s]
+    size_high, size_low = _split(size)
+    lo = ((size_high * ten_high - hi) + size_high * ten_low + size_low * ten_high
+          + size_low * ten_low)
+    whole = np.floor(lo)
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    fraction = lo - whole
+    digits += (fraction > 0.5) | ((fraction == 0.5) & ((digits & 1) == 1))
     return digits, k, covered
 
 
@@ -202,9 +189,9 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, np.float64)
     digits, k, covered = _decimal(x)
     text = np.empty((17, x.size), np.uint8)
-    upper = digits // np.uint64(10 ** 9)
+    upper = digits // 10 ** 9
     _digit_rows(upper.astype(np.uint32), text[:8])
-    _digit_rows((digits - upper * np.uint64(10 ** 9)).astype(np.uint32), text[8:])
+    _digit_rows((digits - upper * 10 ** 9).astype(np.uint32), text[8:])
     # significant digits once trailing zeros are stripped
     shown = (_DIGIT_RANK * (text != 0)).max(axis=0)
     k = k.astype(np.int8)       # small types keep the (slots, rows) steps short
@@ -244,7 +231,7 @@ def _int_cells(v: np.ndarray) -> np.ndarray:
     negative = v < 0
     if negative.any():
         # two's complement, so -2**63 has its magnitude 2**63
-        magnitude = np.where(negative, ~magnitude + _U1, magnitude)
+        magnitude = np.where(negative, -magnitude, magnitude)
     width = len(str(int(magnitude.max())))
     if width < 10:
         magnitude = magnitude.astype(np.uint32)
@@ -332,10 +319,11 @@ def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
     thread running (fork copies only the calling thread), w - 1 forked
     children inherit ``state`` and task i runs in worker i % w, worker 0
     being this process; otherwise every call runs here.  A child pickles
-    each result, or the exception it raised, down its own pipe, and
-    blocks while the pipe is full, so about one result per child waits
-    to be taken.  When the generator ends, is closed or raises, every
-    child is killed and reaped.
+    each result, or the exception it raised, down its own pipe.  A pipe
+    holds 64 KiB on Linux and a 16384-row chunk's text is about 0.8 MB,
+    so a child blocks inside its own result until this process reads
+    it.  When the generator ends, is closed or raises, every child is
+    killed and reaped.
     """
     workers = min(len(tasks), _usable_cpus(), cap or len(tasks))
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):

@@ -1,5 +1,6 @@
 import compileall
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -748,6 +749,15 @@ class TestExitCodeContract:
         config.write_bytes(CONFIG_FILES[name])
         self.check(capsys, [*self.complete(base, tmp_path, probe_records),
                             "--config", str(config)])
+
+    def test_usage_error_prints_a_surrogate_on_a_strict_stream(self, monkeypatch):
+        # argparse's own error line names the typed argument, here one
+        # that is not UTF-8, as main's error line names a path
+        stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["fit", "--samples", "x.csv", "--bogus\udcff"]) == 2
+        stderr.seek(0)
+        assert "--bogus\\udcff" in stderr.read()
 
     def test_each_error_class_has_the_exit_code_of_its_base(self):
         codes = {errors.FirstPhotonError: 1, errors.InvalidParameterError: 2,

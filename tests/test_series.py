@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -579,7 +580,9 @@ class TestRenderKernel:
 
     def test_ties_round_half_to_even(self):
         x = self.ties()
-        assert len(x) > 1000 and series._decimal(x)[2].all()
+        # the kernel covers the ties from 1e-6 up; %.17g writes the rest
+        kernel = x >= 1e-6
+        assert kernel.sum() > 1000 and series._decimal(x[kernel])[2].all()
         self.check_floats(x)
         self.check_floats(-x)
         self.check_floats(self.few_bit_mantissas())
@@ -589,30 +592,40 @@ class TestRenderKernel:
         self.check_floats(x)
         self.check_floats(-x)
 
-    def test_shifts_start_inside_the_low_limb(self, monkeypatch):
-        # on the cells the kernel covers, _scaled forms no shift below -6
-        # or past 62, at the first guess of the decimal exponent or the
-        # corrected one
-        shifts = []
-        scaled = series._scaled
+    def test_bounds_of_decimal_exponents(self):
+        # each is the least double at or above its power of ten, which
+        # makes the kernel's exponent exact, but 1e-6's, the greatest below
+        for j, bound in enumerate(series._BOUNDS.tolist(), -6):
+            assert (Fraction(bound) >= Fraction(10) ** j) == (j > -6), j
 
-        def recording(m, q, k):
-            with np.errstate(over="ignore"):    # nan and inf bits
-                size = np.ldexp(m.astype(np.float64), q)
-            covered = ((size >= 10.0 ** series._LOW_EXPONENT)
-                       & (size < 10.0 ** (series._HIGH_EXPONENT + 1)))
-            shifts.append((-(q + 16 - k) - 1)[covered])
-            return scaled(m, q, k)
-
-        monkeypatch.setattr(series, "_scaled", recording)
-        for x in (self.random_bit_patterns(), self.ties(), self.few_bit_mantissas(),
-                  self.neighbours_of_powers_of_ten()):
-            series._decimal(x)
-        shifts = np.concatenate(shifts)
-        assert shifts.min() >= -6 and shifts.max() <= 62
+    def test_bytes_do_not_depend_on_simd_dispatch(self):
+        # np.log10, which gives the first guess of the decimal exponent,
+        # differs with numpy's SIMD dispatch; the bytes must not.  numpy
+        # refuses to import when a disabled name is not in its list
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+        if not __cpu_dispatch__:
+            pytest.skip("numpy dispatches to no optional CPU features")
+        x = np.concatenate([self.random_bit_patterns(), self.ties(),
+                            self.neighbours_of_powers_of_ten()])
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from numpy._core._multiarray_umath import __cpu_features__, __cpu_dispatch__
+            from firstphoton import series
+            assert not any(__cpu_features__[name] for name in __cpu_dispatch__)
+            x = np.frombuffer(sys.stdin.buffer.read(), np.float64)
+            sys.stdout.buffer.write(series._render([x], 0, x.size))
+            """)
+        src = os.path.dirname(os.path.dirname(firstphoton.__file__))
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], input=x.tobytes(),
+                              capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == series._render([x], 0, x.size)
 
     def test_cells_outside_the_kernel(self):
-        self.check_floats(SPECIAL + [1e-11, 9.999999999999999e-12, 1e17, 9.999999999999999e16,
+        self.check_floats(SPECIAL + [1e-6, 1e-11, 9.999999999999999e-12, 1e17, 9.999999999999999e16,
                                      -5e-324, 2.2250738585072014e-308, 123456789012345678.0])
         self.check_floats(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 1e-7, 3.4e38,
                                     1e-45, 16777217.0], np.float32))
