@@ -58,6 +58,10 @@ import numpy as np
 
 from .errors import InvalidParameterError, WindowTooWideError
 
+KIND_ENTANGLED = "entangled"
+KIND_PRODUCT = "product"
+PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
+
 CHANNEL_A = "A"
 CHANNEL_B = "B"
 CHANNELS = (CHANNEL_A, CHANNEL_B)
@@ -179,9 +183,8 @@ def solve_compatibility(rates: RatePair) -> tuple[float, float, float]:
 
 
 def first_emission_cdf_entangled(t, rates: RatePair):
-    """Cumulative first-photon fraction for entangled pairs."""
-    t = _check_times(t, rates.gamma_f)
-    return -np.expm1(-rates.gamma_f * t)
+    """Cumulative first-photon fraction for entangled pairs: one atom's law at gamma_f."""
+    return single_type_cdf(t, rates.gamma_f)
 
 
 def single_type_cdf(t, gamma_i: float):

@@ -23,6 +23,7 @@ and explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -260,11 +261,23 @@ def cmd_simulate(args) -> tuple[None, list[str]]:
     return None, [args.out, summary_path]
 
 
+@contextlib.contextmanager
+def _naming(path):
+    """A FirstPhotonError of the block raised with ``path: `` before its
+    message, a parameter error as the data's (see _score_samples)."""
+    try:
+        yield
+    except FirstPhotonError as exc:
+        cls = InvalidDataError if isinstance(exc, InvalidParameterError) else type(exc)
+        raise cls(f"{path}: {exc}") from None
+
+
 def _load_times(args, window: WindowConfig) -> np.ndarray:
     if not args.postselect:
         return read_columns(args.samples, ["t_first"])["t_first"]
     records = montecarlo.read_records_csv(args.samples)
-    kept, summary = montecarlo.postselect(records, window)
+    with _naming(args.samples):
+        kept, summary = montecarlo.postselect(records, window)
     del records     # before the times are allocated
     if summary.kept == 0 and summary.discarded > 0:
         raise InvalidDataError(
@@ -280,15 +293,15 @@ def _score_samples(args, score) -> dict:
     hold under them, with the checks the times meet later (the bin index,
     and for ``discriminate`` the product law): a failure there is the
     flags' (exit 2), and one only at the samples' times is theirs (exit 3).
+    Every error names the file.
     """
     rates, window = RatePair(args.gamma_a, args.gamma_b), WindowConfig(args.tau, args.mode)
     latest = montecarlo.latest_time(rates, window)
     if args.subcommand == "discriminate":
         analytic.product_first_pdf(latest, rates, window)
-    try:
-        return asdict(score(_load_times(args, window), rates, window))
-    except InvalidParameterError as exc:
-        raise InvalidDataError(f"{args.samples}: {exc}") from None
+    times = _load_times(args, window)
+    with _naming(args.samples):
+        return asdict(score(times, rates, window))
 
 
 def cmd_fit(args) -> tuple[dict, list[str]]:
@@ -311,7 +324,7 @@ def cmd_kinetics(args) -> tuple[None, list[str]]:
     return None, [args.out]
 
 
-def _wavefunction_report(args) -> dict:
+def cmd_wavefunction(args) -> tuple[dict, list[str]]:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
@@ -328,12 +341,12 @@ def _wavefunction_report(args) -> dict:
             wavefunction.antisymmetrize(sym)
             report["error"] = ("antisymmetrization of an exchange-symmetric "
                                "state unexpectedly succeeded")
-            return report
+            return report, []
         except wavefunction.DegenerateSymmetryError as exc:
             report["error"] = str(exc)
         # past the except block, whose traceback held antisymmetrize's scratch
         report["metrics"]["swap_overlap_real"] = float(wavefunction.swap_overlap(sym).real)
-        return report
+        return report, []
 
     product = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode1)
     if args.check == "n0f-antisymmetric":
@@ -346,7 +359,7 @@ def _wavefunction_report(args) -> dict:
         coeff = wavefunction.antisymmetrization_coefficient(fermionic)
         report["metrics"]["n0f"] = coeff
         report["passed"] = abs(coeff - 0.5) < 1e-10
-        return report
+        return report, []
 
     # antisymmetry preservation under free propagation
     evolved = wavefunction.free_propagate(fermionic, args.t)
@@ -356,11 +369,7 @@ def _wavefunction_report(args) -> dict:
     report["metrics"]["antisymmetric_defect"] = defect
     report["metrics"]["norm_drift"] = abs(norm - 1.0)
     report["passed"] = defect < 1e-10 and abs(norm - 1.0) < 1e-12
-    return report
-
-
-def cmd_wavefunction(args) -> tuple[dict, list[str]]:
-    return _wavefunction_report(args), []
+    return report, []
 
 
 def _with_config(parser, argv: list[str]) -> list[str]:

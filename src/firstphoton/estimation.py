@@ -22,9 +22,6 @@ from .analytic import RatePair, WindowConfig
 from .errors import InvalidDataError, ModelInapplicableError
 from .series import CHUNK_ROWS
 
-PREFER_ENTANGLED = "entangled"
-PREFER_PRODUCT = "product"
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -53,16 +50,29 @@ def _clean_times(times, *, require_positive: bool = True) -> np.ndarray:
     return t
 
 
+def _time_sum(t: np.ndarray) -> float:
+    """The sum of the times; InvalidDataError where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(t))
+    if not math.isfinite(total):
+        raise InvalidDataError("the sum of the samples overflows the float range")
+    return total
+
+
 def mle_exponential(times) -> FitResult:
     """Exponential maximum likelihood: rate = 1 / mean.
 
     The asymptotic standard error is rate / sqrt(n) and the attained
-    log-likelihood reduces to n * (log(rate) - 1).
+    log-likelihood reduces to n * (log(rate) - 1).  A rate that leaves
+    the float range (a mean of subnormal times) is an InvalidDataError.
     """
     t = _clean_times(times)
     n = t.size
-    rate = 1.0 / float(np.mean(t))
-    log_likelihood = n * math.log(rate) - rate * float(np.sum(t))
+    total = _time_sum(t)
+    rate = 1.0 / (total / n)
+    if not math.isfinite(rate):
+        raise InvalidDataError(f"the rate 1 / mean overflows at a mean of {total / n:.6g}")
+    log_likelihood = n * math.log(rate) - rate * total
     return FitResult(rate_estimate=rate,
                      std_error=rate / math.sqrt(n),
                      log_likelihood=log_likelihood,
@@ -96,7 +106,7 @@ def log_likelihood_entangled(times, rates: RatePair) -> float:
     """Log-likelihood of the single-exponential first-photon law."""
     t = _clean_times(times, require_positive=False)
     g_f = rates.gamma_f
-    total = float(np.sum(t))
+    total = _time_sum(t)
     analytic._require_exponent(g_f, total)
     return float(t.size * math.log(g_f) - g_f * total)
 
@@ -139,6 +149,6 @@ def discriminate(times, rates: RatePair, window: WindowConfig) -> ModelCompariso
     ll_e = log_likelihood_entangled(t, rates)
     ll_p = log_likelihood_product(t, rates, window)
     ratio = ll_e - ll_p
-    preferred = PREFER_ENTANGLED if ratio >= 0.0 else PREFER_PRODUCT
+    preferred = analytic.KIND_ENTANGLED if ratio >= 0.0 else analytic.KIND_PRODUCT
     return ModelComparison(ll_entangled=ll_e, ll_product=ll_p,
                            log_likelihood_ratio=float(ratio), preferred=preferred)

@@ -40,14 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (CHANNEL_A, CHANNEL_B, MODE_GRID_BIN, RatePair,
-                       WindowConfig, _require_bin_index)
+from .analytic import (CHANNEL_A, CHANNEL_B, KIND_ENTANGLED, KIND_PRODUCT,
+                       MODE_GRID_BIN, PAIR_KINDS, RatePair, WindowConfig,
+                       _require_bin_index)
 from .errors import InvalidDataError, InvalidParameterError
 from .series import CHUNK_ROWS, processes, read_columns, write_table
-
-KIND_ENTANGLED = "entangled"
-KIND_PRODUCT = "product"
-PAIR_KINDS = (KIND_ENTANGLED, KIND_PRODUCT)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
 # -log of the smallest open uniform: the longest unit-rate wait drawn
@@ -145,15 +142,6 @@ def _product_times(rates: RatePair, words: np.ndarray):
 _KERNELS = {KIND_ENTANGLED: _entangled_times, KIND_PRODUCT: _product_times}
 
 
-def _records(kind: str, rates: RatePair, words: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with the records of the pairs that own the given
-    (n, 4) counter blocks."""
-    t_first, first_is_a, t_second = _KERNELS[kind](rates, words)
-    out["t_first"] = t_first
-    out["first_is_a"] = first_is_a
-    out["t_second"] = t_second
-
-
 def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """Sample every pair's two photons; returns a structured array.
 
@@ -165,10 +153,12 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
+    kernel = _KERNELS[config.kind]
     for start in range(0, config.n_pairs, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, config.n_pairs)
-        _records(config.kind, config.rates,
-                 _block_words(config.seed, start, stop - start), records[start:stop])
+        out = records[start:start + CHUNK_ROWS]
+        times = kernel(config.rates, _block_words(config.seed, start, len(out)))
+        for name, column in zip(RECORD_DTYPE.names, times):
+            out[name] = column
     return records
 
 

@@ -27,13 +27,13 @@ raise InvalidDataError before ``write_table`` opens the file.  Memory
 beyond the columns is a few chunks' matrices and text whatever the row
 count, and the file does not depend on the chunk size.
 
-Both directions map their tasks with ``_ordered_map``: a map of two
-tasks or more runs in up to one process per usable CPU, this one and
-forked children that inherit the table or the buffer, and yields the
-results, or raises the first error, in task order, so files, values and
-errors are the same for every process count.  ``write_table``'s tasks
-are its chunks (in at most n processes inside ``with processes(n):``),
-whose texts it writes in order.
+Both directions map their tasks with ``_ordered_map``, one loop for
+any count: a map of two tasks or more runs in up to one process per
+usable CPU, this one and forked children that inherit the table or the
+buffer, and yields the results, or raises the first error, in task
+order, so files, values and errors are the same for every count.
+``write_table``'s tasks are its chunks (in at most n processes inside
+``with processes(n):``), whose texts it writes in order.
 
 ``read_columns`` takes the header with the ``csv`` module (quoted names
 work) and parses the named columns with ``numpy.loadtxt``, one
@@ -315,25 +315,23 @@ def _receive(children: dict, worker: int):
 def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
     """``fn(*state, *task)`` for each task, yielded in task order.
 
-    With w = min(len(tasks), usable CPUs, cap) of 2 or more and no other
-    thread running (fork copies only the calling thread), w - 1 forked
-    children inherit ``state`` and task i runs in worker i % w, worker 0
-    being this process; otherwise every call runs here.  A child pickles
-    each result, or the exception it raised, down its own pipe.  A pipe
-    holds 64 KiB on Linux and a 16384-row chunk's text is about 0.8 MB,
-    so a child blocks inside its own result until this process reads
-    it.  When the generator ends, is closed or raises, every child is
-    killed and reaped.
+    With w = min(len(tasks), usable CPUs, cap), or 1 while another thread
+    runs (fork copies only the calling thread) or where there is no fork,
+    w - 1 forked children inherit ``state`` and task i runs in worker
+    i % w, worker 0 being this process.  A child pickles each result, or
+    the exception it raised, down its own pipe.  A pipe holds 64 KiB on
+    Linux and a 16384-row chunk's text is about 0.8 MB, so a child
+    blocks inside its own result until this process reads it.  When the
+    generator ends, is closed or raises, every child is killed and
+    reaped.
     """
     workers = min(len(tasks), _usable_cpus(), cap or len(tasks))
-    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        for task in tasks:
-            yield fn(*state, *task)
-        return
-    import signal
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        workers = 1
     children = {}       # worker -> (pid, the read end of its pipe)
     try:
         for worker in range(1, workers):
+            import signal       # for the kill below; a one-worker map needs none
             read, write = os.pipe()
             pipe = open(read, "rb")
             try:

@@ -44,20 +44,20 @@ flag: the calling thread works the first band and a helper thread each
 of the others, all joined before the function returns, and an error in
 a helper is raised in the caller.  numpy's FFT and ufunc loops release
 the interpreter lock, so the bands run at once.  Row bands take the
-outer product, the exchange fill and the odd-part arithmetic, the
-axis-1 transforms, the edge check's peak and the norm's row sums; bands
-of TILE-column strips take the axis-0 transforms.  The two phase
-multiplies ride with the inverse axis-1 transform, a few rows at a time
-while they are in cache: in one thread that is as fast as two
-whole-array multiplies, where multiplying each strided strip after its
-forward transform was 40 ms slower at n = 2048.  Every element and
-every row sum is formed by the same operations as in one band, and
-partial results are combined in one fixed order, so each result has the
-same bits for any band count.  The exchange overlap stays one
-whole-array einsum, and the defect's tile pairs run in the calling
-thread: each pair makes about ten small numpy calls that hold the
-interpreter lock, so two bands were no faster than one.  Band bodies
-call only private functions.  On a 2-CPU Xeon (numpy 2.4.6) the CLI's
+exchange fill and the odd-part arithmetic, the axis-1 transforms, the
+edge check's peak and the norm's row sums; bands of TILE-column strips
+take the axis-0 transforms.  The two phase multiplies ride with the
+inverse axis-1 transform, a few rows at a time while they are in cache:
+in one thread that is as fast as two whole-array multiplies, where
+multiplying each strided strip after its forward transform was 40 ms
+slower at n = 2048.  Every element and every row sum is formed by the
+same operations as in one band, and partial results are combined in one
+fixed order, so each result has the same bits for any band count.  The
+exchange overlap stays one whole-array einsum, and ``from_factors`` one
+np.outer, as fast at n = 2048 on 2 CPUs as two bands.  The defect's
+tile pairs run in the calling thread: each pair makes about ten small
+numpy calls that hold the interpreter lock, so two bands were no faster
+than one.  Band bodies call only private functions.  On a 2-CPU Xeon (numpy 2.4.6) the CLI's
 ``antisymmetry-preservation`` check at n = 2048 takes 0.52 s as a
 process, against 0.69 s before the passes were split into bands.
 """
@@ -140,9 +140,7 @@ class TwoParticleAmplitude:
         g = np.asarray(mode_y, dtype=complex)
         if f.shape != (grid.n,) or g.shape != (grid.n,):
             raise InvalidDataError("factors must be 1-d arrays on the grid")
-        values = np.empty((grid.n, grid.n), dtype=complex)
-        _in_bands(_outer_band, grid.n, f, g, values)
-        return cls(grid=grid, values=values)
+        return cls(grid=grid, values=np.outer(f, g))
 
 
 def _bands(count: int) -> list[tuple[int, int]]:
@@ -191,12 +189,6 @@ def _slice_rows(n: int) -> int:
     return max(1, SLICE_BYTES // (8 * n))
 
 
-def _outer_band(start: int, stop: int, f: np.ndarray, g: np.ndarray,
-                out: np.ndarray) -> None:
-    """Rows start to stop of the outer product f g, as np.outer forms them."""
-    np.multiply(f[start:stop, None], g, out=out[start:stop])
-
-
 def _tiles(n: int) -> list[tuple[slice, slice]]:
     """(rows, cols) slices covering an n x n array in TILE x TILE blocks.
 
@@ -213,12 +205,6 @@ def _row_sums(values: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
     re, im = values.real, values.imag
     return (np.einsum("ij,ij,j->i", re, re, w_cols)
             + np.einsum("ij,ij,j->i", im, im, w_cols))
-
-
-def _weighted_square_sum(values: np.ndarray, w_rows: np.ndarray,
-                         w_cols: np.ndarray) -> float:
-    """sum_ij w_rows[i] w_cols[j] |values[i, j]|^2 in real arithmetic."""
-    return float(w_rows @ _row_sums(values, w_cols))
 
 
 def _row_sums_band(start: int, stop: int, values: np.ndarray, w: np.ndarray,
@@ -310,8 +296,8 @@ def antisymmetry_defect(psi: TwoParticleAmplitude) -> float:
         # the terms of block (rows, cols) are those of (cols, rows)
         if rows.start <= cols.start:
             mirrored = 1.0 if rows == cols else 2.0
-            even += mirrored * _weighted_square_sum(v[rows, cols] + v[cols, rows].T,
-                                                    w[rows], w[cols])
+            even += mirrored * float(
+                w[rows] @ _row_sums(v[rows, cols] + v[cols, rows].T, w[cols]))
     # the part is half this sum; halving is exact
     return 0.5 * float(np.sqrt(even))
 

@@ -327,7 +327,17 @@ class TestFit:
         samples = tmp_path / "bad.csv"
         samples.write_text("t_first\n0.0\n")
         assert main(["fit", "--samples", str(samples)]) == 3
-        capsys.readouterr()
+        assert capsys.readouterr().err == (
+            f"error: {samples}: samples must be strictly positive waiting times\n")
+
+    def test_subnormal_mean_is_data_error(self, tmp_path, capsys):
+        # 1 / 5e-324 is inf, which JSON cannot hold
+        samples = tmp_path / "tiny.csv"
+        samples.write_text("t_first\n5e-324\n")
+        assert main(["fit", "--samples", str(samples)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {samples}: ") and "overflows" in captured.err
 
 
 class TestSamplesFromSpreadsheets:
@@ -452,7 +462,7 @@ class TestDiscriminate:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["discriminate", "--samples", str(samples)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "t=1000 " in err
+        assert err.startswith(f"error: {samples}: ") and "t=1000 " in err
         assert len(err.splitlines()) == 1
 
 
@@ -562,19 +572,21 @@ class TestTimeOverflow:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["fit"],
         ["fit", "--postselect"],
         ["discriminate"],
         ["discriminate", "--postselect"],
         ["discriminate", "--mode", "pairwise"],
         ["discriminate", "--postselect", "--mode", "pairwise"],
-    ], ids=["fit-postselect", "discriminate", "discriminate-postselect",
+    ], ids=["fit", "fit-postselect", "discriminate", "discriminate-postselect",
             "discriminate-pairwise", "discriminate-postselect-pairwise"])
     def test_in_the_samples_is_data_error(self, tmp_path, capsys, argv):
         # the flags hold at the latest time a simulated record can reach;
-        # only the file's times of 1e308 overflow a bin index t / tau or an
+        # only the file's times of 1e308 overflow a bin index t / tau, the
+        # sum of the t_first column or, in the one pair pairwise keeps, an
         # exponent rate * t
         samples = tmp_path / "far.csv"
-        samples.write_bytes(b"t_first,t_second\n1e308,1e308\n0.5,1e308\n")
+        samples.write_bytes(b"t_first,t_second\n1e308,1e308\n0.5,1e308\n1e308,1e308\n")
         out = tmp_path / "out.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -641,6 +653,7 @@ SAMPLE_FILES = {
     "nan": b"t_first,t_second\nnan,1\n0.5,nan\n",
     "inf": b"t_first,t_second\ninf,inf\n",
     "1e308": b"t_first,t_second\n1e308,1e308\n0.5,1e308\n",
+    "sum-overflow": b"t_first,t_second\n1e308,1e308\n1e308,1e308\n",
     "subnormal": b"t_first,t_second\n5e-324,1e-320\n",
     "negative": b"t_first,t_second\n-0.5,1\n",
     "out-of-order": b"t_first,t_second\n2,1\n",
@@ -686,9 +699,14 @@ def probe_records(tmp_path_factory):
     return records
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestExitCodeContract:
     """Every input ends with exit 0, 2, 3 or 4 and at most one error
-    line, never an exception or a warning."""
+    line, never an exception or a warning, and a report that exits 0
+    prints JSON (no NaN or Infinity)."""
 
     @staticmethod
     def check(capsys, argv):
@@ -696,8 +714,10 @@ class TestExitCodeContract:
             warnings.simplefilter("error")
             code = main(argv)
         assert code in (0, 2, 3, 4)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert sum("error:" in line for line in err.splitlines()) <= 1, err
+        if code == 0 and argv[0] in ("fit", "discriminate", "wavefunction"):
+            json.loads(out, parse_constant=reject_constant)
 
     @staticmethod
     def complete(base, tmp_path, samples):

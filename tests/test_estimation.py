@@ -10,7 +10,7 @@ from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
 from firstphoton.analytic import RatePair, WindowConfig
-from firstphoton.errors import InvalidDataError, ModelInapplicableError
+from firstphoton.errors import InvalidDataError, InvalidParameterError, ModelInapplicableError
 from firstphoton.series import CHUNK_ROWS
 
 RATES = RatePair(1.0, 1.5)
@@ -50,6 +50,16 @@ class TestMleExponential:
     def test_rejects_unusable_samples(self, bad):
         with pytest.raises(InvalidDataError):
             es.mle_exponential(bad)
+
+    @pytest.mark.parametrize("times", [[1e308, 1e308], [5e-324]], ids=["sum", "rate"])
+    def test_out_of_float_range_is_data_error(self, times):
+        # the sum of the times, or the rate 1 / mean, overflows
+        with pytest.raises(InvalidDataError, match="overflows"):
+            es.mle_exponential(times)
+
+    @given(times=st.lists(st.floats(min_value=1e-300, max_value=1e300), min_size=1, max_size=50))
+    def test_rate_has_the_bits_of_one_over_the_mean(self, times):
+        assert es.mle_exponential(times).rate_estimate == 1.0 / float(np.mean(times))
 
     @given(times=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=50),
            scale_exp=st.integers(min_value=-6, max_value=6))
@@ -128,6 +138,13 @@ class TestProductLikelihood:
     def test_entangled_single_sample(self):
         ll = es.log_likelihood_entangled([0.5, 1.0], RATES)
         assert ll == pytest.approx(2.0 * math.log(2.5) - 2.5 * 1.5, rel=1e-14)
+
+    def test_entangled_sum_or_exponent_out_of_float_range(self):
+        # the times' sum overflows; a finite sum's exponent g_f * sum does
+        with pytest.raises(InvalidDataError, match="sum of the samples overflows"):
+            es.log_likelihood_entangled([1e308, 1e308], RATES)
+        with pytest.raises(InvalidParameterError, match="exponent rate \\* t overflows"):
+            es.log_likelihood_entangled([1e308, 0.5], RATES)
 
     def test_narrow_window_equal_rates_reduces_to_exponential(self):
         rates = RatePair(2.0, 2.0)

@@ -374,8 +374,6 @@ class TestKernelReferences:
 # the kernels that split their n x n passes into bands, as functions of
 # an amplitude and two factors, each giving an array or a number
 BANDED = {
-    "from_factors": lambda psi, f, g: wf.TwoParticleAmplitude.from_factors(
-        psi.grid, f, g).values,
     "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
     "antisymmetrize": lambda psi, f, g: wf.antisymmetrize(psi).values,
     "free_propagate": lambda psi, f, g: wf.free_propagate(psi, 0.7).values,
@@ -426,6 +424,17 @@ class TestBands:
             monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
             results.add(wf.antisymmetry_defect(skewed))
         assert starts == [] and len(results) == 1
+
+    def test_outer_product_runs_in_the_calling_thread(self, skewed, monkeypatch):
+        # one np.outer was as fast as two bands, so no helper starts
+        f = gaussian_mode(skewed.grid, center=-1.0, momentum=1.5)
+        g = gaussian_mode(skewed.grid, center=0.7, width=1.1)
+        starts = counting_starts(monkeypatch)
+        results = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            results.add(wf.TwoParticleAmplitude.from_factors(skewed.grid, f, g).values.tobytes())
+        assert starts == [] and results == {(f[:, None] * g).tobytes()}
 
     def test_bands_cover_the_range_in_order(self, monkeypatch):
         monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
