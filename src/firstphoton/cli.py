@@ -175,12 +175,13 @@ def load_config(path) -> list[tuple[str, str]]:
 
 def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
     """InvalidParameterError naming ``flag``, before anything is allocated,
-    when an array of n_items items of ``itemsize`` bytes exceeds physical
-    memory; past numpy's largest array numpy would raise a bare ValueError."""
+    when arrays of n_items items in all, of ``itemsize`` bytes, exceed
+    physical memory; past numpy's largest array numpy would raise a bare
+    ValueError."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if n_items * itemsize > physical:
         raise InvalidParameterError(
-            f"{flag} asks for an array larger than the {physical / 2**30:.3g} GiB "
+            f"{flag} asks for arrays larger than the {physical / 2**30:.3g} GiB "
             "of physical memory")
 
 
@@ -328,13 +329,14 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
-    # every check holds n x n complex arrays
-    _require_array_size(f"--n {args.n}", grid.n ** 2, 16)
+    # the n0f checks hold an amplitude and swap_overlap's exchange scratch;
+    # the preservation check owns one array, which antisymmetrize and
+    # free_propagate overwrite in turn
+    arrays = 1 if args.check == "antisymmetry-preservation" else 2
+    _require_array_size(f"--n {args.n}", arrays * grid.n ** 2, 16)
     mode0 = wavefunction.oscillator_mode(grid, 0)
     mode1 = wavefunction.oscillator_mode(grid, 1)
 
-    # each n x n array is dropped once the next stage has read it, so no
-    # check holds more than two at a time
     if args.check == "n0f-symmetric-input":
         sym = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode0)
         try:
@@ -344,16 +346,14 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
             return report, []
         except wavefunction.DegenerateSymmetryError as exc:
             report["error"] = str(exc)
-        # past the except block, whose traceback held antisymmetrize's scratch
         report["metrics"]["swap_overlap_real"] = float(wavefunction.swap_overlap(sym).real)
         return report, []
 
-    product = wavefunction.TwoParticleAmplitude.from_factors(grid, mode0, mode1)
+    product = wavefunction._OwnedAmplitude.from_factors(grid, mode0, mode1)
     if args.check == "n0f-antisymmetric":
         report["metrics"]["n0f_product"] = (
             wavefunction.antisymmetrization_coefficient(product))
     fermionic = wavefunction.antisymmetrize(product)
-    del product
 
     if args.check == "n0f-antisymmetric":
         coeff = wavefunction.antisymmetrization_coefficient(fermionic)
@@ -363,7 +363,6 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
 
     # antisymmetry preservation under free propagation
     evolved = wavefunction.free_propagate(fermionic, args.t)
-    del fermionic
     defect = wavefunction.antisymmetry_defect(evolved)
     norm = wavefunction.quadrature_norm(evolved)
     report["metrics"]["antisymmetric_defect"] = defect

@@ -31,41 +31,48 @@ norms are real weighted sums of squares.
 
 Memory.  An amplitude on n points per axis is an n x n complex array of
 16 n^2 bytes.  The exchange map Psi(x, y) -> Psi(y, x) is applied in
-TILE x TILE blocks, so transposed reads stay in cache.  Beside its
-input, ``swap_overlap`` holds one scratch array, ``antisymmetrize`` one
-(the scratch becomes its output), ``antisymmetry_defect`` and
-``quadrature_norm`` none, and ``free_propagate`` its output; its edge
-check takes the peak magnitude a few rows at a time, in temporaries of
-at most SLICE_BYTES.  The CLI's ``antisymmetry-preservation`` check
-therefore peaks at about two n x n arrays, during propagation.
+TILE x TILE blocks or in strips of a few rows paired with their mirror
+columns, so transposed reads stay in cache.  Beside its input,
+``swap_overlap`` holds one scratch array, ``antisymmetrize`` and
+``free_propagate`` their output, and ``antisymmetry_defect`` and
+``quadrature_norm`` none; every other temporary is a slice of a few
+rows, of at most SLICE_BYTES as float64 (twice that as complex) and at
+most a sixteenth of the array.  Handed an _OwnedAmplitude, ``antisymmetrize`` and
+``free_propagate`` write their result over its array instead, so the
+CLI's ``antisymmetry-preservation`` check, which owns its product state,
+holds one n x n array from start to end.
 
-Bands.  Each n x n pass is split into one band per usable CPU, with no
-flag: the calling thread works the first band and a helper thread each
-of the others, all joined before the function returns, and an error in
-a helper is raised in the caller.  numpy's FFT and ufunc loops release
-the interpreter lock, so the bands run at once.  Row bands take the
-exchange fill and the odd-part arithmetic, the axis-1 transforms, the
-edge check's peak and the norm's row sums; bands of TILE-column strips
-take the axis-0 transforms.  The two phase multiplies ride with the
-inverse axis-1 transform, a few rows at a time while they are in cache:
-in one thread that is as fast as two whole-array multiplies, where
-multiplying each strided strip after its forward transform was 40 ms
-slower at n = 2048.  Every element and every row sum is formed by the
-same operations as in one band, and partial results are combined in one
-fixed order, so each result has the same bits for any band count.  The
-exchange overlap stays one whole-array einsum, and ``from_factors`` one
-np.outer, as fast at n = 2048 on 2 CPUs as two bands.  The defect's
-tile pairs run in the calling thread: each pair makes about ten small
-numpy calls that hold the interpreter lock, so two bands were no faster
-than one.  Band bodies call only private functions.  On a 2-CPU Xeon (numpy 2.4.6) the CLI's
-``antisymmetry-preservation`` check at n = 2048 takes 0.52 s as a
-process, against 0.69 s before the passes were split into bands.
+Bands.  Most n x n passes are split into one band per usable CPU, with
+no flag: the calling thread works the first band and a helper thread
+each of the others, all joined before the function returns, and an
+error in a helper is raised in the caller.  numpy's FFT and ufunc
+loops release the interpreter lock, so the bands run at once.  Row bands
+take the exchange fill, the axis-1 transforms, the edge check's peak and
+the norm's row sums; bands of TILE-column strips take the axis-0
+transforms.  The two phase multiplies ride with the inverse axis-1
+transform, a few rows at a time while they are in cache: in one thread
+that is as fast as two whole-array multiplies, where multiplying each
+strided strip after its forward transform was 40 ms slower at n = 2048.
+Every element and every row sum is formed by the same operations as in
+one band, and partial results are combined in one fixed order, so each
+result has the same bits for any band count.  ``swap_overlap``'s sum
+stays one whole-array einsum, and ``from_factors`` one np.outer, as fast at
+n = 2048 on 2 CPUs as two bands.  The projection's strips and the
+defect's tile pairs run in the calling thread.  The strips make a few
+numpy calls each; at n = 2048 on 2 CPUs they took 73-98 ms in one
+thread, where the banded exchange fill and odd-part bands they replace
+took 72-138 ms with their new scratch array.  Each tile pair makes about
+ten small numpy calls that hold the interpreter lock, so two bands were
+no faster than one.  Band bodies call only private functions.  On a
+2-CPU Xeon (numpy 2.4.6) the CLI's ``antisymmetry-preservation`` check
+at n = 2048 takes 0.52 s as a process, against 0.69 s before the passes
+were split into bands.
 """
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,7 +85,7 @@ EPS_DEGENERATE = 1e-8        # minimum odd-part squared norm (times 2)
 BOUNDARY_LEAK_RATIO = 1e-10  # max |edge| / max |amplitude| tolerated
 MIN_GRID_POINTS = 16
 TILE = 64                    # block edge of the exchange map: 64 KB of complex
-SLICE_BYTES = 128 << 10      # largest float64 temporary a band body makes
+SLICE_BYTES = 256 << 10      # largest float64 temporary a band body makes
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,13 @@ class TwoParticleAmplitude:
         return cls(grid=grid, values=np.outer(f, g))
 
 
+class _OwnedAmplitude(TwoParticleAmplitude):
+    """An amplitude whose array nothing else reads: antisymmetrize and
+    free_propagate overwrite it and return an amplitude of the same kind
+    over it, so a chain of them holds one n x n array.  The amplitude
+    passed in is spent."""
+
+
 def _bands(count: int) -> list[tuple[int, int]]:
     """range(count) cut into one contiguous band per usable CPU, at most
     one band per item."""
@@ -185,8 +199,9 @@ def _in_bands(body, count: int, *args) -> list:
 
 def _slice_rows(n: int) -> int:
     """Rows of n points in a slice of a band: a float64 temporary of the
-    slice fits in SLICE_BYTES."""
-    return max(1, SLICE_BYTES // (8 * n))
+    slice fits in SLICE_BYTES, and is at most a sixteenth of the rows so
+    that on a small grid the temporaries stay a small share of the array."""
+    return max(1, min(SLICE_BYTES // (8 * n), n // 16))
 
 
 def _tiles(n: int) -> list[tuple[slice, slice]]:
@@ -228,25 +243,21 @@ def _exchange_band(start: int, stop: int, v: np.ndarray, scratch: np.ndarray) ->
             np.conjugate(v[cols, rows].T, out=scratch[rows, cols])
 
 
-def _swap_overlap_and_scratch(psi: TwoParticleAmplitude) -> tuple[complex, np.ndarray]:
-    """<Psi(x, y) | Psi(y, x)> and the new array conj(Psi(y, x)) it is read from.
+def swap_overlap(psi: TwoParticleAmplitude) -> complex:
+    """Exchange overlap <Psi(x, y) | Psi(y, x)> of a normalized state.
 
-    The overlap sum w_i w_j conj(Psi_ij) Psi_ji is taken as the conjugate
-    of sum w_i w_j Psi_ij conj(Psi_ji): the same products and sums, so the
-    same bits, without a conjugated copy of the input.  The
-    blocked fill takes half the time of np.conjugate(v.T, out=scratch)
-    at n = 2048 (46 vs 94 ms, 2-CPU Xeon, numpy 2.4.6).
+    The sum w_i w_j conj(Psi_ij) Psi_ji is taken as the conjugate of
+    sum w_i w_j Psi_ij conj(Psi_ji), read from a new array conj(Psi(y, x)):
+    the same products and sums, so the same bits, without a conjugated
+    copy of the input.  The blocked fill of that array takes half the
+    time of np.conjugate(v.T, out=scratch) at n = 2048 (46 vs 94 ms, 2-CPU
+    Xeon, numpy 2.4.6).
     """
     v = psi.values
     w = psi.grid.quadrature_weights()
     scratch = np.empty(v.shape, dtype=complex)
     _in_bands(_exchange_band, psi.grid.n, v, scratch)
-    return complex(np.einsum("i,j,ij,ij->", w, w, v, scratch)).conjugate(), scratch
-
-
-def swap_overlap(psi: TwoParticleAmplitude) -> complex:
-    """Exchange overlap <Psi(x, y) | Psi(y, x)> of a normalized state."""
-    return _swap_overlap_and_scratch(psi)[0]
+    return complex(np.einsum("i,j,ij,ij->", w, w, v, scratch)).conjugate()
 
 
 def _odd_part_normalization(overlap: complex) -> float:
@@ -267,24 +278,73 @@ def antisymmetrization_coefficient(psi: TwoParticleAmplitude) -> float:
     return _odd_part_normalization(swap_overlap(psi))
 
 
-def _odd_part_band(start: int, stop: int, v: np.ndarray, out: np.ndarray,
-                   coeff: float) -> None:
-    """Rows start to stop of coeff * (v - conj(out)), in place in out,
-    a few rows at a time so each slice stays in cache."""
-    step = _slice_rows(v.shape[0])
-    for a in range(start, stop, step):
-        rows = slice(a, min(a + step, stop))
-        np.conjugate(out[rows], out=out[rows])  # now Psi(y, x)
-        np.subtract(v[rows], out[rows], out=out[rows])
-        out[rows] *= coeff
+def _mirror_strip(v: np.ndarray, a: int, b: int, buf: np.ndarray) -> np.ndarray:
+    """Psi(y, x) on rows a to b and columns a onward, copied from v's
+    columns a to b into the front of buf, where the rows are contiguous."""
+    n = v.shape[0]
+    mirror = buf[:(b - a) * (n - a)].reshape(b - a, n - a)
+    np.copyto(mirror, v[a:, a:b].T)
+    return mirror
+
+
+def _exchange_overlap(v: np.ndarray, w: np.ndarray) -> float:
+    """<Psi(x, y) | Psi(y, x)>, which is real, from strips of rows a to b
+    and columns a onward: sum w_i w_j (Re v_ij Re v_ji + Im v_ij Im v_ji).
+
+    Every term off a strip's diagonal block equals its mirror term, which
+    no strip holds, so it counts twice.  Strips are summed in one order,
+    and no n x n scratch is made.
+    """
+    n = v.shape[0]
+    step = _slice_rows(n)
+    buf = np.empty(step * n, dtype=complex)
+    total = 0.0
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        top, mirror = v[a:b, a:], _mirror_strip(v, a, b, buf)
+        terms = top.real * mirror.real
+        terms += top.imag * mirror.imag
+        total += float(w[a:b] @ (2.0 * (terms @ w[a:]) - terms[:, :b - a] @ w[a:b]))
+    return total
+
+
+def _odd_part(v: np.ndarray, out: np.ndarray, coeff: float) -> None:
+    """coeff * (v - v.T) into out, which may be v itself.
+
+    Strip a:b covers rows a to b from column a on, and their mirror,
+    columns a to b from row b on.  Both are read, the mirror into a strip
+    buffer and the strip into its difference there, before either is
+    written, and no later strip reads them, so the projection runs in
+    place.  The mirror is the strip times -coeff,
+    transposed: a - b = -(b - a) and -coeff * x = -(coeff * x) exactly.
+    """
+    n = v.shape[0]
+    step = _slice_rows(n)
+    buf = np.empty(step * n, dtype=complex)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        odd = _mirror_strip(v, a, b, buf)
+        np.subtract(v[a:b, a:], odd, out=odd)
+        np.multiply(odd, coeff, out=out[a:b, a:])
+        np.multiply(odd, -coeff, out=odd)
+        out[b:, a:b] = odd[:, b - a:].T
+
+
+def _output(psi: TwoParticleAmplitude) -> np.ndarray:
+    """The array a kernel writes its result to: the input's own array when
+    the input is an _OwnedAmplitude, else a new one."""
+    if isinstance(psi, _OwnedAmplitude):
+        return psi.values
+    return np.empty(psi.values.shape, dtype=complex)
 
 
 def antisymmetrize(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
     """Normalized exchange-odd projection N * (Psi(x,y) - Psi(y,x))."""
-    overlap, out = _swap_overlap_and_scratch(psi)
-    coeff = _odd_part_normalization(overlap)
-    _in_bands(_odd_part_band, psi.grid.n, psi.values, out, coeff)
-    return TwoParticleAmplitude(grid=psi.grid, values=out)
+    coeff = _odd_part_normalization(
+        _exchange_overlap(psi.values, psi.grid.quadrature_weights()))
+    out = _output(psi)
+    _odd_part(psi.values, out, coeff)
+    return replace(psi, values=out)
 
 
 def antisymmetry_defect(psi: TwoParticleAmplitude) -> float:
@@ -363,18 +423,19 @@ def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
     _require_exponent(0.5 * k_max * k_max, t)
     _check_boundary(psi.values, "input")
     phase = np.exp(-0.5j * t * k ** 2)
-    # 1-d transforms into the output, one axis at a time (numpy.fft takes
-    # out= from numpy 2.0): np.fft.ifft2 with out= aliasing its input
-    # gives wrong values (numpy 2.4.6)
+    # 1-d transforms into the output, which may be the input's own array,
+    # one axis at a time (numpy.fft takes out= from numpy 2.0): a 1-d
+    # transform may alias its rows or strip, but np.fft.ifft2 with out=
+    # aliasing its input gives wrong values (numpy 2.4.6)
     n = psi.grid.n
     strips = -(-n // TILE)
-    out = np.empty((n, n), dtype=complex)
+    out = _output(psi)
     _in_bands(_forward_row_band, n, psi.values, out)
     _in_bands(_strip_band, strips, np.fft.fft, out)
     _in_bands(_inverse_row_band, n, out, phase)
     _in_bands(_strip_band, strips, np.fft.ifft, out)
     _check_boundary(out, f"after t={t:g}")
-    return TwoParticleAmplitude(grid=psi.grid, values=out)
+    return replace(psi, values=out)
 
 
 def oscillator_mode(grid: Grid1D, k: int) -> np.ndarray:

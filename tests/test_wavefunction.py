@@ -351,7 +351,7 @@ class TestKernelReferences:
 
     def test_swap_overlap_is_bit_identical(self, skewed):
         # the same products and sums as the reference, so equal to the bit;
-        # the degenerate-input error message prints 2 - 2 Re of this value
+        # the n0f-symmetric-input report prints the real part of this value
         w = skewed.grid.quadrature_weights()
         mode0 = wf.oscillator_mode(skewed.grid, 0)
         sym = wf.TwoParticleAmplitude.from_factors(skewed.grid, mode0, mode0)
@@ -371,11 +371,52 @@ class TestKernelReferences:
         assert skewed.values.tobytes() == before
 
 
+def owned_pipeline(psi, t):
+    """antisymmetrize, then free_propagate for time t, in one array that
+    the pipeline owns, a copy of psi's; the result and that array."""
+    owned = wf._OwnedAmplitude(grid=psi.grid, values=psi.values.copy())
+    return wf.free_propagate(wf.antisymmetrize(owned), t), owned.values
+
+
+class TestOwnedArray:
+    """The CLI's preservation check: an _OwnedAmplitude is projected and
+    propagated in place, by the same bodies as the public kernels."""
+
+    def test_matches_the_public_kernels(self, skewed):
+        for t in (0.0, 0.3, -0.5):
+            got, owned = owned_pipeline(skewed, t)
+            assert got.values is owned and isinstance(got, wf._OwnedAmplitude)
+            want = wf.free_propagate(wf.antisymmetrize(skewed), t).values
+            assert np.max(np.abs(got.values - want)) <= REFERENCE_ATOL
+
+    def test_same_bits_for_any_cpu_count(self, skewed, monkeypatch):
+        threads = threading.active_count()
+        results = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            results.add(owned_pipeline(skewed, 0.7)[0].values.tobytes())
+            assert threading.active_count() == threads
+        assert len(results) == 1
+
+    def test_allocates_little_beyond_the_array_it_owns(self, skewed):
+        # the projection reads each strip pair into a buffer of a few
+        # rows, and the transforms run in place; the first call of a grid
+        # size fills numpy's FFT plan cache, which later calls reuse
+        owned_pipeline(skewed, 0.7)
+        owned = wf._OwnedAmplitude(grid=skewed.grid, values=skewed.values.copy())
+        tracemalloc.start()
+        try:
+            wf.free_propagate(wf.antisymmetrize(owned), 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / owned.values.nbytes <= 0.25
+
+
 # the kernels that split their n x n passes into bands, as functions of
 # an amplitude and two factors, each giving an array or a number
 BANDED = {
     "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
-    "antisymmetrize": lambda psi, f, g: wf.antisymmetrize(psi).values,
     "free_propagate": lambda psi, f, g: wf.free_propagate(psi, 0.7).values,
     "quadrature_norm": lambda psi, f, g: wf.quadrature_norm(psi),
 }
@@ -424,6 +465,18 @@ class TestBands:
             monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
             results.add(wf.antisymmetry_defect(skewed))
         assert starts == [] and len(results) == 1
+
+    def test_projection_runs_in_the_calling_thread(self, skewed, monkeypatch):
+        # its strips make a few numpy calls each, and in one thread were
+        # as fast as the banded exchange fill with its scratch array
+        before = skewed.values.tobytes()
+        starts = counting_starts(monkeypatch)
+        results = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
+            results.add(wf.antisymmetrize(skewed).values.tobytes())
+        assert starts == [] and len(results) == 1
+        assert skewed.values.tobytes() == before
 
     def test_outer_product_runs_in_the_calling_thread(self, skewed, monkeypatch):
         # one np.outer was as fast as two bands, so no helper starts
