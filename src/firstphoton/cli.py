@@ -175,9 +175,9 @@ def load_config(path) -> list[tuple[str, str]]:
 
 def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
     """InvalidParameterError naming ``flag``, before anything is allocated,
-    when arrays of n_items items in all, of ``itemsize`` bytes, exceed
-    physical memory; past numpy's largest array numpy would raise a bare
-    ValueError."""
+    when n_items items of ``itemsize`` bytes, in one array or several,
+    exceed physical memory; past numpy's largest array numpy would raise
+    a bare ValueError."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if n_items * itemsize > physical:
         raise InvalidParameterError(
