@@ -175,13 +175,12 @@ def load_config(path) -> list[tuple[str, str]]:
 
 def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
     """InvalidParameterError naming ``flag``, before anything is allocated,
-    when n_items items of ``itemsize`` bytes, in one array or several,
-    exceed physical memory; past numpy's largest array numpy would raise
-    a bare ValueError."""
+    when an array of n_items items of ``itemsize`` bytes exceeds physical
+    memory; past numpy's largest array numpy would raise a bare ValueError."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if n_items * itemsize > physical:
         raise InvalidParameterError(
-            f"{flag} asks for arrays larger than the {physical / 2**30:.3g} GiB "
+            f"{flag} asks for an array larger than the {physical / 2**30:.3g} GiB "
             "of physical memory")
 
 
@@ -329,11 +328,8 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
-    # the n0f checks hold an amplitude and swap_overlap's exchange scratch;
-    # the preservation check owns one array, which antisymmetrize and
-    # free_propagate overwrite in turn
-    arrays = 1 if args.check == "antisymmetry-preservation" else 2
-    _require_array_size(f"--n {args.n}", arrays * grid.n ** 2, 16)
+    # every check holds one n x n complex array
+    _require_array_size(f"--n {args.n}", grid.n ** 2, 16)
     mode0 = wavefunction.oscillator_mode(grid, 0)
     mode1 = wavefunction.oscillator_mode(grid, 1)
 

@@ -31,42 +31,43 @@ norms are real weighted sums of squares.
 
 Memory.  An amplitude on n points per axis is an n x n complex array of
 16 n^2 bytes.  The exchange map Psi(x, y) -> Psi(y, x) is applied in
-TILE x TILE blocks or in strips of a few rows paired with their mirror
-columns, so transposed reads stay in cache.  Beside its input,
-``swap_overlap`` holds one scratch array, ``antisymmetrize`` and
-``free_propagate`` their output, and ``antisymmetry_defect`` and
-``quadrature_norm`` none; every other temporary is a slice of a few
-rows, of at most SLICE_BYTES as float64 (twice that as complex) and at
-most a sixteenth of the array.  Handed an _OwnedAmplitude, ``antisymmetrize`` and
-``free_propagate`` write their result over its array instead, so the
-CLI's ``antisymmetry-preservation`` check, which owns its product state,
-holds one n x n array from start to end.
+one blocking, the tile pairs of ``_tiles``: a block and its mirror block,
+at most TILE x TILE each, so transposed reads stay in cache.  The
+exchange overlap, the odd-part projection and the antisymmetry defect
+all sum or write over those pairs.  Beside its input, ``antisymmetrize``
+and ``free_propagate`` hold their output, and ``swap_overlap``,
+``antisymmetry_defect`` and ``quadrature_norm`` nothing; every other
+temporary is a tile pair's block or a slice of a few rows, of at most
+SLICE_BYTES as float64 (twice that as complex) and at most a sixteenth
+of the array.  Handed an _OwnedAmplitude, ``antisymmetrize`` and
+``free_propagate`` write their result over its array instead, so each of
+the CLI's checks holds one n x n array from start to end.
 
 Bands.  Most n x n passes are split into one band per usable CPU, with
 no flag: the calling thread works the first band and a helper thread
 each of the others, all joined before the function returns, and an
 error in a helper is raised in the caller.  numpy's FFT and ufunc
 loops release the interpreter lock, so the bands run at once.  Row bands
-take the exchange fill, the axis-1 transforms, the edge check's peak and
-the norm's row sums; bands of TILE-column strips take the axis-0
-transforms.  The two phase multiplies ride with the inverse axis-1
-transform, a few rows at a time while they are in cache: in one thread
-that is as fast as two whole-array multiplies, where multiplying each
-strided strip after its forward transform was 40 ms slower at n = 2048.
-Every element and every row sum is formed by the same operations as in
-one band, and partial results are combined in one fixed order, so each
-result has the same bits for any band count.  ``swap_overlap``'s sum
-stays one whole-array einsum, and ``from_factors`` one np.outer, as fast at
-n = 2048 on 2 CPUs as two bands.  The projection's strips and the
-defect's tile pairs run in the calling thread.  The strips make a few
-numpy calls each; at n = 2048 on 2 CPUs they took 73-98 ms in one
-thread, where the banded exchange fill and odd-part bands they replace
-took 72-138 ms with their new scratch array.  Each tile pair makes about
-ten small numpy calls that hold the interpreter lock, so two bands were
-no faster than one.  Band bodies call only private functions.  On a
-2-CPU Xeon (numpy 2.4.6) the CLI's ``antisymmetry-preservation`` check
-at n = 2048 takes 0.52 s as a process, against 0.69 s before the passes
-were split into bands.
+take the axis-1 transforms, the edge check's peak and the norm's row
+sums; bands of TILE-column strips take the axis-0 transforms.  The two
+phase multiplies ride with the inverse axis-1 transform, a few rows at a
+time while they are in cache: in one thread that is as fast as two
+whole-array multiplies, where multiplying each strided strip after its
+forward transform was 40 ms slower at n = 2048.  Every element and every
+row sum is formed by the same operations as in one band, and partial
+results are combined in one fixed order, so each result has the same
+bits for any band count.  The tile pairs run in the calling thread:
+each makes a few small numpy calls that hold the interpreter lock, so
+two bands were no faster than one.  At n = 2048 on 2 CPUs (medians of
+21 calls) they took 31 ms for the overlap, against 91 ms for one
+whole-array einsum over a banded exchange fill and 41 ms for strips of
+rows paired with their mirror columns; 42 ms for the projection,
+against 57 ms for strips; and 28 ms for the defect, against 46 ms for
+strips.  ``from_factors`` is one np.outer, as fast at n = 2048 on 2 CPUs
+as two bands.  Band bodies call only private functions.  On a 2-CPU Xeon
+(numpy 2.4.6) the CLI's ``antisymmetry-preservation`` check at n = 2048
+takes 0.52 s as a process, against 0.69 s before the passes were split
+into bands.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ from .errors import (DegenerateSymmetryError, GridTooSmallError,
 EPS_DEGENERATE = 1e-8        # minimum odd-part squared norm (times 2)
 BOUNDARY_LEAK_RATIO = 1e-10  # max |edge| / max |amplitude| tolerated
 MIN_GRID_POINTS = 16
-TILE = 64                    # block edge of the exchange map: 64 KB of complex
+TILE = 64                    # largest tile edge and strip width: 64 KB of complex
 SLICE_BYTES = 256 << 10      # largest float64 temporary a band body makes
 
 
@@ -198,33 +199,40 @@ def _in_bands(body, count: int, *args) -> list:
 
 
 def _slice_rows(n: int) -> int:
-    """Rows of n points in a slice of a band: a float64 temporary of the
+    """Rows of n points in a slice of a band, for the edge check's
+    magnitudes and the inverse row transform: a float64 temporary of the
     slice fits in SLICE_BYTES, and is at most a sixteenth of the rows so
     that on a small grid the temporaries stay a small share of the array."""
     return max(1, min(SLICE_BYTES // (8 * n), n // 16))
 
 
 def _tiles(n: int) -> list[tuple[slice, slice]]:
-    """(rows, cols) slices covering an n x n array in TILE x TILE blocks.
+    """(rows, cols) slices of the tile pairs of an n x n array: each block
+    (rows, cols) on or above the diagonal, which stands for its mirror
+    (cols, rows) too.
 
     The exchange map sends block (rows, cols) to block (cols, rows),
     transposed; a block that fits in cache transposes without the
-    strided misses of a whole-array transpose.
+    strided misses of a whole-array transpose.  The edge is TILE on large
+    grids and an eighth of the grid on small ones, so that a pair's
+    temporaries stay a small share of the array.
     """
-    edges = [slice(a, a + TILE) for a in range(0, n, TILE)]
-    return [(rows, cols) for rows in edges for cols in edges]
+    edge = min(TILE, n // 8)
+    edges = [slice(a, a + edge) for a in range(0, n, edge)]
+    return [(rows, cols) for i, rows in enumerate(edges) for cols in edges[i:]]
 
 
-def _row_sums(values: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
-    """sum_j w_cols[j] |values[i, j]|^2 for each row i, in real arithmetic."""
-    re, im = values.real, values.imag
-    return (np.einsum("ij,ij,j->i", re, re, w_cols)
-            + np.einsum("ij,ij,j->i", im, im, w_cols))
+def _row_sums(a: np.ndarray, b: np.ndarray, w_cols: np.ndarray) -> np.ndarray:
+    """sum_j w_cols[j] Re(a[i, j] conj(b[i, j])) for each row i, in real
+    arithmetic."""
+    return (np.einsum("ij,ij,j->i", a.real, b.real, w_cols)
+            + np.einsum("ij,ij,j->i", a.imag, b.imag, w_cols))
 
 
 def _row_sums_band(start: int, stop: int, values: np.ndarray, w: np.ndarray,
                    out: np.ndarray) -> None:
-    out[start:stop] = _row_sums(values[start:stop], w)
+    block = values[start:stop]
+    out[start:stop] = _row_sums(block, block, w)
 
 
 def quadrature_norm(psi: TwoParticleAmplitude) -> float:
@@ -234,34 +242,40 @@ def quadrature_norm(psi: TwoParticleAmplitude) -> float:
     return float(np.sqrt(float(w @ rows)))
 
 
-def _exchange_band(start: int, stop: int, v: np.ndarray, scratch: np.ndarray) -> None:
-    """Rows start to stop of conj(v.T), in blocks of TILE x TILE or less."""
-    for a in range(start, stop, TILE):
-        rows = slice(a, min(a + TILE, stop))
-        for c in range(0, v.shape[0], TILE):
-            cols = slice(c, c + TILE)
-            np.conjugate(v[cols, rows].T, out=scratch[rows, cols])
+def _exchange_sum(psi: TwoParticleAmplitude, row_sums) -> float:
+    """sum_i w_i row_sums(block, mirror, w_cols)_i over the tile pairs, for
+    each pair's block of Psi(x, y) and the same block of Psi(y, x).  Both
+    sums taken here have the same terms on a block and on its mirror, so
+    a pair off the diagonal counts twice."""
+    v, w = psi.values, psi.grid.quadrature_weights()
+    total = 0.0
+    for rows, cols in _tiles(psi.grid.n):
+        mirrored = 1.0 if rows == cols else 2.0
+        total += mirrored * float(
+            w[rows] @ row_sums(v[rows, cols], v[cols, rows].T, w[cols]))
+    return total
 
 
-def swap_overlap(psi: TwoParticleAmplitude) -> complex:
-    """Exchange overlap <Psi(x, y) | Psi(y, x)> of a normalized state.
+def swap_overlap(psi: TwoParticleAmplitude) -> float:
+    """Exchange overlap <Psi(x, y) | Psi(y, x)> of a normalized state,
+    sum w_i w_j (Re Psi_ij Re Psi_ji + Im Psi_ij Im Psi_ji).  It is real:
+    the (j, i) term of the complex sum is the conjugate of the (i, j) term."""
+    return _exchange_sum(psi, _row_sums)
 
-    The sum w_i w_j conj(Psi_ij) Psi_ji is taken as the conjugate of
-    sum w_i w_j Psi_ij conj(Psi_ji), read from a new array conj(Psi(y, x)):
-    the same products and sums, so the same bits, without a conjugated
-    copy of the input.  The blocked fill of that array takes half the
-    time of np.conjugate(v.T, out=scratch) at n = 2048 (46 vs 94 ms, 2-CPU
-    Xeon, numpy 2.4.6).
+
+def antisymmetrization_coefficient(psi: TwoParticleAmplitude) -> float:
+    """Normalization N = 1/sqrt(2 - 2 Re <Psi|S Psi>) of the odd part.
+
+    Raises InvalidDataError unless every amplitude is finite, and
+    DegenerateSymmetryError when the exchange-odd component is too small
+    to normalize (input exchange symmetric to tolerance).
     """
-    v = psi.values
-    w = psi.grid.quadrature_weights()
-    scratch = np.empty(v.shape, dtype=complex)
-    _in_bands(_exchange_band, psi.grid.n, v, scratch)
-    return complex(np.einsum("i,j,ij,ij->", w, w, v, scratch)).conjugate()
-
-
-def _odd_part_normalization(overlap: complex) -> float:
-    denom = 2.0 - 2.0 * overlap.real
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        overlap = swap_overlap(psi)
+    if not math.isfinite(overlap):
+        raise InvalidDataError(f"exchange overlap is {overlap!r}; "
+                               "every amplitude must be finite")
+    denom = 2.0 - 2.0 * overlap
     if denom < EPS_DEGENERATE:
         raise DegenerateSymmetryError(
             f"amplitude is exchange symmetric to within {denom:.3e}; the "
@@ -269,65 +283,19 @@ def _odd_part_normalization(overlap: complex) -> float:
     return float(1.0 / np.sqrt(denom))
 
 
-def antisymmetrization_coefficient(psi: TwoParticleAmplitude) -> float:
-    """Normalization N = 1/sqrt(2 - 2 Re <Psi|S Psi>) of the odd part.
-
-    Raises DegenerateSymmetryError when the exchange-odd component is
-    too small to normalize (input exchange symmetric to tolerance).
-    """
-    return _odd_part_normalization(swap_overlap(psi))
-
-
-def _mirror_strip(v: np.ndarray, a: int, b: int, buf: np.ndarray) -> np.ndarray:
-    """Psi(y, x) on rows a to b and columns a onward, copied from v's
-    columns a to b into the front of buf, where the rows are contiguous."""
-    n = v.shape[0]
-    mirror = buf[:(b - a) * (n - a)].reshape(b - a, n - a)
-    np.copyto(mirror, v[a:, a:b].T)
-    return mirror
-
-
-def _exchange_overlap(v: np.ndarray, w: np.ndarray) -> float:
-    """<Psi(x, y) | Psi(y, x)>, which is real, from strips of rows a to b
-    and columns a onward: sum w_i w_j (Re v_ij Re v_ji + Im v_ij Im v_ji).
-
-    Every term off a strip's diagonal block equals its mirror term, which
-    no strip holds, so it counts twice.  Strips are summed in one order,
-    and no n x n scratch is made.
-    """
-    n = v.shape[0]
-    step = _slice_rows(n)
-    buf = np.empty(step * n, dtype=complex)
-    total = 0.0
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        top, mirror = v[a:b, a:], _mirror_strip(v, a, b, buf)
-        terms = top.real * mirror.real
-        terms += top.imag * mirror.imag
-        total += float(w[a:b] @ (2.0 * (terms @ w[a:]) - terms[:, :b - a] @ w[a:b]))
-    return total
-
-
 def _odd_part(v: np.ndarray, out: np.ndarray, coeff: float) -> None:
     """coeff * (v - v.T) into out, which may be v itself.
 
-    Strip a:b covers rows a to b from column a on, and their mirror,
-    columns a to b from row b on.  Both are read, the mirror into a strip
-    buffer and the strip into its difference there, before either is
-    written, and no later strip reads them, so the projection runs in
-    place.  The mirror is the strip times -coeff,
+    Both blocks of a tile pair are read into their difference before
+    either is written, and no other pair reads them, so the projection
+    runs in place.  The mirror block is the difference times -coeff,
     transposed: a - b = -(b - a) and -coeff * x = -(coeff * x) exactly.
     """
-    n = v.shape[0]
-    step = _slice_rows(n)
-    buf = np.empty(step * n, dtype=complex)
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        odd = _mirror_strip(v, a, b, buf)
-        np.subtract(v[a:b, a:], odd, out=odd)
-        np.multiply(odd, coeff, out=out[a:b, a:])
-        np.multiply(odd, -coeff, out=odd)
-        out[b:, a:b] = odd[:, b - a:].T
+    for rows, cols in _tiles(v.shape[0]):
+        odd = v[rows, cols] - v[cols, rows].T
+        np.multiply(odd, coeff, out=out[rows, cols])
+        if rows != cols:
+            np.multiply(odd.T, -coeff, out=out[cols, rows])
 
 
 def _output(psi: TwoParticleAmplitude) -> np.ndarray:
@@ -340,8 +308,7 @@ def _output(psi: TwoParticleAmplitude) -> np.ndarray:
 
 def antisymmetrize(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
     """Normalized exchange-odd projection N * (Psi(x,y) - Psi(y,x))."""
-    coeff = _odd_part_normalization(
-        _exchange_overlap(psi.values, psi.grid.quadrature_weights()))
+    coeff = antisymmetrization_coefficient(psi)
     out = _output(psi)
     _odd_part(psi.values, out, coeff)
     return replace(psi, values=out)
@@ -350,16 +317,11 @@ def antisymmetrize(psi: TwoParticleAmplitude) -> TwoParticleAmplitude:
 def antisymmetry_defect(psi: TwoParticleAmplitude) -> float:
     """Quadrature norm of the exchange-even part (Psi(x,y) + Psi(y,x)) / 2;
     zero iff the amplitude is antisymmetric."""
-    v, w = psi.values, psi.grid.quadrature_weights()
-    even = 0.0
-    for rows, cols in _tiles(psi.grid.n):
-        # the terms of block (rows, cols) are those of (cols, rows)
-        if rows.start <= cols.start:
-            mirrored = 1.0 if rows == cols else 2.0
-            even += mirrored * float(
-                w[rows] @ _row_sums(v[rows, cols] + v[cols, rows].T, w[cols]))
-    # the part is half this sum; halving is exact
-    return 0.5 * float(np.sqrt(even))
+    def even(block, mirror, w_cols):
+        twice = block + mirror
+        return _row_sums(twice, twice, w_cols)
+    # the part is half the root of this sum; halving is exact
+    return 0.5 * float(np.sqrt(_exchange_sum(psi, even)))
 
 
 def _peak_band(start: int, stop: int, values: np.ndarray) -> np.floating:

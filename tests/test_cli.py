@@ -869,40 +869,42 @@ class TestWavefunction:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    def test_size_check_counts_the_arrays_a_check_holds(self, capsys, monkeypatch):
-        # physical memory of 1.5 arrays at n = 64: the preservation check
-        # holds one array and runs, an n0f check holds two and is refused
-        # before it allocates
+    @pytest.mark.parametrize("check", ["antisymmetry-preservation",
+                                       "n0f-antisymmetric", "n0f-symmetric-input"])
+    def test_size_check_counts_the_arrays_a_check_holds(self, check, capsys, monkeypatch):
+        # every check holds one array: with physical memory of 1.5 arrays
+        # at n = 64 it runs, and with 0.5 arrays it is refused before it
+        # allocates
         sysconf = os.sysconf
         page = 4096
-        pages = 3 * 16 * 64 * 64 // 2 // page
-        monkeypatch.setattr(os, "sysconf", lambda name: {
-            "SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}.get(name) or sysconf(name))
-        assert main(["wavefunction", "--check", "n0f-antisymmetric", "--n", "64"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "--n 64" in err
-        assert len(err.splitlines()) == 1
-        code, payload = run_json(capsys, ["wavefunction", "--check",
-                                          "antisymmetry-preservation", "--n", "64"])
-        assert code == 0 and payload["passed"] is True
+        array_pages = 16 * 64 * 64 // page
+        for pages, code in ((3 * array_pages // 2, 0), (array_pages // 2, 2)):
+            monkeypatch.setattr(os, "sysconf", lambda name: {
+                "SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": page}.get(name) or sysconf(name))
+            assert main(["wavefunction", "--check", check, "--n", "64"]) == code
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert json.loads(out)["check"] == check and err == ""
+            else:
+                assert err.startswith("error:") and "--n 64" in err
+                assert len(err.splitlines()) == 1
 
-    # arrays of 16 n^2 bytes above the import baseline at each check's
-    # peak.  The preservation check owns one array, which is projected and
-    # propagated in place (1.12-1.14 measured; 2.06-2.07 when each stage
-    # wrote a new array beside its input); an n0f check holds an
-    # amplitude and its swap scratch (2.04-2.06).  Each bound leaves room
-    # for allocator slack and fails a check that holds one more array.
-    ARRAYS_HELD = {"antisymmetry-preservation": 1.5, "n0f-antisymmetric": 2.6,
-                   "n0f-symmetric-input": 2.6}
-
-    @pytest.mark.parametrize("check", ARRAYS_HELD)
+    @pytest.mark.parametrize("check", ["antisymmetry-preservation",
+                                       "n0f-antisymmetric", "n0f-symmetric-input"])
     def test_preservation_memory_is_bounded(self, check, compiled):
+        # arrays of 16 n^2 bytes above the import baseline at the check's
+        # peak.  Every check holds one array, which the preservation check
+        # projects and propagates in place (1.12-1.14 measured) and an n0f
+        # check sums over in tile pairs; an n0f check read 2.04-2.06 when
+        # its exchange overlap filled a scratch array.  The bound leaves
+        # room for allocator slack and fails a check that holds one more
+        # array.
         n = 1024
         baseline = peak_rss_bytes("import firstphoton.cli", compiled)
         peak = peak_rss_bytes(
             "import sys; from firstphoton.cli import main; sys.exit(main(["
             f"'wavefunction', '--check', '{check}', '--n', '{n}']))", compiled)
-        assert peak - baseline <= self.ARRAYS_HELD[check] * 16 * n * n
+        assert peak - baseline <= 1.5 * 16 * n * n
 
 
 class TestRecordPipelineMemory:

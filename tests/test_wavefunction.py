@@ -161,6 +161,25 @@ class TestAntisymmetrize:
         with pytest.raises(DegenerateSymmetryError):
             wf.antisymmetrize(sym)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("kind", [wf.TwoParticleAmplitude, wf._OwnedAmplitude],
+                             ids=["plain", "owned"])
+    @pytest.mark.parametrize("kernel", [wf.antisymmetrization_coefficient,
+                                        wf.antisymmetrize])
+    def test_amplitude_not_finite_is_data_error(self, kernel, kind, cell):
+        # a NaN gives a NaN coefficient, which the degenerate check lets
+        # through, and an inf an invalid-value RuntimeWarning (an error
+        # in the suite); neither may reach the projection, so an owned
+        # array is left unwritten
+        grid = wf.Grid1D(x_min=-12.0, x_max=12.0, n=64)
+        values = np.outer(wf.oscillator_mode(grid, 0), wf.oscillator_mode(grid, 1))
+        values[32, 9] = cell
+        psi = kind(grid=grid, values=values)
+        before = values.tobytes()
+        with pytest.raises(InvalidDataError, match="every amplitude must be finite"):
+            kernel(psi)
+        assert psi.values.tobytes() == before
+
     def test_nearly_symmetric_input_is_degenerate(self, grid):
         mode0 = wf.oscillator_mode(grid, 0)
         mode1 = wf.oscillator_mode(grid, 1)
@@ -349,15 +368,23 @@ class TestKernelReferences:
             reference_norm(skewed.values, skewed.grid.quadrature_weights()),
             rel=0, abs=REFERENCE_ATOL)
 
-    def test_swap_overlap_is_bit_identical(self, skewed):
-        # the same products and sums as the reference, so equal to the bit;
-        # the n0f-symmetric-input report prints the real part of this value
+    def test_swap_overlap(self, skewed):
+        # the n0f-symmetric-input report prints this value, a real number
         w = skewed.grid.quadrature_weights()
         mode0 = wf.oscillator_mode(skewed.grid, 0)
         sym = wf.TwoParticleAmplitude.from_factors(skewed.grid, mode0, mode0)
         for psi in (skewed, sym):
-            assert wf.swap_overlap(psi) == reference_inner(
-                psi.values, psi.values.T.copy(), w)
+            got = wf.swap_overlap(psi)
+            assert type(got) is float
+            assert got == pytest.approx(
+                reference_inner(psi.values, psi.values.T.copy(), w).real,
+                rel=0, abs=REFERENCE_ATOL)
+
+    def test_from_factors(self, skewed):
+        f = gaussian_mode(skewed.grid, center=-1.0, momentum=1.5)
+        g = gaussian_mode(skewed.grid, center=0.7, width=1.1)
+        got = wf.TwoParticleAmplitude.from_factors(skewed.grid, f, g).values
+        assert got.tobytes() == (f[:, None] * g).tobytes()
 
     @pytest.mark.parametrize("kernel", [
         lambda psi: wf.free_propagate(psi, 0.7),
@@ -399,7 +426,7 @@ class TestOwnedArray:
         assert len(results) == 1
 
     def test_allocates_little_beyond_the_array_it_owns(self, skewed):
-        # the projection reads each strip pair into a buffer of a few
+        # the projection reads each tile pair into a block of a few
         # rows, and the transforms run in place; the first call of a grid
         # size fills numpy's FFT plan cache, which later calls reuse
         owned_pipeline(skewed, 0.7)
@@ -416,9 +443,20 @@ class TestOwnedArray:
 # the kernels that split their n x n passes into bands, as functions of
 # an amplitude and two factors, each giving an array or a number
 BANDED = {
-    "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
     "free_propagate": lambda psi, f, g: wf.free_propagate(psi, 0.7).values,
     "quadrature_norm": lambda psi, f, g: wf.quadrature_norm(psi),
+}
+
+
+# the kernels that run in the calling thread: their tile pairs make
+# several small numpy calls each, which hold the interpreter lock, and
+# one np.outer was as fast as two bands
+UNBANDED = {
+    "swap_overlap": lambda psi, f, g: wf.swap_overlap(psi),
+    "antisymmetrize": lambda psi, f, g: wf.antisymmetrize(psi).values,
+    "antisymmetry_defect": lambda psi, f, g: wf.antisymmetry_defect(psi),
+    "from_factors": lambda psi, f, g: wf.TwoParticleAmplitude.from_factors(
+        psi.grid, f, g).values,
 }
 
 
@@ -457,37 +495,19 @@ class TestBands:
             assert (len(starts) > 0) == (cpus > 1)
         assert results[2] == results[1] and results[3] == results[1]
 
-    def test_defect_runs_in_the_calling_thread(self, skewed, monkeypatch):
-        # its tile pairs hold the interpreter lock, so helpers gain nothing
-        starts = counting_starts(monkeypatch)
-        results = set()
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
-            results.add(wf.antisymmetry_defect(skewed))
-        assert starts == [] and len(results) == 1
-
-    def test_projection_runs_in_the_calling_thread(self, skewed, monkeypatch):
-        # its strips make a few numpy calls each, and in one thread were
-        # as fast as the banded exchange fill with its scratch array
-        before = skewed.values.tobytes()
-        starts = counting_starts(monkeypatch)
-        results = set()
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
-            results.add(wf.antisymmetrize(skewed).values.tobytes())
-        assert starts == [] and len(results) == 1
-        assert skewed.values.tobytes() == before
-
-    def test_outer_product_runs_in_the_calling_thread(self, skewed, monkeypatch):
-        # one np.outer was as fast as two bands, so no helper starts
+    @pytest.mark.parametrize("kernel", UNBANDED.values(), ids=UNBANDED)
+    def test_runs_in_the_calling_thread(self, skewed, monkeypatch, kernel):
         f = gaussian_mode(skewed.grid, center=-1.0, momentum=1.5)
         g = gaussian_mode(skewed.grid, center=0.7, width=1.1)
+        inputs = (skewed.values, f, g)
+        before = [a.tobytes() for a in inputs]
         starts = counting_starts(monkeypatch)
         results = set()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(series, "_usable_cpus", lambda: cpus)
-            results.add(wf.TwoParticleAmplitude.from_factors(skewed.grid, f, g).values.tobytes())
-        assert starts == [] and results == {(f[:, None] * g).tobytes()}
+            results.add(np.asarray(kernel(skewed, f, g)).tobytes())
+            assert [a.tobytes() for a in inputs] == before
+        assert starts == [] and len(results) == 1
 
     def test_bands_cover_the_range_in_order(self, monkeypatch):
         monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
@@ -498,18 +518,18 @@ class TestBands:
 
     def test_helper_error_reaches_the_caller(self, skewed, monkeypatch):
         monkeypatch.setattr(series, "_usable_cpus", lambda: 3)
-        exchange = wf._exchange_band
+        row_sums = wf._row_sums_band
 
         def failing(start, stop, *args):
             if start > 0:
                 raise ZeroDivisionError(f"band at row {start}")
-            exchange(start, stop, *args)
+            row_sums(start, stop, *args)
 
-        monkeypatch.setattr(wf, "_exchange_band", failing)
+        monkeypatch.setattr(wf, "_row_sums_band", failing)
         threads = threading.active_count()
         # the second band is the first that fails
         with pytest.raises(ZeroDivisionError, match=f"band at row {skewed.grid.n // 3}$"):
-            wf.swap_overlap(skewed)
+            wf.quadrature_norm(skewed)
         assert threading.active_count() == threads
 
     def test_reader_pool_starts_after_a_run(self, tmp_path, monkeypatch, capsys, forks):
