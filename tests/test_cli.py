@@ -893,12 +893,12 @@ class TestWavefunction:
                                        "n0f-antisymmetric", "n0f-symmetric-input"])
     def test_preservation_memory_is_bounded(self, check, compiled):
         # arrays of 16 n^2 bytes above the import baseline at the check's
-        # peak.  Every check holds one array, which the preservation check
-        # projects and propagates in place (1.12-1.14 measured) and an n0f
-        # check sums over in tile pairs; an n0f check read 2.04-2.06 when
-        # its exchange overlap filled a scratch array.  The bound leaves
-        # room for allocator slack and fails a check that holds one more
-        # array.
+        # peak.  Every check holds one array (1.04-1.14 measured), which
+        # the preservation check projects and propagates in place and an
+        # n0f check sums over in tile pairs; an n0f check read 2.04-2.06
+        # when its exchange overlap filled a scratch array.  The bound
+        # leaves room for allocator slack and fails a check that holds one
+        # more array.
         n = 1024
         baseline = peak_rss_bytes("import firstphoton.cli", compiled)
         peak = peak_rss_bytes(

@@ -426,8 +426,8 @@ class TestOwnedArray:
         assert len(results) == 1
 
     def test_allocates_little_beyond_the_array_it_owns(self, skewed):
-        # the projection reads each tile pair into a block of a few
-        # rows, and the transforms run in place; the first call of a grid
+        # the projection reads each tile pair into one tile-sized
+        # block, and the transforms run in place; the first call of a grid
         # size fills numpy's FFT plan cache, which later calls reuse
         owned_pipeline(skewed, 0.7)
         owned = wf._OwnedAmplitude(grid=skewed.grid, values=skewed.values.copy())
