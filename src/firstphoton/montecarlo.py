@@ -15,14 +15,15 @@ run is a prefix of a longer one.
 
 A record stores t_first, first_is_a (the kernel's bool, one byte) and
 t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
-the channels: its CSV has pair_id (the row index), t_first,
-channel_first, t_second and channel_second, the letters following from
-first_is_a as 1-byte ``S1`` labels.  It renders the text in up to
-n_workers processes; the count changes no byte.
-``read_records_csv`` gives back the table ``series.read_columns``
-parses of the two time columns only, float64 fields t_first and
-t_second, which is all that post-selection and the one-photon window
-times read.
+the channel: its CSV has t_first, channel_first (the letter of
+first_is_a, a 1-byte ``S1`` label) and t_second, what was sampled and
+nothing derived from it.  It renders the text in up to n_workers
+processes; the count changes no byte.  ``read_records_csv`` gives back
+the table ``series.read_columns`` parses of the two time columns only,
+float64 fields t_first and t_second, which is all that post-selection
+and the one-photon window times read.  It selects them by name, so a
+file with more columns (the earlier pair_id and channel_second) loads
+the same.
 
 Post-selection emulates coincidence hardware: ``grid-bin`` discards a
 pair when both photons fall into the same bin of a fixed grid of width
@@ -56,7 +57,7 @@ RECORD_DTYPE = np.dtype([
     ("t_second", np.float64),
 ])
 
-RECORD_COLUMNS = ["pair_id", "t_first", "channel_first", "t_second", "channel_second"]
+RECORD_COLUMNS = ["t_first", "channel_first", "t_second"]
 
 
 def latest_time(rates: RatePair, window: WindowConfig) -> float:
@@ -223,27 +224,20 @@ def empirical_cdf(times: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def write_records_csv(path, records: np.ndarray, n_workers: int = 1) -> None:
     """Write records as CSV with the columns of ``RECORD_COLUMNS``.
 
-    pair_id is the row index, channel_first the letter of first_is_a and
-    channel_second the other letter.  The text is rendered in up to
-    ``n_workers`` processes, this one and forked children (see
+    channel_first is the letter of first_is_a.  The text is rendered in
+    up to ``n_workers`` processes, this one and forked children (see
     ``series.processes``); the file is the same for any count.
     """
-    n = records.shape[0]
-    first_is_a = records["first_is_a"]
     a, b = np.array([CHANNEL_A, CHANNEL_B], dtype="S1")
+    channel_first = np.where(records["first_is_a"], a, b)
     with processes(n_workers):
-        write_table(path, RECORD_COLUMNS, [
-            np.arange(n, dtype=np.min_scalar_type(n)),
-            records["t_first"],
-            np.where(first_is_a, a, b),
-            records["t_second"],
-            np.where(first_is_a, b, a),
-        ])
+        write_table(path, RECORD_COLUMNS,
+                    [records["t_first"], channel_first, records["t_second"]])
 
 
 def read_records_csv(path) -> np.ndarray:
     """Load a records file as the ``read_columns`` table of its two time
-    columns, t_first and t_second; the channel columns are not read."""
+    columns, t_first and t_second; the channel is not read."""
     records = read_columns(path, ["t_first", "t_second"])
     t_first, t_second = records["t_first"], records["t_second"]
     # every comparison is False at NaN

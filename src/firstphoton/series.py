@@ -4,8 +4,10 @@ A table is one header row and one row per index of its columns, with
 ``,`` between cells and ``\\n`` after each row, in UTF-8.  Its cells are
 numbers and ASCII labels.  Floats are written as ``%.17g`` writes them,
 17 significant digits, so a written file reloads to bit-identical
-values and reruns can be compared byte for byte; integers are written
-as ``%d``, and a str or bytes column as its ASCII labels.
+values and reruns can be compared byte for byte.  An integer column is
+written as the doubles it equals, which for |v| <= 2**53 are the bytes
+of ``%d``; one holding a larger magnitude is refused.  A str or bytes
+column is written as its ASCII labels.
 
 ``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks
 (16384 rows).  numpy renders a chunk as one uint8 matrix with a row per
@@ -16,14 +18,14 @@ with s = 16 - k for its decimal exponent k.  The product is formed
 exactly as Dekker's two-product of two doubles for s in [0, 22], where
 10**s is an exact double: decimal exponents -6 to 16, so |x| from 1e-6
 to below 1e17.  The cells it does not cover (0, nan, inf and the other
-exponents) are formatted one by one with ``%.17g``.  An
-integer is the digits of its uint64 magnitude after a sign slot, and a
-label column's matrix is a view of its bytes.  A column of any other
-dtype (bool, object, ...), a label that is not ASCII or holds a NUL
-(which would read as padding), a header name with a surrogate code
-point (which has no UTF-8), and a header name or label holding a
-separator (``,``, ``"``, CR or LF, which would split or quote its row)
-raise InvalidDataError before ``write_table`` opens the file.  Memory
+exponents) are formatted one by one with ``%.17g``.  A label column's
+matrix is a view of its bytes.  A column of any other dtype (bool,
+object, ...), an integer beyond +-2**53 (which no double holds
+exactly), a label that is not ASCII or holds a NUL (which would read
+as padding), a header name with a surrogate code point (which has no
+UTF-8), and a header name or label holding a separator (``,``, ``"``,
+CR or LF, which would split or quote its row) raise InvalidDataError
+before ``write_table`` opens the file.  Memory
 beyond the columns is a few chunks' matrices and text whatever the row
 count, and the file does not depend on the chunk size.
 
@@ -83,8 +85,6 @@ _TEN = np.array([float(10 ** s) for s in range(16 - _LOW_EXPONENT + 1)])
 _BOUNDS = np.array([float(f"1e{j}") for j in range(_LOW_EXPONENT, _HIGH_EXPONENT + 2)])
 # Veltkamp's splitter for doubles, 2**27 + 1
 _SPLITTER = 134217729.0
-# 0 and then 10**j, the least magnitude whose jth digit shows
-_POW10 = np.array([0] + [10 ** j for j in range(1, 20)], dtype=np.uint64)
 # the float cell's slots: sign, "0." and up to three zeros before the
 # digits of a fixed form below 1, 17 digits with a point slot after each
 # of the first 16, and the exponent "e-XX"; _FLOAT_BYTES is the byte of
@@ -184,8 +184,8 @@ def _digit_rows(v: np.ndarray, out: np.ndarray) -> None:
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each float as a (slots, rows) uint8 matrix, 0 where
-    a slot holds no byte."""
+    """``%.17g`` of each number, as the double it equals, in a (slots,
+    rows) uint8 matrix, 0 where a slot holds no byte."""
     x = np.ascontiguousarray(x, np.float64)
     digits, k, covered = _decimal(x)
     text = np.empty((17, x.size), np.uint8)
@@ -224,33 +224,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int_cells(v: np.ndarray) -> np.ndarray:
-    """``%d`` of each integer: a sign slot and the digits of its uint64
-    magnitude, leading zeros left out."""
-    magnitude = v.astype(np.uint64)
-    negative = v < 0
-    if negative.any():
-        # two's complement, so -2**63 has its magnitude 2**63
-        magnitude = np.where(negative, -magnitude, magnitude)
-    width = len(str(int(magnitude.max())))
-    if width < 10:
-        magnitude = magnitude.astype(np.uint32)
-    out = np.empty((1 + width, v.size), np.uint8)
-    out[0] = negative * ord("-")
-    text = out[1:]
-    _digit_rows(magnitude, text)
-    text += _ZERO
-    # the digit of 10**j shows when the magnitude reaches it; the units always
-    text *= magnitude >= _POW10[width - 1::-1, None].astype(magnitude.dtype)
-    return out
-
-
 def _cells(column: np.ndarray) -> np.ndarray:
     """The column's cells as a (slots, rows) uint8 matrix."""
-    if column.dtype.kind == "f":
+    if column.dtype.kind in "fiu":
         return _float_cells(column)
-    if column.dtype.kind in "iu":
-        return _int_cells(column)
     return column.view(np.uint8).reshape(column.size, column.itemsize).T
 
 
@@ -397,6 +374,10 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     for name in header:
         if any(chr(byte) in name for byte in _SEPARATORS):
             raise InvalidDataError(f"header name {name!r} holds a comma, quote or line break")
+    for name, c in zip(header, cols):
+        # %.17g of a double within +-2**53 is %d of the integer it equals
+        if c.dtype.kind in "iu" and max(-int(c.min(initial=0)), int(c.max(initial=0))) > 2**53:
+            raise InvalidDataError(f"integer column {name!r} holds a value beyond +-2**53")
     cols = [c if c.dtype.kind in "fiu" else _label_column(name, c)
             for name, c in zip(header, cols)]
     try:
@@ -410,10 +391,9 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     # M_MMAP_THRESHOLD).  A chunk holds at most its cell matrix and the
     # text transposed from it at once, so one dropped block of both
     # sizes lets every chunk reuse heap pages where a fresh process
-    # would fault in new ones for each chunk.  A row's slots: a float's,
-    # an integer's sign and 20 digits, a label's bytes, and a separator each
-    slots = [len(_FLOAT_BYTES) if c.dtype.kind == "f" else 21 if c.dtype.kind in "iu"
-             else c.itemsize for c in cols]
+    # would fault in new ones for each chunk.  A row's slots: a number's,
+    # a label's bytes, and a separator each
+    slots = [len(_FLOAT_BYTES) if c.dtype.kind in "fiu" else c.itemsize for c in cols]
     np.empty(2 * min(n, CHUNK_ROWS) * (sum(slots) + len(cols)), np.uint8)
     try:
         with open(path, "wb") as fh:

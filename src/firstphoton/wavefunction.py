@@ -278,7 +278,7 @@ def antisymmetrization_coefficient(psi: TwoParticleAmplitude) -> float:
     denom = 2.0 - 2.0 * overlap
     if denom < EPS_DEGENERATE:
         raise DegenerateSymmetryError(
-            f"amplitude is exchange symmetric to within {denom:.3e}; the "
+            f"amplitude is exchange symmetric to within {max(denom, 0.0):.3e}; the "
             "antisymmetric projection has no normalizable component")
     return float(1.0 / np.sqrt(denom))
 

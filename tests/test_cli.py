@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import firstphoton
-from firstphoton import analytic, errors, series
+from firstphoton import analytic, errors, montecarlo, series
 from firstphoton.cli import build_parser, main
 from firstphoton.series import read_columns
 
@@ -296,7 +297,7 @@ class TestFit:
         assert main(["simulate", "--kind", "product", "--n-pairs", "2000",
                      "--tau", "0.02", "--out", str(samples)]) == 0
         lines = samples.read_bytes().splitlines(keepends=True)
-        lines[-3] = lines[-3].replace(b",", b",x", 1)     # t_first on line 1999
+        lines[-3] = b"x" + lines[-3]      # t_first on line 1999
         samples.write_bytes(b"".join(lines))
         capsys.readouterr()
         assert main(command + ["--tau", "0.02", "--samples", str(samples)]) == 3
@@ -453,6 +454,31 @@ class TestDiscriminate:
             assert main([*argv[:1], "--samples", str(records), *window, *argv[1:]]) == 0
             printed[argv] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert printed == digests
+
+    @pytest.mark.parametrize("argv", [["fit"], ["fit", "--postselect"], ["discriminate"],
+                                      ["discriminate", "--postselect"]])
+    def test_five_column_records_read_the_same(self, tmp_path, capsys, argv):
+        # records files once also held pair_id, the row index, and
+        # channel_second, the other letter; readers select their columns
+        # by name, so such a file prints what the three-column file does
+        records = montecarlo.simulate(montecarlo.SimConfig(
+            n_pairs=20000, rates=analytic.RatePair(1.0, 1.5), kind="product",
+            window=analytic.WindowConfig(tau=0.3, mode="grid-bin"), seed=19))
+        a, b = np.array([b"A", b"B"])
+        first_is_a = records["first_is_a"]
+        three, five = tmp_path / "three.csv", tmp_path / "five.csv"
+        montecarlo.write_records_csv(three, records)
+        series.write_table(five, ["pair_id", "t_first", "channel_first", "t_second",
+                                  "channel_second"],
+                           [np.arange(len(records)), records["t_first"],
+                            np.where(first_is_a, a, b), records["t_second"],
+                            np.where(first_is_a, b, a)])
+        printed = []
+        for path in (three, five):
+            assert main([*argv[:1], "--samples", str(path), "--tau", "0.3",
+                         *argv[1:]]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_underflowing_density_is_model_inapplicable(self, tmp_path, capsys):
         # exp(-1000) and exp(-1500) underflow, so the product density is 0
@@ -828,6 +854,15 @@ class TestWavefunction:
         assert payload["passed"] is False
         assert "symmetric" in payload["error"]
 
+    def test_symmetric_input_tolerance_is_not_negative(self, capsys):
+        # at n = 256 the overlap of f(x)f(y) sums to 1 + 2**-52, so
+        # 2 - 2 <Psi|S Psi> rounds below 0; the report clamps it at 0
+        code, payload = run_json(capsys, ["wavefunction", "--check",
+                                          "n0f-symmetric-input", "--n", "256"])
+        assert code == 0 and payload["passed"] is False
+        tolerance = re.search(r"within (\S+);", payload["error"]).group(1)
+        assert float(tolerance) >= 0.0, payload["error"]
+
     def test_report_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, payload = run_json(capsys, ["wavefunction", "--check",
@@ -908,24 +943,25 @@ class TestWavefunction:
 
 
 class TestRecordPipelineMemory:
-    # at its peak simulate holds the 17-byte records with the 4-byte
-    # pair_id (uint32 below 2**32 pairs) and the two 1-byte channel
-    # label columns that write_table renders, 17 + 4 + 2 = 23 bytes a
-    # pair, and discriminate --postselect holds the 16-byte reloaded
-    # records with their mask and their kept copy from postselect, about
-    # 33; each step adds a few chunks of temporaries, allocator slack and
-    # the modules it imports past the baseline (45.0-45.5 and 40.4-40.9
-    # measured on 2**19 pairs, on one CPU and on two; simulate 52.1-52.5
-    # with 4-byte channel letters, discriminate 48.5-50.6 when a record
-    # took 20 bytes).  Each bound fails a step that keeps a full-length
-    # temporary or a module it need not: 4-byte channel letters or
-    # 65536-row render chunks (85, simulate), a process pool's
+    # at its peak simulate holds the 17-byte records with the 1-byte
+    # channel_first label column that write_table renders, 17 + 1 = 18
+    # bytes a pair, and discriminate --postselect holds the 16-byte
+    # reloaded records with their mask and their kept copy from
+    # postselect, about 33; each step adds a few chunks of temporaries,
+    # allocator slack and the modules it imports past the baseline
+    # (39.3-39.7 and 36.2-36.9 measured on 2**19 pairs, on one CPU and
+    # on two; simulate 45.3-45.8 with a 4-byte pair_id and a second
+    # letter column, 52.1-52.5 with 4-byte channel letters, discriminate
+    # 48.5-50.6 when a record took 20 bytes).  Each bound fails a step
+    # that keeps a full-length temporary or a module it need not: the
+    # pair_id and second letter columns (45.3, simulate), 4-byte channel
+    # letters or 65536-row render chunks (85, simulate), a process pool's
     # multiprocessing and concurrent.futures, about 2 MB (44.7-44.9,
     # discriminate on two CPUs), keep_mask's floor(t / tau) arrays (53),
     # the records held past postselect (54) or the density and its log
     # over all samples (116).
     N_PAIRS = 1 << 19
-    BYTES_PER_PAIR = {"simulate": 50, "discriminate": 43}
+    BYTES_PER_PAIR = {"simulate": 43, "discriminate": 43}
 
     def test_growth_per_pair_is_bounded(self, tmp_path, compiled):
         records = tmp_path / "records.csv"

@@ -373,7 +373,7 @@ class TestWriter:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         rows=st.lists(st.tuples(
-            st.integers(-2**63, 2**63 - 1),
+            st.integers(-2**53, 2**53),
             st.floats(allow_nan=True, allow_infinity=True)
             | st.sampled_from(SPECIAL),
             st.text(alphabet="ABxyz_", max_size=4),
@@ -511,13 +511,14 @@ class TestWriter:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_records_bytes_pinned(self, tmp_path, capsys, workers):
-        # digests of the per-cell writer these files were first made with
+        # the three-column file is the per-cell writer's five-column file
+        # (a6e15de6...) with its pair_id and channel_second cut out
         out = tmp_path / "records.csv"
         assert main(["simulate", "--kind", "entangled", "--n-pairs", "70001",
                      "--seed", "7", "--tau", "0.02", "--workers", workers,
                      "--out", str(out)]) == 0
-        assert sha(out) == ("a6e15de6dc9d852476c8a5b68cef4f435ad173660330959e"
-                            "8be76ec30bb8af09")
+        assert sha(out) == ("b99c83c4da1a9d824ec1f3dd9316db8712d0e9088d1d881d"
+                            "b58f744dbd72bd93")
         assert sha(tmp_path / "records.csv.summary.json") == (
             "6a82a922d830ebb9d26122300aa0c75754bd2c87befb9fba5892c4a7f1d68a03")
 
@@ -631,10 +632,24 @@ class TestRenderKernel:
                                     1e-45, 16777217.0], np.float32))
 
     def test_integer_extremes(self):
-        for column in (np.array([-2**63, 2**63 - 1, -1, 0, 1, -10**18, 10**18], np.int64),
-                       np.array([2**64 - 1, 0, 10**19, 10**19 - 1], np.uint64),
+        # an integer is written as the double it equals, %d's bytes up to 2**53
+        for column in (np.array([-2**53, 2**53, 2**53 - 1, -1, 0, 1, -10**15, 10**15,
+                                 10**15 - 1, 123456789012345], np.int64),
+                       np.array([2**53, 0, 9, 10, 2**32], np.uint64),
                        np.array([-128, 127, 0, -5], np.int8)):
             assert rendered(column) == ["%d" % v for v in column.tolist()]
+
+    @pytest.mark.parametrize("column", [np.array([0, 2**53 + 1], np.int64),
+                                        np.array([-2**53 - 1, 5], np.int64),
+                                        np.array([-2**63], np.int64),
+                                        np.array([2**64 - 1], np.uint64)],
+                             ids=["2**53+1", "-2**53-1", "-2**63", "2**64-1"])
+    def test_integers_beyond_two_to_the_53_are_refused(self, tmp_path, column):
+        # no double holds them exactly, so no file is made
+        path = tmp_path / "t.csv"
+        with pytest.raises(InvalidDataError, match="2\\*\\*53"):
+            write_table(path, ["i"], [column])
+        assert not path.exists()
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
