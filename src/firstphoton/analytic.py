@@ -1,13 +1,14 @@
 """Closed-form kinetics of first-photon emission from two-atom pairs.
 
 Two atoms with single-atom emission rates gamma_a and gamma_b are
-prepared either in the entangled single-excitation state or in the
-product of two excited states.
+prepared either entangled or in the product of two excited states.  An
+entangled pair has both atoms excited and exchange-symmetrized,
+(|a, b> + |b, a>) / sqrt(2).  Its first photon comes at the combined
+rate, so that waiting time is exponential with
 
-Entangled pairs lose their excitation through a single first photon, so
-the waiting time is exponential with the combined rate
+    gamma_f = gamma_a + gamma_b,
 
-    gamma_f = gamma_a + gamma_b.
+and the atom left excited then emits its photon at its own rate.
 
 Requiring that the time-ordered description (first emission at gamma_f,
 then relaxation of the remaining atom at its own rate) reproduces the

@@ -14,13 +14,14 @@ column is written as its ASCII labels.
 byte slot of a table row and a column per table row, 0 meaning "no
 byte"; the chunk's text is the matrix transposed, with the 0 bytes
 deleted.  A float x has the 17 digits round-half-even(|x| * 10**s)
-with s = 16 - k for its decimal exponent k.  The product is formed
-exactly as Dekker's two-product of two doubles for s in [0, 22], where
-10**s is an exact double: decimal exponents -6 to 16, so |x| from 1e-6
-to below 1e17.  The cells it does not cover (0, nan, inf and the other
-exponents) are formatted one by one with ``%.17g``.  A label column's
-matrix is a view of its bytes.  A column of any other dtype (bool,
-object, ...), an integer beyond +-2**53 (which no double holds
+with s = 16 - k for its decimal exponent k.  The kernel covers the
+exponents -4 to 16, so |x| from 1e-4 to below 1e17, which ``%.17g``
+writes in fixed notation; there 10**s is an exact double, and the
+product is formed exactly as Dekker's two-product of two doubles.  The
+cells it does not cover (0, nan, inf and every number ``%.17g`` writes
+with an exponent) are formatted one by one with ``%.17g``.  A label
+column's matrix is a view of its bytes.  A column of any other dtype
+(bool, object, ...), an integer beyond +-2**53 (which no double holds
 exactly), a label that is not ASCII or holds a NUL (which would read
 as padding), a header name with a surrogate code point (which has no
 UTF-8), and a header name or label holding a separator (``,``, ``"``,
@@ -76,21 +77,21 @@ CHUNK_ROWS = 16384
 # glibc's heap after the parse; 1 MiB blocks kept up to 9 MB at 2**19 records
 READ_BLOCK_BYTES = 1 << 19
 
-# decimal exponents whose 17 digits the float kernel forms exactly:
-# s = 16 - k must keep 10**s an exact double
-_LOW_EXPONENT, _HIGH_EXPONENT = -6, 16
+# the decimal exponents %.17g writes in fixed notation, the float
+# kernel's range; s = 16 - k keeps 10**s an exact double
+_LOW_EXPONENT, _HIGH_EXPONENT = -4, 16
 _TEN = np.array([float(10 ** s) for s in range(16 - _LOW_EXPONENT + 1)])
-# the doubles nearest 10**j: from 1e-5 on 10**j or the next above it,
-# so |x| >= _BOUNDS[j + 6] exactly when |x| >= 10**j; 1e-6's is below
+# the doubles nearest 10**j, each 10**j or the next above it, so
+# |x| >= _BOUNDS[j + 4] exactly when |x| >= 10**j
 _BOUNDS = np.array([float(f"1e{j}") for j in range(_LOW_EXPONENT, _HIGH_EXPONENT + 2)])
 # Veltkamp's splitter for doubles, 2**27 + 1
 _SPLITTER = 134217729.0
 # the float cell's slots: sign, "0." and up to three zeros before the
-# digits of a fixed form below 1, 17 digits with a point slot after each
-# of the first 16, and the exponent "e-XX"; _FLOAT_BYTES is the byte of
-# each slot, 1 where the slot holds a digit
-_SIGN, _LEAD, _ZEROS, _DIGITS, _EXP = 0, 1, 3, 6, 39
-_FLOAT_BYTES = np.frombuffer(b"-0.000" + b"\1." * 16 + b"\1e-\1\1", np.uint8)[:, None]
+# digits of a number below 1, and 17 digits with a point slot after each
+# of the first 16; _FLOAT_BYTES is the byte of each slot, 1 where the
+# slot holds a digit
+_SIGN, _LEAD, _ZEROS, _DIGITS = 0, 1, 3, 6
+_FLOAT_BYTES = np.frombuffer(b"-0.000" + b"\1." * 16 + b"\1", np.uint8)[:, None]
 _DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
 _DIGIT_RANK = np.arange(1, 18, dtype=np.int8)[:, None]
 _ZERO = np.uint8(ord("0"))
@@ -139,23 +140,23 @@ def _decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 17 significant digits D (an integer in [1e16, 1e17)) and the
     decimal exponent k of |x|, rounded half to even as ``%.17g`` rounds,
     and where they are valid: finite x with k in [_LOW_EXPONENT,
-    _HIGH_EXPONENT], so |x| from 1e-6 to below 1e17.
+    _HIGH_EXPONENT], so |x| from 1e-4 to below 1e17.
 
     k is first taken from log10, which can miss by one next to a power
     of ten, and then set by comparing |x| with the exact bounds.  D is
     the floor of |x| * 10**s, s = 16 - k, plus its round-half-even bit,
     both read off Dekker's two-product hi + lo of |x| and 10**s.  That
-    is exact: 10**s is an exact double for s <= 22, no step under- or
+    is exact: 10**s is an exact double for s <= 20, no step under- or
     overflows, and numpy never fuses separate ufuncs into an FMA, so
     each step rounds as written.  hi >= 1e16 > 2**53 is an integer, and
-    lo is a multiple of |x|'s ulp times 2**s, so of 2**-50 (the least
-    at |x| = 1e-6, s = 22): floor(lo), lo - floor(lo) and the tie test
+    lo is a multiple of |x|'s ulp times 2**s, so of 2**-46 (the least
+    at |x| = 1e-4, s = 20): floor(lo), lo - floor(lo) and the tie test
     are exact.  D never rounds up to 1e17: that takes a double less than
     a relative 5e-18 below a power of ten, and none in the range is.
     """
     size = np.abs(x)
     # NaN compares False, and neither log10 nor the product sees 0 or inf
-    covered = (size > _BOUNDS[0]) & (size < _BOUNDS[-1])
+    covered = (size >= _BOUNDS[0]) & (size < _BOUNDS[-1])
     size[~covered] = 1.0
     k = np.floor(np.log10(size)).astype(np.int64)
     np.clip(k, _LOW_EXPONENT, _HIGH_EXPONENT, out=k)
@@ -195,29 +196,20 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     # significant digits once trailing zeros are stripped
     shown = (_DIGIT_RANK * (text != 0)).max(axis=0)
     k = k.astype(np.int8)       # small types keep the (slots, rows) steps short
-    fixed = k >= -4
-    below_one = fixed & (k < 0)
-    point = np.where(fixed, k, np.int8(0))
     # the slots other than digits hold 1 where their byte is written
     out = np.zeros((len(_FLOAT_BYTES), x.size), np.uint8)
     out[_SIGN] = np.signbit(x)
-    if below_one.any():
-        out[_LEAD] = out[_LEAD + 1] = below_one
-        out[_ZEROS:_DIGITS] = _DIGIT_INDEX[:3] < np.where(below_one, -k - 1, np.int8(0))
+    out[_LEAD] = out[_LEAD + 1] = k < 0
+    out[_ZEROS:_DIGITS] = _DIGIT_INDEX[:3] < -k - 1
     text += _ZERO
-    # a fixed form keeps its integer digits, zeros too
-    text *= _DIGIT_INDEX < np.maximum(shown, np.where(fixed, k + 1, np.int8(0)))
-    out[_DIGITS:_EXP:2] = text
-    out[_DIGITS + 1:_EXP:2] = _DIGIT_INDEX[:16] == np.where(shown > point + 1, point, np.int8(-1))
-    exponent = np.flatnonzero(~fixed)
-    if exponent.size:
-        out[_EXP:_EXP + 2, exponent] = 1
-        out[_EXP + 2, exponent] = -k[exponent] // 10 + ord("0")
-        out[_EXP + 3, exponent] = -k[exponent] % 10 + ord("0")
+    # the integer digits stay, zeros too
+    text *= _DIGIT_INDEX < np.maximum(shown, k + 1)
+    out[_DIGITS::2] = text
+    out[_DIGITS + 1::2] = _DIGIT_INDEX[:16] == np.where(shown > k + 1, k, np.int8(-1))
     out *= _FLOAT_BYTES
     rest = np.flatnonzero(~covered)
     if rest.size:
-        # 0, nan, inf and exponents outside the kernel's range
+        # 0, nan, inf and the exponents %.17g writes as "e-05", "e+17", ...
         cells = np.array([b"%.17g" % v for v in x[rest].tolist()])
         out[:, rest] = 0
         out[:cells.itemsize, rest] = cells.view(np.uint8).reshape(rest.size, -1).T

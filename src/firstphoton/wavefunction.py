@@ -51,23 +51,15 @@ loops release the interpreter lock, so the bands run at once.  Row bands
 take the axis-1 transforms, the edge check's peak and the norm's row
 sums; bands of TILE-column strips take the axis-0 transforms.  The two
 phase multiplies ride with the inverse axis-1 transform, a few rows at a
-time while they are in cache: in one thread that is as fast as two
-whole-array multiplies, where multiplying each strided strip after its
-forward transform was 40 ms slower at n = 2048.  Every element and every
-row sum is formed by the same operations as in one band, and partial
-results are combined in one fixed order, so each result has the same
-bits for any band count.  The tile pairs run in the calling thread:
-each makes a few small numpy calls that hold the interpreter lock, so
-two bands were no faster than one.  At n = 2048 on 2 CPUs (medians of
-21 calls) they took 31 ms for the overlap, against 91 ms for one
-whole-array einsum over a banded exchange fill and 41 ms for strips of
-rows paired with their mirror columns; 42 ms for the projection,
-against 57 ms for strips; and 28 ms for the defect, against 46 ms for
-strips.  ``from_factors`` is one np.outer, as fast at n = 2048 on 2 CPUs
-as two bands.  Band bodies call only private functions.  On a 2-CPU Xeon
+time while they are in cache.  Every element and every row sum is
+formed by the same operations as in one band, and partial results are
+combined in one fixed order, so each result has the same bits for any
+band count.  The tile pairs run in the calling thread: each makes a few
+small numpy calls that hold the interpreter lock, so bands of them would
+run no faster than one.  ``from_factors`` is one np.outer, as fast as
+two bands.  Band bodies call only private functions.  On a 2-CPU Xeon
 (numpy 2.4.6) the CLI's ``antisymmetry-preservation`` check at n = 2048
-takes 0.52 s as a process, against 0.69 s before the passes were split
-into bands.
+takes about 0.18 s in-process on two bands and 0.28 s on one.
 """
 from __future__ import annotations
 

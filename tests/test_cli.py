@@ -1158,6 +1158,19 @@ class TestTableRender:
         assert sha(forked) == sha(base)
 
     @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: argv[0])
+    def test_every_cell_is_the_17g_of_its_double(self, tmp_path, argv):
+        # no hash is pinned: kinetics runs through BLAS and analytic through
+        # numpy's SIMD exp, whose last bits may differ across machines
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        header, *rows = out.read_bytes().splitlines()
+        cells = [cell for row in rows for cell in row.split(b",")]
+        assert len(cells) == len(rows) * len(header.split(b","))
+        # the cells below 1e-4, which %.17g writes with an exponent, are there too
+        assert any(b"e-" in cell for cell in cells)
+        assert [cell for cell in cells if b"%.17g" % float(cell) != cell] == []
+
+    @pytest.mark.parametrize("argv", TABLES, ids=lambda argv: argv[0])
     def test_unwritable_out_starts_no_pool(self, tmp_path, monkeypatch, capsys, forks,
                                            argv):
         monkeypatch.setattr(series, "_usable_cpus", lambda: 8)

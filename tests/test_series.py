@@ -581,8 +581,8 @@ class TestRenderKernel:
 
     def test_ties_round_half_to_even(self):
         x = self.ties()
-        # the kernel covers the ties from 1e-6 up; %.17g writes the rest
-        kernel = x >= 1e-6
+        # the kernel covers the ties from 1e-4 up; %.17g writes the rest
+        kernel = x >= 1e-4
         assert kernel.sum() > 1000 and series._decimal(x[kernel])[2].all()
         self.check_floats(x)
         self.check_floats(-x)
@@ -595,9 +595,34 @@ class TestRenderKernel:
 
     def test_bounds_of_decimal_exponents(self):
         # each is the least double at or above its power of ten, which
-        # makes the kernel's exponent exact, but 1e-6's, the greatest below
-        for j, bound in enumerate(series._BOUNDS.tolist(), -6):
-            assert (Fraction(bound) >= Fraction(10) ** j) == (j > -6), j
+        # makes the kernel's exponent exact
+        for j, bound in enumerate(series._BOUNDS.tolist(), series._LOW_EXPONENT):
+            assert Fraction(np.nextafter(bound, 0.0)) < Fraction(10) ** j <= Fraction(bound), j
+
+    @staticmethod
+    def low_edge():
+        # 1e-4, below which %.17g writes an exponent and the kernel
+        # leaves the cell to it
+        edge = float("1e-4")
+        return np.concatenate([
+            [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0), 9.999999999999999e-5, 1e-5],
+            np.logspace(-7, -3, 20_001),
+            # a kinetics table's tail
+            np.exp(-2.5 * np.linspace(3.0, 6.0, 30_001))])
+
+    def test_low_edge_of_the_kernel(self):
+        x = self.low_edge()
+        self.check_floats(x)
+        self.check_floats(-x)
+
+    def test_kernel_covers_the_fixed_notation_only(self):
+        x = np.concatenate([self.low_edge(), self.neighbours_of_powers_of_ten(),
+                            self.random_bit_patterns(), SPECIAL])
+        x = np.concatenate([x, -x])
+        covered = series._decimal(x)[2]
+        size = np.abs(x)
+        assert np.array_equal(covered, (size >= 1e-4) & (size < 1e17))
+        assert not any("e" in cell for cell in np.array(rendered(x))[covered])
 
     def test_bytes_do_not_depend_on_simd_dispatch(self):
         # np.log10, which gives the first guess of the decimal exponent,
