@@ -12,9 +12,10 @@ and the atom left excited then emits its photon at its own rate.
 
 Requiring that the time-ordered description (first emission at gamma_f,
 then relaxation of the remaining atom at its own rate) reproduces the
-direct per-channel laws fixes the channel rates uniquely;
-``solve_compatibility`` derives that identification by elimination and
-checks it against all four relations rather than assuming it.
+direct per-channel laws fixes the channel rates uniquely: c_a = gamma_a,
+c_b = gamma_b and gamma_f = gamma_a + gamma_b.  ``solve_compatibility``
+derives that by elimination and states it once for the time-ordered
+laws here, the ``kinetics`` rate equations and the entangled sampler.
 
 Product pairs emit two photons.  Detection hardware that cannot resolve
 two photons inside a coincidence window of width tau post-selects the
@@ -155,7 +156,7 @@ class WindowConfig:
 
 
 def solve_compatibility(rates: RatePair) -> tuple[float, float, float]:
-    """Solve for the channel rates and combined first-emission rate.
+    """The channel rates and combined first-emission rate.
 
     Unknowns (c_a, c_b, g_f) satisfy the four consistency relations
     obtained by matching the time-ordered emission bookkeeping against
@@ -165,22 +166,11 @@ def solve_compatibility(rates: RatePair) -> tuple[float, float, float]:
         (2) c_a = g_f - gamma_b      (4) c_b = gamma_b * c_a / (g_f - gamma_b)
 
     (1) into (3) gives c_a = gamma_a, (2) into (4) gives c_b = gamma_b,
-    and then (1) gives g_f = gamma_a + gamma_b.  The solution is checked
-    against all four relations, so the identification is verified, not
-    assumed: RuntimeError if a residual exceeds 1e-12 * (gamma_a + gamma_b).
-    Returns (channel_a_rate, channel_b_rate, combined_rate).
+    and then (1) gives g_f = gamma_a + gamma_b, which satisfies all four
+    exactly.  Returns (channel_a_rate, channel_b_rate, combined_rate);
+    every law that uses the identification reads it here.
     """
-    big_a, big_b = rates.gamma_a, rates.gamma_b
-    c_a, c_b = big_a, big_b  # (3) with (1): gamma_a c_b / c_b; (4) with (2)
-    g_f = big_a + c_b        # (1)
-    residual = max(abs(c_b - (g_f - big_a)),
-                   abs(c_a - (g_f - big_b)),
-                   abs(c_a - big_a * c_b / (g_f - big_a)),
-                   abs(c_b - big_b * c_a / (g_f - big_b)))
-    if not residual <= 1e-12 * (big_a + big_b):
-        raise RuntimeError(
-            f"compatibility relations fail for rates {rates}: residual={residual:.3e}")
-    return c_a, c_b, g_f
+    return rates.gamma_a, rates.gamma_b, rates.gamma_f
 
 
 def first_emission_cdf_entangled(t, rates: RatePair):
@@ -200,26 +190,33 @@ def intermediate_population(t, rates: RatePair, channel: str):
     whose remaining atom (the named channel) has not yet relaxed.
 
     n_i(t) = c_j / (g_i - g_f) * (exp(-g_f t) - exp(-g_i t)) with the
-    compatible channel rates; the denominator never vanishes because
-    g_f = g_i + g_j > g_i for positive rates.
+    compatible channel rates of ``solve_compatibility``.  In exact
+    arithmetic g_i - g_f = -g_j < 0, but in floats g_f = g_i + g_j
+    rounds to g_i once g_j < ulp(g_i) / 2: InvalidParameterError then.
     """
     t = _check_times(t, rates.gamma_f)
     g_i = rates.channel_rate(channel)
-    c_j = rates.gamma_b if channel == CHANNEL_A else rates.gamma_a
-    g_f = rates.gamma_f
+    c_a, c_b, g_f = solve_compatibility(rates)
+    c_j = c_b if channel == CHANNEL_A else c_a
+    if g_i == g_f:
+        raise InvalidParameterError(
+            f"rates ({rates.gamma_a!r}, {rates.gamma_b!r}) are too far apart: "
+            f"gamma_a + gamma_b rounds to the channel {channel} rate {g_i!r}, "
+            "so its intermediate population divides by zero")
     return c_j / (g_i - g_f) * (np.exp(-g_f * t) - np.exp(-g_i * t))
 
 
 def emission_derivative_ordered(t, rates: RatePair, channel: str):
     """dN_i/dt from the time-ordered bookkeeping.
 
-    First emissions feed the channel at c_i * exp(-g_f t); pairs parked
+    First emissions feed the channel at c_i * exp(-g_f t), with the
+    compatible channel rates of ``solve_compatibility``; pairs parked
     in the intermediate one-excited state drain into it at g_i * n_i.
     """
     t = _check_times(t, rates.gamma_f)
     g_i = rates.channel_rate(channel)
-    c_i = g_i
-    g_f = rates.gamma_f
+    c_a, c_b, g_f = solve_compatibility(rates)
+    c_i = c_a if channel == CHANNEL_A else c_b
     return c_i * np.exp(-g_f * t) + g_i * intermediate_population(t, rates, channel)
 
 

@@ -342,7 +342,7 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
             return report, []
         except wavefunction.DegenerateSymmetryError as exc:
             report["error"] = str(exc)
-        report["metrics"]["swap_overlap_real"] = float(wavefunction.swap_overlap(sym).real)
+        report["metrics"]["swap_overlap_real"] = wavefunction.swap_overlap(sym)
         return report, []
 
     product = wavefunction._OwnedAmplitude.from_factors(grid, mode0, mode1)

@@ -37,10 +37,11 @@ y_s plus rounding of the size of the small increments.  Forming the
 powers (I + D)^j instead would round entries near 1 at every product
 and let the identities drift.  ``IntegratorConfig`` holds the step plan
 alone: n_0 enters only through ``initial_state``, and since the system
-is linear every count scales with it.  With the compatible channel
-rates (c_i equal to the single-atom rate g_i and g_f = g_a + g_b) the
-per-channel counts reproduce the isolated-atom law
-N_i(t) = n_0 (1 - exp(-g_i t)) exactly.
+is linear every count scales with it.  The first-emission rates c_a
+and c_b are the compatible channel rates of
+``analytic.solve_compatibility`` (each equal to the single-atom rate
+g_i), and g_f = c_a + c_b.  With them the per-channel counts
+reproduce the isolated-atom law N_i(t) = n_0 (1 - exp(-g_i t)) exactly.
 
 ``first_emission_scale`` multiplies every first-emission rate (c_a, c_b
 and hence g_f) by a common factor while leaving the relaxation of the
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import RatePair
+from .analytic import RatePair, solve_compatibility
 from .errors import IntegrationBlowupError, InvalidParameterError
 
 STATE_FIELDS = ("n_e", "n_a", "n_b", "cap_n_a", "cap_n_b", "cap_n_f")
@@ -102,7 +103,8 @@ def _rate_matrix(rates: RatePair, scale: float) -> np.ndarray:
         raise InvalidParameterError(
             f"first_emission_scale must be positive and finite, got {scale!r}")
     g_a, g_b = rates.gamma_a, rates.gamma_b
-    c_a, c_b = scale * g_a, scale * g_b
+    c_a, c_b, _ = solve_compatibility(rates)
+    c_a, c_b = scale * c_a, scale * c_b
     g_f = c_a + c_b
     return np.array([
         [-g_f, 0.0, 0.0, 0.0, 0.0, 0.0],

@@ -43,7 +43,7 @@ import numpy as np
 
 from .analytic import (CHANNEL_A, CHANNEL_B, KIND_ENTANGLED, KIND_PRODUCT,
                        MODE_GRID_BIN, PAIR_KINDS, RatePair, WindowConfig,
-                       _require_bin_index)
+                       _require_bin_index, solve_compatibility)
 from .errors import InvalidDataError, InvalidParameterError
 from .series import CHUNK_ROWS, processes, read_columns, write_table
 
@@ -123,9 +123,10 @@ def _block_words(seed: int, start_pair: int, count: int) -> np.ndarray:
 
 
 def _entangled_times(rates: RatePair, words: np.ndarray):
-    g_f = rates.gamma_f
+    # first photon at g_f, in channel A with probability c_a / g_f
+    c_a, _, g_f = solve_compatibility(rates)
     t_first = -np.log(_open_uniforms(words[:, 0])) / g_f
-    first_is_a = _open_uniforms(words[:, 1]) < rates.gamma_a / g_f
+    first_is_a = _open_uniforms(words[:, 1]) < c_a / g_f
     rate_left = np.where(first_is_a, rates.gamma_b, rates.gamma_a)
     t_second = t_first - np.log(_open_uniforms(words[:, 2])) / rate_left
     return t_first, first_is_a, t_second

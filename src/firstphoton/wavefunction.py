@@ -355,8 +355,6 @@ def _check_boundary(values: np.ndarray, stage: str) -> None:
     if not math.isfinite(peak):
         raise InvalidDataError(f"amplitude magnitude peaks at {peak!r} ({stage}); "
                                "every amplitude must be finite")
-    if peak == 0.0:
-        return
     edge = max(float(np.max(np.abs(values[0, :]))),
                float(np.max(np.abs(values[-1, :]))),
                float(np.max(np.abs(values[:, 0]))),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from firstphoton.errors import InvalidParameterError, WindowTooWideError
 
 rates_st = st.floats(min_value=0.05, max_value=20.0,
                      allow_nan=False, allow_infinity=False)
+# log-uniform over [1e-8, 1e8]: rate ratios up to 1e16
+wide_rates_st = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
 times_st = st.floats(min_value=0.0, max_value=50.0,
                      allow_nan=False, allow_infinity=False)
 
@@ -59,26 +62,36 @@ class TestWindowConfig:
 
 def assert_compatible(g_a, g_b):
     c_a, c_b, g_f = an.solve_compatibility(RatePair(g_a, g_b))
-    scale = g_a + g_b
-    assert abs(c_a - g_a) < 1e-10 * scale
-    assert abs(c_b - g_b) < 1e-10 * scale
-    assert abs(g_f - scale) < 1e-10 * scale
+    exact_a, exact_b = Fraction(g_a), Fraction(g_b)
+    assert c_a == g_a
+    assert c_b == g_b
+    assert g_f == float(exact_a + exact_b)
     # reference: the four relations between the time-ordered and the
     # direct per-channel laws, written out independently of the solver
-    for lhs, rhs in ((c_b, g_f - g_a),
-                     (c_a, g_f - g_b),
-                     (c_a, g_a * c_b / (g_f - g_a)),
-                     (c_b, g_b * c_a / (g_f - g_b))):
-        assert abs(lhs - rhs) <= 1e-12 * scale
+    # and checked exactly over the rationals, g_f being the exact sum
+    c_a, c_b, g_f = Fraction(c_a), Fraction(c_b), exact_a + exact_b
+    for lhs, rhs in ((c_b, g_f - exact_a),
+                     (c_a, g_f - exact_b),
+                     (c_a, exact_a * c_b / (g_f - exact_a)),
+                     (c_b, exact_b * c_a / (g_f - exact_b))):
+        assert lhs == rhs
 
 
 class TestCompatibility:
-    @pytest.mark.parametrize("g_a,g_b", [(1.0, 1.5), (2.0, 2.0), (1.0, 1e-3), (3.7, 0.2)])
+    # the last four have a rate ratio of 1e4 or more, where the float
+    # residual of g_f - gamma_a cancels
+    @pytest.mark.parametrize("g_a,g_b", [(1.0, 1.5), (2.0, 2.0), (1.0, 1e-3), (3.7, 0.2),
+                                         (1.0, 1e-5), (20.0, 1e-3), (1e-3, 20.0),
+                                         (1.0, 1e-16)])
     def test_recovers_sum_rule(self, g_a, g_b):
         assert_compatible(g_a, g_b)
 
     @given(g_a=rates_st, g_b=rates_st)
     def test_recovers_sum_rule_drawn(self, g_a, g_b):
+        assert_compatible(g_a, g_b)
+
+    @given(g_a=wide_rates_st, g_b=wide_rates_st)
+    def test_recovers_sum_rule_wide_ratios(self, g_a, g_b):
         assert_compatible(g_a, g_b)
 
 
@@ -128,6 +141,21 @@ class TestIntermediatePopulation:
 
     def test_decays_at_late_times(self, rates_ref):
         assert an.intermediate_population(60.0, rates_ref, "A") < 1e-20
+
+    def test_rejects_rates_whose_sum_rounds_to_one_of_them(self):
+        # 1e-16 is below half an ulp of 1.0, so gamma_a + gamma_b == 1.0
+        # and g_i - g_f vanishes for channel A
+        rates = RatePair(1.0, 1e-16)
+        with pytest.raises(InvalidParameterError, match=r"\(1\.0, 1e-16\)"):
+            an.intermediate_population(1.0, rates, "A")
+        with pytest.raises(InvalidParameterError, match=r"\(1\.0, 1e-16\)"):
+            an.emission_derivative_ordered(1.0, rates, "A")
+        # channel B keeps its value: 1 - exp(-1), the B atoms left once
+        # nearly every first photon came from A
+        assert an.intermediate_population(1.0, rates, "B") == pytest.approx(
+            -math.expm1(-1.0), rel=1e-15)
+        assert an.emission_derivative_ordered(1.0, rates, "B") == pytest.approx(
+            an.emission_derivative_direct(1.0, 1e-16), rel=1e-15)
 
     @given(t=times_st, g_a=rates_st, g_b=rates_st)
     def test_stays_in_unit_interval(self, t, g_a, g_b):
