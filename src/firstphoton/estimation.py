@@ -104,7 +104,10 @@ def ks_critical_value(n_samples: int, significance: float = 0.01) -> float:
 
 def log_likelihood_entangled(times, rates: RatePair) -> float:
     """Log-likelihood of the single-exponential first-photon law."""
-    t = _clean_times(times, require_positive=False)
+    return _ll_entangled(_clean_times(times, require_positive=False), rates)
+
+
+def _ll_entangled(t: np.ndarray, rates: RatePair) -> float:
     g_f = rates.gamma_f
     total = _time_sum(t)
     analytic._require_exponent(g_f, total)
@@ -124,7 +127,10 @@ def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> floa
     which is summed once, so the result has the bits of
     ``np.sum(np.log(pdf))`` over all samples at once.
     """
-    t = _clean_times(times, require_positive=False)
+    return _ll_product(_clean_times(times, require_positive=False), rates, window)
+
+
+def _ll_product(t: np.ndarray, rates: RatePair, window: WindowConfig) -> float:
     logs = np.empty_like(t)
     for start in range(0, t.size, CHUNK_ROWS):
         block = t[start:start + CHUNK_ROWS]
@@ -145,9 +151,10 @@ def discriminate(times, rates: RatePair, window: WindowConfig) -> ModelCompariso
     Positive log_likelihood_ratio means the entangled single-exponential
     law wins; ties go to the entangled law.
     """
+    # the cores take the times checked once here
     t = _clean_times(times)
-    ll_e = log_likelihood_entangled(t, rates)
-    ll_p = log_likelihood_product(t, rates, window)
+    ll_e = _ll_entangled(t, rates)
+    ll_p = _ll_product(t, rates, window)
     ratio = ll_e - ll_p
     preferred = analytic.KIND_ENTANGLED if ratio >= 0.0 else analytic.KIND_PRODUCT
     return ModelComparison(ll_entangled=ll_e, ll_product=ll_p,

@@ -11,7 +11,11 @@ log() never sees zero:
 Work is split into ``series.CHUNK_ROWS``-pair chunks, which fill their
 slices of one preallocated record array in turn, in the calling thread.
 Row p reads counter block p whatever chunk it falls in, so a shorter
-run is a prefix of a longer one.
+run is a prefix of a longer one.  Before the first chunk, ``simulate``
+drops one untouched block of two chunks' words
+(``series._keep_heap_pages``), so glibc keeps the chunk buffers' heap
+pages mapped from one chunk, and one call, to the next, where it would
+trim them and fault them in again.
 
 A record stores t_first, first_is_a (the kernel's bool, one byte) and
 t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
@@ -45,7 +49,8 @@ from .analytic import (CHANNEL_A, CHANNEL_B, KIND_ENTANGLED, KIND_PRODUCT,
                        MODE_GRID_BIN, PAIR_KINDS, RatePair, WindowConfig,
                        _require_bin_index, solve_compatibility)
 from .errors import InvalidDataError, InvalidParameterError
-from .series import CHUNK_ROWS, processes, read_columns, write_table
+from .series import (CHUNK_ROWS, _keep_heap_pages, processes, read_columns,
+                     write_table)
 
 DRAWS_PER_PAIR = 4          # one Philox counter block per pair
 # -log of the smallest open uniform: the longest unit-rate wait drawn
@@ -154,6 +159,8 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
+    # a chunk's words are its largest buffer
+    _keep_heap_pages(2 * min(config.n_pairs, CHUNK_ROWS) * DRAWS_PER_PAIR * 8)
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
     kernel = _KERNELS[config.kind]
     for start in range(0, config.n_pairs, CHUNK_ROWS):

@@ -324,6 +324,25 @@ def _ordered_map(fn, state: tuple, tasks: list[tuple], cap: int | None = None):
             os.waitpid(pid, 0)
 
 
+def _keep_heap_pages(nbytes: int) -> None:
+    """Let the chunk buffers that follow, up to ``nbytes`` at once,
+    reuse the heap pages of the chunk before them.
+
+    glibc serves a block above its mmap threshold (128 KiB at first)
+    with fresh pages and unmaps them when it is freed.  Freeing such a
+    block raises the threshold to the block's size and the heap's trim
+    threshold to twice that (mallopt(3), M_MMAP_THRESHOLD and
+    M_TRIM_THRESHOLD); below the trim threshold, free heap at the top
+    stays mapped.  Left alone, the thresholds follow the largest chunk
+    buffer freed so far, so the free top of the heap is trimmed after
+    most chunks and its pages are faulted in again by the next one.
+    One block of ``nbytes``, allocated untouched and dropped, raises
+    both thresholds before the first chunk.  It costs one mmap and
+    munmap, and no page once the thresholds are that high.
+    """
+    np.empty(nbytes, np.uint8)
+
+
 def _label_column(name: str, column: np.ndarray) -> np.ndarray:
     """A str or bytes column as contiguous ASCII bytes; InvalidDataError
     for any other dtype, a non-ASCII label, or a NUL or separator inside a
@@ -377,16 +396,11 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     except UnicodeEncodeError as exc:
         raise InvalidDataError(f"header {header!r} is not UTF-8 text: {exc.reason}") from None
     chunks = [(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS)]
-    # glibc serves a block above its mmap threshold (128 KiB at first)
-    # with fresh pages, and freeing such a block raises the threshold to
-    # its size and the heap's trim threshold to twice that (mallopt(3),
-    # M_MMAP_THRESHOLD).  A chunk holds at most its cell matrix and the
-    # text transposed from it at once, so one dropped block of both
-    # sizes lets every chunk reuse heap pages where a fresh process
-    # would fault in new ones for each chunk.  A row's slots: a number's,
-    # a label's bytes, and a separator each
+    # a chunk holds at most its cell matrix and the text transposed from
+    # it at once (see _keep_heap_pages).  A row's slots: a number's, a
+    # label's bytes, and a separator each
     slots = [len(_FLOAT_BYTES) if c.dtype.kind in "fiu" else c.itemsize for c in cols]
-    np.empty(2 * min(n, CHUNK_ROWS) * (sum(slots) + len(cols)), np.uint8)
+    _keep_heap_pages(2 * min(n, CHUNK_ROWS) * (sum(slots) + len(cols)))
     try:
         with open(path, "wb") as fh:
             fh.write(head)

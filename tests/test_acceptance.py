@@ -241,6 +241,12 @@ def test_criterion_7_discrimination_power(acceptance_log):
             times = mc.one_photon_window_times(kept)
         result = es.discriminate(times, RATES, WINDOW_REF)
         correct += result.preferred == kind
+        # the classifier's ratio is of the per-model laws the library offers
+        scores = (es.log_likelihood_entangled(times, RATES),
+                  es.log_likelihood_product(times, RATES, WINDOW_REF))
+        if (result.ll_entangled, result.ll_product) != scores:
+            failures.append(f"trial {trial}: discriminate scored {result.ll_entangled!r}, "
+                            f"{result.ll_product!r}, not the per-model {scores}")
 
     if correct < 99:
         failures.append(f"only {correct}/100 trials identified the generator")

@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -201,6 +205,55 @@ class TestDeterminism:
         a = mc.simulate(mc.SimConfig(seed=1, **kw))
         b = mc.simulate(mc.SimConfig(seed=2, **kw))
         assert not np.array_equal(a["t_first"], b["t_first"])
+
+
+# discrimination trials as scripts/discrimination_power.py and the
+# benchmark's power sweep run them: the kinds alternate and the sizes
+# cycle up to N = 1e4, where a trial's chunk buffers pass glibc's
+# initial mmap threshold.  Prints the minor page faults of 60 trials
+# (20 at N = 1e4) after 60 warm-up trials
+SWEEP_FAULTS = """
+import resource
+from firstphoton import analytic, estimation, montecarlo
+rates = analytic.RatePair(1.0, 1.5)
+window = analytic.WindowConfig(tau=5.0 / 6.0)
+
+def trial(i):
+    kind = montecarlo.PAIR_KINDS[i % 2]
+    config = montecarlo.SimConfig(n_pairs=(100, 1000, 10_000)[i % 3], rates=rates,
+                                  kind=kind, window=window, seed=i)
+    records = montecarlo.simulate(config)
+    if kind == montecarlo.KIND_PRODUCT:
+        kept, _ = montecarlo.postselect(records, window)
+        times = montecarlo.one_photon_window_times(kept)
+    else:
+        times = records["t_first"]
+    estimation.discriminate(times, rates, window)
+
+for i in range(60):
+    trial(i)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(60, 120):
+    trial(i)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestChunkBuffers:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap trim thresholds are glibc's (mallopt(3))")
+    def test_trials_reuse_their_heap_pages(self):
+        # without the block simulate drops first (series._keep_heap_pages),
+        # glibc trims the freed chunk buffers after most large trials and
+        # the next one faults them in again: 1100 to 5200 faults over
+        # these trials, against a handful
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", SWEEP_FAULTS], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 200, proc.stdout
 
 
 class TestPostSelection:
