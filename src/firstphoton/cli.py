@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="post-selection rule (default grid-bin)")
         if seed:
             p.add_argument("--seed", type=int, default=0,
-                           help="base RNG seed (default 0)")
+                           help="key of the one Philox generator the run draws from, "
+                                "an integer in [0, 2**128) (default 0)")
             p.add_argument("--n-pairs", type=int, default=100000,
                            help="number of pairs to sample (default 100000)")
 
@@ -325,6 +326,9 @@ def cmd_kinetics(args) -> tuple[None, list[str]]:
 
 
 def cmd_wavefunction(args) -> tuple[dict, list[str]]:
+    # every report echoes --t, and JSON has no NaN or Infinity
+    if not np.isfinite(args.t):
+        raise InvalidParameterError(f"--t must be finite, got {args.t!r}")
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}

@@ -1,6 +1,7 @@
 """Monte Carlo sampling of two-photon emission times with post-selection.
 
-Sampling is counter-based: every pair owns one 256-bit Philox counter
+Sampling is counter-based: one Philox generator per run, keyed by the
+seed, an integer in [0, 2**128), gives every pair one 256-bit counter
 block (four 64-bit words), addressed by its pair index.  A kernel turns
 the words it reads (entangled three, product two) into uniform draws
 from their top 53 bits, shifted into the open interval (0, 1) so that
@@ -8,14 +9,14 @@ log() never sees zero:
 
     u = ((word >> 11) + 0.5) * 2**-53
 
-Work is split into ``series.CHUNK_ROWS``-pair chunks, which fill their
-slices of one preallocated record array in turn, in the calling thread.
-Row p reads counter block p whatever chunk it falls in, so a shorter
-run is a prefix of a longer one.  Before the first chunk, ``simulate``
-drops one untouched block of two chunks' words
-(``series._keep_heap_pages``), so glibc keeps the chunk buffers' heap
-pages mapped from one chunk, and one call, to the next, where it would
-trim them and fault them in again.
+Work is split into ``series.CHUNK_ROWS``-pair chunks, which draw their
+blocks from the one generator in turn and fill their slices of one
+preallocated record array, in the calling thread.  Row p reads counter
+block p whatever chunk it falls in, so a shorter run is a prefix of a
+longer one.  Before the first chunk, ``simulate`` drops one untouched
+block of two chunks' words (``series._keep_heap_pages``), so glibc
+keeps the chunk buffers' heap pages mapped from one chunk, and one
+call, to the next, where it would trim them and fault them in again.
 
 A record stores t_first, first_is_a (the kernel's bool, one byte) and
 t_second: 17 bytes.  ``write_records_csv`` is the one place that spells
@@ -95,8 +96,9 @@ class SimConfig:
             raise InvalidParameterError(f"n_pairs must be a positive integer, got {self.n_pairs!r}")
         if self.kind not in PAIR_KINDS:
             raise InvalidParameterError(f"kind must be one of {PAIR_KINDS}, got {self.kind!r}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2 ** 128:
+            raise InvalidParameterError(
+                f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         latest_time(self.rates, self.window)
 
 
@@ -117,14 +119,6 @@ class PostSelectionSummary:
 
 def _open_uniforms(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-
-
-def _block_words(seed: int, start_pair: int, count: int) -> np.ndarray:
-    """The counter blocks of pairs start_pair .. start_pair + count - 1."""
-    bitgen = np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-    if start_pair:
-        bitgen.advance(start_pair)     # one advance unit == one 4-word block
-    return bitgen.random_raw((count, DRAWS_PER_PAIR))
 
 
 def _entangled_times(rates: RatePair, words: np.ndarray):
@@ -152,8 +146,9 @@ _KERNELS = {KIND_ENTANGLED: _entangled_times, KIND_PRODUCT: _product_times}
 def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     """Sample every pair's two photons; returns a structured array.
 
-    The result depends only on (n_pairs, rates, kind, seed).  Sampling
-    runs chunk by chunk in the calling thread whatever n_workers is; the
+    The result depends only on (n_pairs, rates, kind, seed).  Chunk by
+    chunk, sampling draws the next blocks of one Philox generator keyed
+    by the seed, in the calling thread whatever n_workers is; the
     parameter is only validated, and goes once the benchmark's counters
     stop reading it (ROADMAP item 2).
     """
@@ -163,9 +158,11 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     _keep_heap_pages(2 * min(config.n_pairs, CHUNK_ROWS) * DRAWS_PER_PAIR * 8)
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)
     kernel = _KERNELS[config.kind]
+    # one counter step is one pair's block, so chunk after chunk pair p reads block p
+    bitgen = np.random.Philox(key=int(config.seed))
     for start in range(0, config.n_pairs, CHUNK_ROWS):
         out = records[start:start + CHUNK_ROWS]
-        times = kernel(config.rates, _block_words(config.seed, start, len(out)))
+        times = kernel(config.rates, bitgen.random_raw((len(out), DRAWS_PER_PAIR)))
         for name, column in zip(RECORD_DTYPE.names, times):
             out[name] = column
     return records

@@ -549,9 +549,9 @@ def read_columns(path, names: list[str]) -> np.ndarray:
     """Read the named columns of a CSV file with a header row as a
     table: a structured array of one float64 field per name (once each).
 
-    Missing columns, short rows and non-numeric cells raise
-    InvalidDataError; extra columns are ignored so record files with
-    channel labels still load.  A header-only file gives no rows.
+    Missing or repeated columns, short rows and non-numeric cells raise
+    InvalidDataError; extra columns are ignored, and may repeat, so record
+    files with channel labels still load.  A header-only file gives no rows.
     A file of two ``READ_BLOCK_BYTES`` blocks or more is parsed in up to
     one process per usable CPU, this one and forked children, or in this
     process alone while another thread runs, with the same result.
@@ -567,11 +567,15 @@ def read_columns(path, names: list[str]) -> np.ndarray:
             header, start, header_lines = _data_start(fh)
         except (ValueError, csv.Error) as exc:
             raise InvalidDataError(f"{path}: {exc}") from None
-        # of two columns with one name, the last is read
+        # a requested name must head one column; others may repeat
         index = {name: i for i, name in enumerate(header)}
         missing = [name for name in names if name not in index]
         if missing:
             raise InvalidDataError(f"{path}: missing required column(s) {', '.join(missing)}")
+        repeated = [name for name in names if header.count(name) > 1]
+        if repeated:
+            raise InvalidDataError(f"{path}: header names column(s) {', '.join(repeated)} "
+                                   "more than once")
         usecols = [index[n] for n in names]
         plan, lines = _blocks(fh, start)
     import mmap

@@ -368,8 +368,10 @@ def _check_boundary(values: np.ndarray, stage: str) -> None:
 
 def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
     """Evolve freely for time t (hbar = m = 1) with the spectral kernel;
-    InvalidParameterError unless the phase t k^2 / 2 of the fastest mode
-    is finite, and InvalidDataError unless every amplitude is."""
+    InvalidParameterError unless t and the phase t k^2 / 2 of the fastest
+    mode are finite, and InvalidDataError unless every amplitude is."""
+    if not math.isfinite(t):
+        raise InvalidParameterError(f"propagation time t must be finite, got {t!r}")
     k = psi.grid.wavenumbers
     k_max = float(np.max(np.abs(k)))
     _require_exponent(0.5 * k_max * k_max, t)

@@ -17,7 +17,7 @@ import pytest
 
 import firstphoton
 from firstphoton import analytic, errors, montecarlo, series
-from firstphoton.cli import build_parser, main
+from firstphoton.cli import WAVEFUNCTION_CHECKS, build_parser, main
 from firstphoton.series import read_columns
 
 
@@ -352,6 +352,23 @@ class TestSamplesFromSpreadsheets:
         assert run_json(capsys, command + ["--samples", str(marked)]) == run_json(
             capsys, command + ["--samples", str(plain)])
 
+    @pytest.mark.parametrize("command", [["fit"], ["discriminate", "--postselect"]])
+    def test_requested_column_named_twice_is_data_error(self, tmp_path, capsys, command):
+        # keeping either cell of a repeated name would be a silent guess
+        samples = tmp_path / "twice.csv"
+        samples.write_bytes(b"t_first,t_second,t_first\n0.25,1.5,0.5\n")
+        assert main([*command, "--samples", str(samples)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {samples}: ")
+        assert "t_first more than once" in captured.err
+
+    def test_unrequested_column_named_twice_loads(self, tmp_path, capsys):
+        samples = tmp_path / "extra.csv"
+        samples.write_bytes(b"t_first,x,x\n0.5,1,2\n1.5,3,4\n")
+        code, payload = run_json(capsys, ["fit", "--samples", str(samples)])
+        assert code == 0 and payload["rate_estimate"] == 1.0
+
 
 class TestPostselectionKeepsNone:
     @pytest.mark.parametrize("command", ["fit", "discriminate"])
@@ -634,9 +651,11 @@ class TestTimeOverflow:
 
 
 # Every numeric flag of every subcommand, set to each of these values on
-# top of small base sizes.  An int flag parses only "0" and "-1"; argparse
-# rejects the rest with exit 2.
-PROBE_VALUES = ["0", "-0.0", "-1", "1e-320", "1e-308", "1e308", "inf", "nan"]
+# top of small base sizes.  An int flag parses only "0", "-1", 2**64 + 5
+# and 2**128, past 64 bits and past a Philox key; argparse rejects the
+# rest with exit 2.
+PROBE_VALUES = ["0", "-0.0", "-1", "1e-320", "1e-308", "1e308", "inf", "nan",
+                "18446744073709551621", "340282366920938463463374607431768211456"]
 WINDOW_FLAGS = ["--gamma-a", "--gamma-b", "--tau"]
 ANALYTIC_FLAGS = [*WINDOW_FLAGS, "--t-max", "--n-points"]
 PROBED = [
@@ -649,8 +668,8 @@ PROBED = [
     (["discriminate", "--postselect"], WINDOW_FLAGS),
     (["kinetics", "--t-end", "1"],
      ["--gamma-a", "--gamma-b", "--step", "--t-end", "--n-0", "--rate-scale"]),
-    (["wavefunction", "--check", "antisymmetry-preservation", "--n", "32"],
-     ["--n", "--x-max", "--t"]),
+    *[(["wavefunction", "--check", check, "--n", "32"], ["--n", "--x-max", "--t"])
+      for check in WAVEFUNCTION_CHECKS],
 ]
 PROBE_CASES = [(base, flag, value) for base, flags in PROBED
                for flag in flags for value in PROBE_VALUES]
@@ -694,6 +713,7 @@ SAMPLE_FILES = {
     "short-row": b"t_first,t_second\n0.5\n",
     "tab": b"t_first\tt_second\n0.5\t1\n",
     "semicolon": b"t_first;t_second\n0.5;1\n",
+    "duplicate-column": b"t_first,t_first\n1,2\n",
 }
 READERS = [[command, *switch, "--mode", mode]
            for command in ("fit", "discriminate") for switch in ([], ["--postselect"])
@@ -862,6 +882,18 @@ class TestWavefunction:
         assert code == 0 and payload["passed"] is False
         tolerance = re.search(r"within (\S+);", payload["error"]).group(1)
         assert float(tolerance) >= 0.0, payload["error"]
+
+    @pytest.mark.parametrize("check", WAVEFUNCTION_CHECKS)
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "1e309"])
+    def test_time_not_finite_is_parameter_error(self, tmp_path, capsys, check, t):
+        # every report echoes --t, and JSON has no NaN or Infinity
+        out = tmp_path / "report.json"
+        assert main(["wavefunction", "--check", check, "--n", "32", f"--t={t}",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: --t must be finite, got ")
+        assert not out.exists()
 
     def test_report_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.json"

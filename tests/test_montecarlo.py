@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from firstphoton import analytic as an
+from firstphoton import cli
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
 from firstphoton import series
@@ -204,6 +205,41 @@ class TestDeterminism:
                   window=WindowConfig(tau=0.1))
         a = mc.simulate(mc.SimConfig(seed=1, **kw))
         b = mc.simulate(mc.SimConfig(seed=2, **kw))
+        assert not np.array_equal(a["t_first"], b["t_first"])
+
+    @pytest.mark.parametrize("kind", ["entangled", "product"])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64 + 5, 2 ** 127 + 3],
+                             ids=["0", "2**64-1", "2**64+5", "2**127+3"])
+    def test_records_are_one_draw_keyed_by_the_seed(self, kind, seed):
+        # the chunks read one generator in turn, keyed by the whole seed:
+        # the same records as the kernel on one draw of every block
+        rates = RatePair(1.0, 1.5)
+        n = 2 * CHUNK_ROWS + 5
+        records = mc.simulate(mc.SimConfig(n_pairs=n, rates=rates, kind=kind,
+                                           window=WindowConfig(tau=0.1), seed=seed))
+        words = np.random.Philox(key=seed).random_raw((n, mc.DRAWS_PER_PAIR))
+        for name, column in zip(mc.RECORD_DTYPE.names, mc._KERNELS[kind](rates, words)):
+            assert np.array_equal(records[name], column), name
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, np.int64(-1)],
+                             ids=["-1", "2**128", "int64(-1)"])
+    def test_seed_outside_the_key_range_is_parameter_error(self, tmp_path, capsys, seed):
+        with pytest.raises(InvalidParameterError,
+                           match=r"seed must be an integer in \[0, 2\*\*128\)"):
+            mc.SimConfig(n_pairs=10, rates=RatePair(1.0, 1.5), kind="product",
+                         window=WindowConfig(tau=0.1), seed=seed)
+        out = tmp_path / "records.csv"
+        assert cli.main(["simulate", "--n-pairs", "10", "--seed", str(seed),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
+        assert not out.exists()
+
+    def test_seeds_a_multiple_of_2_to_the_64_apart_differ(self):
+        # a seed folded to 64 bits would give both the same stream
+        kw = dict(n_pairs=1000, rates=RatePair(1.0, 1.5), kind="product",
+                  window=WindowConfig(tau=0.1))
+        a = mc.simulate(mc.SimConfig(seed=5, **kw))
+        b = mc.simulate(mc.SimConfig(seed=2 ** 64 + 5, **kw))
         assert not np.array_equal(a["t_first"], b["t_first"])
 
 

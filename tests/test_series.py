@@ -192,6 +192,12 @@ class TestReader:
         with pytest.raises(InvalidDataError, match="cols.csv.*missing.*c"):
             read_columns(path, ["a", "c"])
 
+    def test_requested_column_named_twice_is_data_error(self, tmp_path):
+        path = write_csv(tmp_path, "a,b,b\n1,2,3\n", name="cols.csv")
+        assert read_columns(path, ["a"])["a"].tolist() == [1.0]
+        with pytest.raises(InvalidDataError, match="cols.csv: .* b more than once"):
+            read_columns(path, ["a", "b"])
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(InvalidDataError, match="nope.csv"):
             read_columns(tmp_path / "nope.csv", ["a"])

@@ -259,6 +259,11 @@ class TestFreePropagation:
         assert variance == pytest.approx((sigma ** 2 + t ** 2 / sigma ** 2) / 2.0,
                                          rel=1e-8)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_time_not_finite_is_parameter_error(self, slater, t):
+        with pytest.raises(InvalidParameterError, match="time t must be finite"):
+            wf.free_propagate(slater, t)
+
     def test_support_at_edge_rejected(self, grid):
         mode_far = gaussian_mode(grid, center=8.0)
         state = wf.TwoParticleAmplitude.from_factors(grid, mode_far, mode_far)
