@@ -151,8 +151,9 @@ def load_config(path) -> list[tuple[str, str]]:
     """Parse ``key = value`` lines into (flag, value) pairs.
 
     The file is UTF-8, perhaps behind a byte-order mark; '#' starts a
-    comment, a key is a long flag name in ``-`` or ``_`` spelling, and
-    matching quotes around a value are stripped.
+    comment, a key is a long flag name in ``-`` or ``_`` spelling, and a
+    value that opens a quote runs to its match, '#' and all, which only a
+    comment may follow; the quotes are stripped.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -167,9 +168,13 @@ def load_config(path) -> list[tuple[str, str]]:
         if "=" not in line:
             raise InvalidParameterError(
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
+        # the first '=' comes before any '#'; a quoted value may hold one
+        key, _, value = (part.strip() for part in raw.partition("="))
+        end = value.find(value[0], 1) if value[:1] in ("'", '"') else -1
+        if end > 0 and value[end + 1:].lstrip()[:1] not in ("", "#"):
+            raise InvalidParameterError(
+                f"{path}:{lineno}: only a comment may follow a quoted value, got {value!r}")
+        value = value[1:end] if end > 0 else value.split("#", 1)[0].rstrip()
         pairs.append(("--" + key.replace("_", "-"), value))
     return pairs
 

@@ -1,13 +1,10 @@
 """CSV tables written and read at C speed.
 
 A table is one header row and one row per index of its columns, with
-``,`` between cells and ``\\n`` after each row, in UTF-8.  Its cells are
-numbers and ASCII labels.  Floats are written as ``%.17g`` writes them,
-17 significant digits, so a written file reloads to bit-identical
-values and reruns can be compared byte for byte.  An integer column is
-written as the doubles it equals, which for |v| <= 2**53 are the bytes
-of ``%d``; one holding a larger magnitude is refused.  A str or bytes
-column is written as its ASCII labels.
+``,`` between cells and ``\\n`` after each row, in UTF-8.  A cell is a
+float or an ASCII byte label.  Floats are written as ``%.17g`` writes
+them, 17 significant digits, so a written file reloads to bit-identical
+values and reruns can be compared byte for byte.
 
 ``write_table`` streams the table in fixed ``CHUNK_ROWS``-row chunks
 (16384 rows).  numpy renders a chunk as one uint8 matrix with a row per
@@ -20,15 +17,15 @@ writes in fixed notation; there 10**s is an exact double, and the
 product is formed exactly as Dekker's two-product of two doubles.  The
 cells it does not cover (0, nan, inf and every number ``%.17g`` writes
 with an exponent) are formatted one by one with ``%.17g``.  A label
-column's matrix is a view of its bytes.  A column of any other dtype
-(bool, object, ...), an integer beyond +-2**53 (which no double holds
-exactly), a label that is not ASCII or holds a NUL (which would read
-as padding), a header name with a surrogate code point (which has no
-UTF-8), and a header name or label holding a separator (``,``, ``"``,
-CR or LF, which would split or quote its row) raise InvalidDataError
-before ``write_table`` opens the file.  Memory
-beyond the columns is a few chunks' matrices and text whatever the row
-count, and the file does not depend on the chunk size.
+column's matrix is a view of its bytes.  A column that is not 1-d, or
+of any other dtype (integer, str, bool, object, complex, ...), a label
+that is not ASCII or holds a NUL (which would read as padding), a
+header name with a surrogate code point (which has no UTF-8), and a
+header name or label holding a separator (``,``, ``"``, CR or LF, which
+would split or quote its row) raise InvalidDataError before
+``write_table`` opens the file.  Memory beyond the columns is a few
+chunks' matrices and text whatever the row count, and the file does
+not depend on the chunk size.
 
 Both directions map their tasks with ``_ordered_map``, one loop for
 any count: a map of two tasks or more runs in up to one process per
@@ -185,7 +182,7 @@ def _digit_rows(v: np.ndarray, out: np.ndarray) -> None:
 
 
 def _float_cells(x: np.ndarray) -> np.ndarray:
-    """``%.17g`` of each number, as the double it equals, in a (slots,
+    """``%.17g`` of each float, as the double it equals, in a (slots,
     rows) uint8 matrix, 0 where a slot holds no byte."""
     x = np.ascontiguousarray(x, np.float64)
     digits, k, covered = _decimal(x)
@@ -218,7 +215,7 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
 
 def _cells(column: np.ndarray) -> np.ndarray:
     """The column's cells as a (slots, rows) uint8 matrix."""
-    if column.dtype.kind in "fiu":
+    if column.dtype.kind == "f":
         return _float_cells(column)
     return column.view(np.uint8).reshape(column.size, column.itemsize).T
 
@@ -344,16 +341,14 @@ def _keep_heap_pages(nbytes: int) -> None:
 
 
 def _label_column(name: str, column: np.ndarray) -> np.ndarray:
-    """A str or bytes column as contiguous ASCII bytes; InvalidDataError
-    for any other dtype, a non-ASCII label, or a NUL or separator inside a
-    label."""
-    if column.dtype.kind not in "US":
-        raise InvalidDataError(f"column {name!r} holds {column.dtype}, not numbers or labels")
-    try:
-        column = np.ascontiguousarray(column.astype("S", copy=False))
-    except UnicodeEncodeError:      # str to bytes refuses non-ASCII
-        column = None
-    if column is None or column.view(np.uint8).max(initial=0) >= 0x80:
+    """A bytes column as contiguous ASCII bytes; InvalidDataError for any
+    other dtype (a str column too), a non-ASCII label, or a NUL or
+    separator inside a label."""
+    if column.dtype.kind != "S":
+        raise InvalidDataError(f"column {name!r} holds {column.dtype}, not numbers or labels "
+                               "(float or bytes)")
+    column = np.ascontiguousarray(column)
+    if column.view(np.uint8).max(initial=0) >= 0x80:
         raise InvalidDataError(f"label column {name!r} is not ASCII text")
     # an array keeps no trailing NUL, so a NUL is a 0 before a used byte
     cells = column.view(np.uint8).reshape(column.size, column.itemsize)
@@ -367,7 +362,8 @@ def _label_column(name: str, column: np.ndarray) -> np.ndarray:
 
 
 def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write named columns as a UTF-8 CSV table (17 significant digits).
+    """Write named float and ASCII bytes columns of one length as a UTF-8
+    CSV table; any other column raises InvalidDataError naming it.
 
     The chunks are rendered in up to one process per usable CPU, this
     one and forked children, or in at most n inside ``processes(n)``;
@@ -378,18 +374,15 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
     if len(header) != len(columns):
         raise InvalidDataError("header and column count differ")
     cols = [np.asarray(c) for c in columns]
-    n = cols[0].shape[0] if cols else 0
-    for c in cols:
+    n = cols[0].size if cols else 0
+    for name, c in zip(header, cols):
         if c.shape != (n,):
-            raise InvalidDataError("all columns must share one length")
+            raise InvalidDataError(f"column {name!r} has shape {c.shape}, not ({n},): "
+                                   "the columns must be 1-d and of one length")
     for name in header:
         if any(chr(byte) in name for byte in _SEPARATORS):
             raise InvalidDataError(f"header name {name!r} holds a comma, quote or line break")
-    for name, c in zip(header, cols):
-        # %.17g of a double within +-2**53 is %d of the integer it equals
-        if c.dtype.kind in "iu" and max(-int(c.min(initial=0)), int(c.max(initial=0))) > 2**53:
-            raise InvalidDataError(f"integer column {name!r} holds a value beyond +-2**53")
-    cols = [c if c.dtype.kind in "fiu" else _label_column(name, c)
+    cols = [c if c.dtype.kind == "f" else _label_column(name, c)
             for name, c in zip(header, cols)]
     try:
         head = (",".join(header) + "\n").encode("utf-8")
@@ -397,9 +390,9 @@ def write_table(path, header: list[str], columns: list[np.ndarray]) -> None:
         raise InvalidDataError(f"header {header!r} is not UTF-8 text: {exc.reason}") from None
     chunks = [(start, min(start + CHUNK_ROWS, n)) for start in range(0, n, CHUNK_ROWS)]
     # a chunk holds at most its cell matrix and the text transposed from
-    # it at once (see _keep_heap_pages).  A row's slots: a number's, a
+    # it at once (see _keep_heap_pages).  A row's slots: a float's, a
     # label's bytes, and a separator each
-    slots = [len(_FLOAT_BYTES) if c.dtype.kind in "fiu" else c.itemsize for c in cols]
+    slots = [len(_FLOAT_BYTES) if c.dtype.kind == "f" else c.itemsize for c in cols]
     _keep_heap_pages(2 * min(n, CHUNK_ROWS) * (sum(slots) + len(cols)))
     try:
         with open(path, "wb") as fh:

@@ -114,6 +114,11 @@ class TestEntangledLaw:
         with pytest.raises(InvalidParameterError):
             an.first_emission_cdf_entangled(-0.1, rates_ref)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_times_not_finite(self, rates_ref, bad):
+        with pytest.raises(InvalidParameterError, match="times must be finite"):
+            an.first_emission_cdf_entangled([0.5, bad], rates_ref)
+
     @given(t=times_st, g_a=rates_st, g_b=rates_st)
     def test_cdf_complements_survival(self, t, g_a, g_b):
         rates = RatePair(g_a, g_b)
@@ -255,6 +260,10 @@ class TestProductWindowLaw:
         with pytest.warns(ApproximationBreakdownWarning):
             value = an.product_one_emission_unnormalized(0.0, rates_ref, window_ref)
         assert abs(value) < 1e-15
+
+    def test_unknown_variant_is_parameter_error(self, rates_ref):
+        with pytest.raises(InvalidParameterError, match="variant must be one of.*'simpson'"):
+            an.product_first_cdf([0.0, 0.5], rates_ref, WindowConfig(tau=0.1), "simpson")
 
     def test_alpha_unity_at_reference_point(self, rates_ref, window_ref):
         assert an.normalization_alpha(rates_ref, window_ref) == pytest.approx(1.0, abs=1e-12)

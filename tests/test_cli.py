@@ -17,7 +17,7 @@ import pytest
 
 import firstphoton
 from firstphoton import analytic, errors, montecarlo, series
-from firstphoton.cli import WAVEFUNCTION_CHECKS, build_parser, main
+from firstphoton.cli import WAVEFUNCTION_CHECKS, build_parser, load_config, main
 from firstphoton.series import read_columns
 
 
@@ -487,7 +487,7 @@ class TestDiscriminate:
         montecarlo.write_records_csv(three, records)
         series.write_table(five, ["pair_id", "t_first", "channel_first", "t_second",
                                   "channel_second"],
-                           [np.arange(len(records)), records["t_first"],
+                           [np.arange(len(records), dtype=np.float64), records["t_first"],
                             np.where(first_is_a, a, b), records["t_second"],
                             np.where(first_is_a, b, a)])
         printed = []
@@ -1144,6 +1144,38 @@ class TestConfigFile:
         assert code == 0 and payload["n_samples"] == 1
         assert main(["analytic", "--config", str(cfg)]) == 0
         assert (tmp_path / "curves.csv").exists()
+
+    @pytest.mark.parametrize("line, name", [('out = "{}/run#1.csv"', "run#1.csv"),
+                                            ("out = '{}/a#b.csv'  # note", "a#b.csv")],
+                             ids=["double", "single-then-comment"])
+    def test_quoted_value_keeps_its_hash(self, tmp_path, capsys, line, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line.format(tmp_path) + "\nn_pairs = 10  # c\n")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [name, f"{name}.summary.json", f"{name}.manifest.json", "run.cfg"])
+        assert read_columns(tmp_path / name, ["t_first"]).shape == (10,)
+
+    @pytest.mark.parametrize("line", ['out = "a.csv" b', "out = 'a.csv''b'",
+                                      'gamma_a = "1.5"1'])
+    def test_text_after_the_closing_quote_is_parameter_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_pairs = 10\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_value_with_no_closing_quote_reads_as_it_stands(self, tmp_path, capsys):
+        # the mismatched-quotes probe: '"1.5'' is no number
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma_a = \"1.5'\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "'\"1.5\\''" in capsys.readouterr().err
+        assert load_config(cfg) == [("--gamma-a", "\"1.5'")]
+        cfg.write_text("out = \"a#b\n")
+        assert load_config(cfg) == [("--out", '"a')]
 
     def test_one_file_serves_every_subcommand(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

@@ -115,6 +115,13 @@ class TestKsDistance:
                                lambda u: an.first_emission_cdf_entangled(u / 2.0, RATES))
         assert moved == base
 
+    @pytest.mark.parametrize("cdf", [lambda t: 0.5, lambda t: np.append(t, 1.0),
+                                     lambda t: t[:, None]],
+                             ids=["scalar", "one-too-many", "column"])
+    def test_cdf_of_the_wrong_shape_is_data_error(self, cdf):
+        with pytest.raises(InvalidDataError, match="one value per sample"):
+            es.ks_distance([0.25, 0.75], cdf)
+
     def test_critical_value_frozen(self):
         # oracle: sqrt(-0.5 * ln(0.005)) = 1.6276236307187293
         assert es.ks_critical_value(1, 0.01) == pytest.approx(1.6276236307187293, rel=1e-14)

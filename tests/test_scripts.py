@@ -48,3 +48,43 @@ def test_discrimination_power(tmp_path, capsys):
     assert np.all((table["fraction_correct"] >= 0.0) & (table["fraction_correct"] <= 1.0))
     assert table["fraction_correct"][-1] == pytest.approx(1.0)
     assert np.all(table["mean_abs_log_ratio"] > 0.0)
+
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--n-pairs", "10", "--seed", "-1"], 2, "seed must be an integer"),
+    (["--n-pairs", "0"], 2, "n_pairs must be a positive integer"),
+    (["--t-max", "-1"], 2, "--t-max must be positive"),
+    (["--n-points", "1"], 2, "--n-points must be at least 2"),
+    (["--tau", "0"], 2, "tau must be a positive"),
+    # the one product pair of seed 1 falls in the window, so its ECDF has no sample
+    (["--n-pairs", "1", "--tau", "5", "--seed", "0"], 3, "zero samples"),
+], ids=["seed-negative", "no-pairs", "t-max-negative", "one-point", "no-window",
+        "none-kept"])
+def test_run_decay_curves_bad_input_writes_nothing(tmp_path, capsys, argv, code, message):
+    script = load_script("run_decay_curves")
+    assert script.main(["--n-pairs", "50", *argv, "--prefix", str(tmp_path / "decay")]) == code
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--sizes", "0"], 2, "n_pairs must be a positive integer"),
+    (["--tau", "0"], 2, "tau must be a positive"),
+    (["--trials", "0"], 2, "--trials must be at least 1"),
+    (["--trials", "-1"], 2, "--trials must be at least 1"),
+    # every trial is checked before the first runs, so a bad seed of
+    # the second size stops the script before it prints a row
+    (["--sizes", "100", "10", "--seed", "-10050"], 2, "seed must be an integer"),
+    # the one product pair of the second trial falls in the window
+    (["--sizes", "1", "--trials", "2", "--tau", "5"], 3, "no samples"),
+], ids=["no-pairs", "no-window", "no-trials", "negative-trials", "late-negative-seed",
+        "none-kept"])
+def test_discrimination_power_bad_input_writes_nothing(tmp_path, capsys, argv, code, message):
+    script = load_script("discrimination_power")
+    out = tmp_path / "power.csv"
+    assert script.main(["--sizes", "100", "--trials", "4", *argv, "--out", str(out)]) == code
+    printed, err = capsys.readouterr()
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -51,6 +51,13 @@ class TestGrid:
         with pytest.raises(InvalidDataError):
             wf.TwoParticleAmplitude(grid=grid, values=np.zeros((3, 3), dtype=complex))
 
+    @pytest.mark.parametrize("factors", [(127, 128), (128, 129), (128, (128, 1))],
+                             ids=["short-x", "long-y", "column-y"])
+    def test_factors_off_the_grid_rejected(self, grid, factors):
+        f, g = (np.ones(shape) for shape in factors)
+        with pytest.raises(InvalidDataError, match="factors must be 1-d arrays on the grid"):
+            wf.TwoParticleAmplitude.from_factors(grid, f, g)
+
     def test_rejects_width_beyond_float_range(self):
         # -1e308..1e308 is a box of width inf, which linspace cannot fill
         with pytest.raises(InvalidParameterError, match="of width inf"):
