@@ -5,7 +5,8 @@ For each N in the sweep, runs seeded trials split evenly between the
 two preparations, classifies each sample with the likelihood-ratio
 test, and reports the fraction identified correctly. Writes one CSV
 row per N so the power curve can be plotted directly. Bad input exits
-as the CLI does, 2, 3 or 4 with one error line, and writes nothing.
+as the CLI does, 2, 3 or 4 with one error line, and writes nothing;
+so does running out of memory, with 2.
 """
 import argparse
 import sys
@@ -16,7 +17,8 @@ import numpy as np
 from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
-from firstphoton.errors import FirstPhotonError, InvalidParameterError
+from firstphoton.cli import run_entry_point
+from firstphoton.errors import InvalidParameterError
 from firstphoton.series import write_table
 
 
@@ -82,17 +84,12 @@ def run(args):
     write_table(args.out, ["n_pairs", "fraction_correct", "mean_abs_log_ratio"],
                 [np.array(sizes), np.array(power), np.array(mean_ratio)])
     print(f"wrote {args.out}")
+    return 0
 
 
 def main(argv=None):
-    args = parse_args(argv)
     # as the CLI: one error line and its exit code, and no file
-    try:
-        run(args)
-    except FirstPhotonError as exc:
-        print("error:", exc, file=sys.stderr)
-        return exc.exit_code
-    return 0
+    return run_entry_point(run, parse_args(argv))
 
 
 if __name__ == "__main__":

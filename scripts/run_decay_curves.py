@@ -6,7 +6,7 @@ Writes <prefix>_analytic.csv with the closed-form curves and
 prints the fitted combined rate for the entangled sample. Feed the
 CSVs to any plotting tool; columns are documented in the README. Bad
 input exits as the CLI does, 2, 3 or 4 with one error line, and
-writes neither file.
+writes neither file; so does running out of memory, with 2.
 """
 import argparse
 import sys
@@ -16,7 +16,8 @@ import numpy as np
 from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
-from firstphoton.errors import FirstPhotonError, InvalidParameterError
+from firstphoton.cli import run_entry_point
+from firstphoton.errors import InvalidParameterError
 from firstphoton.series import write_table
 
 
@@ -69,17 +70,12 @@ def run(args):
           f" / {args.n_pairs}"
           f" (coincidence rate {summary.empirical_coincidence_rate:.6f},"
           f" predicted {an.coincidence_probability(rates, window):.6f})")
+    return 0
 
 
 def main(argv=None):
-    args = parse_args(argv)
     # as the CLI: one error line and its exit code, and no file
-    try:
-        run(args)
-    except FirstPhotonError as exc:
-        print("error:", exc, file=sys.stderr)
-        return exc.exit_code
-    return 0
+    return run_entry_point(run, parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -411,24 +411,12 @@ def _with_config(parser, argv: list[str]) -> list[str]:
     return argv[:at + 1] + tokens + argv[at + 1:]
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
+def run_entry_point(entry, *args) -> int:
+    """The exit code entry(*args) returns; a FirstPhotonError or a
+    MemoryError it raises instead is printed as one error line, and its
+    exit code returned.  The CLI and the scripts report errors through it."""
     try:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(_with_config(parser, argv))
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        # a table command has written its files; a run that cannot write prints nothing
-        payload, outputs = args.handler(args)
-        if payload is not None and args.out:
-            _write_json(args.out, payload)
-            outputs.append(args.out)
-        if outputs:
-            _write_manifest(args, argv, outputs)
-        if payload is not None:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+        return entry(*args)
     except FirstPhotonError as exc:
         print("error:", _printable(str(exc)), file=sys.stderr)
         return exc.exit_code
@@ -436,6 +424,29 @@ def main(argv=None) -> int:
         # sizes below physical memory that the process may not allocate
         print("error: out of memory", file=sys.stderr)
         return InvalidParameterError.exit_code
+
+
+def _run_command(argv: list[str]) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(_with_config(parser, argv))
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    # a table command has written its files; a run that cannot write prints nothing
+    payload, outputs = args.handler(args)
+    if payload is not None and args.out:
+        _write_json(args.out, payload)
+        outputs.append(args.out)
+    if outputs:
+        _write_manifest(args, argv, outputs)
+    if payload is not None:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else [str(a) for a in argv]
+    return run_entry_point(_run_command, argv)
 
 
 if __name__ == "__main__":

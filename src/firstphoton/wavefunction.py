@@ -47,19 +47,20 @@ Bands.  Most n x n passes are split into one band per usable CPU, with
 no flag: the calling thread works the first band and a helper thread
 each of the others, all joined before the function returns, and an
 error in a helper is raised in the caller.  numpy's FFT and ufunc
-loops release the interpreter lock, so the bands run at once.  Row bands
-take the axis-1 transforms, the edge check's peak and the norm's row
-sums; bands of TILE-column strips take the axis-0 transforms.  The two
-phase multiplies ride with the inverse axis-1 transform, a few rows at a
-time while they are in cache.  Every element and every row sum is
-formed by the same operations as in one band, and partial results are
-combined in one fixed order, so each result has the same bits for any
-band count.  The tile pairs run in the calling thread: each makes a few
-small numpy calls that hold the interpreter lock, so bands of them would
-run no faster than one.  ``from_factors`` is one np.outer, as fast as
-two bands.  Band bodies call only private functions.  On a 2-CPU Xeon
-(numpy 2.4.6) the CLI's ``antisymmetry-preservation`` check at n = 2048
-takes about 0.18 s in-process on two bands and 0.28 s on one.
+loops release the interpreter lock, so the bands run at once.  Column
+bands take the axis-0 transforms, one strided transform per band.  Row
+bands take the fused row pass, the norm's row sums and the edge check's
+peak; the row pass transforms a few rows along axis 1, applies the two
+phase multiplies and transforms them back while they are in cache.
+Every element and every row sum is formed by the same operations as in
+one band, and partial results are combined in one fixed order, so each
+result has the same bits for any band count.  The tile pairs run in the
+calling thread: each makes a few small numpy calls that hold the
+interpreter lock, so bands of them would run no faster than one.
+``from_factors`` is one np.outer, as fast as two bands.  Band bodies
+call only private functions.  On a 2-CPU Xeon (numpy 2.4.6) the CLI's
+``antisymmetry-preservation`` check at n = 2048 takes about 0.32 s
+in-process on two bands and 0.42 s on one.
 """
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ from .errors import (DegenerateSymmetryError, GridTooSmallError,
 EPS_DEGENERATE = 1e-8        # minimum odd-part squared norm (times 2)
 BOUNDARY_LEAK_RATIO = 1e-10  # max |edge| / max |amplitude| tolerated
 MIN_GRID_POINTS = 16
-TILE = 64                    # largest tile edge and strip width: 64 KB of complex
+TILE = 64                    # largest tile edge: 64 KB of complex
 SLICE_BYTES = 256 << 10      # largest float64 temporary a band body makes
 
 
@@ -192,7 +193,7 @@ def _in_bands(body, count: int, *args) -> list:
 
 def _slice_rows(n: int) -> int:
     """Rows of n points in a slice of a band, for the edge check's
-    magnitudes and the inverse row transform: a float64 temporary of the
+    magnitudes and the fused row pass: a float64 temporary of the
     slice fits in SLICE_BYTES, and is at most a sixteenth of the rows so
     that on a small grid the temporaries stay a small share of the array."""
     return max(1, min(SLICE_BYTES // (8 * n), n // 16))
@@ -324,27 +325,21 @@ def _peak_band(start: int, stop: int, values: np.ndarray) -> np.floating:
                    for a in range(start, stop, step)])
 
 
-def _forward_row_band(start: int, stop: int, source: np.ndarray,
-                      out: np.ndarray) -> None:
-    np.fft.fft(source[start:stop], axis=1, out=out[start:stop])
+def _column_band(start: int, stop: int, transform, source: np.ndarray,
+                 out: np.ndarray) -> None:
+    """``transform`` along axis 0 of columns start to stop of source into out."""
+    transform(source[:, start:stop], axis=0, out=out[:, start:stop])
 
 
-def _strip_band(start: int, stop: int, transform, out: np.ndarray) -> None:
-    """``transform`` along axis 0 of TILE-column strips start to stop, in place."""
-    for s in range(start, stop):
-        strip = out[:, s * TILE:(s + 1) * TILE]
-        transform(strip, axis=0, out=strip)
-
-
-def _inverse_row_band(start: int, stop: int, out: np.ndarray,
-                      phase: np.ndarray) -> None:
-    """Rows start to stop times the phase of their row, then of their
-    column, and inverse-transformed along axis 1, in place, a few rows at
-    a time so each slice stays in cache."""
+def _row_band(start: int, stop: int, out: np.ndarray, phase: np.ndarray) -> None:
+    """Rows start to stop transformed along axis 1, times the phase of their
+    row, then of their column, and transformed back, in place, a few rows
+    at a time so each slice stays in cache."""
     step = _slice_rows(out.shape[0])
     for a in range(start, stop, step):
         rows = slice(a, min(a + step, stop))
         block = out[rows]
+        np.fft.fft(block, axis=1, out=block)
         block *= phase[rows, None]
         block *= phase
         np.fft.ifft(block, axis=1, out=block)
@@ -379,15 +374,13 @@ def free_propagate(psi: TwoParticleAmplitude, t: float) -> TwoParticleAmplitude:
     phase = np.exp(-0.5j * t * k ** 2)
     # 1-d transforms into the output, which may be the input's own array,
     # one axis at a time (numpy.fft takes out= from numpy 2.0): a 1-d
-    # transform may alias its rows or strip, but np.fft.ifft2 with out=
+    # transform may alias its rows or columns, but np.fft.ifft2 with out=
     # aliasing its input gives wrong values (numpy 2.4.6)
     n = psi.grid.n
-    strips = -(-n // TILE)
     out = _output(psi)
-    _in_bands(_forward_row_band, n, psi.values, out)
-    _in_bands(_strip_band, strips, np.fft.fft, out)
-    _in_bands(_inverse_row_band, n, out, phase)
-    _in_bands(_strip_band, strips, np.fft.ifft, out)
+    _in_bands(_column_band, n, np.fft.fft, psi.values, out)
+    _in_bands(_row_band, n, out, phase)
+    _in_bands(_column_band, n, np.fft.ifft, out, out)
     _check_boundary(out, f"after t={t:g}")
     return replace(psi, values=out)
 

@@ -88,3 +88,20 @@ def test_discrimination_power_bad_input_writes_nothing(tmp_path, capsys, argv, c
     printed, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_decay_curves", ["--n-pairs", "50", "--prefix", "decay"]),
+    ("discrimination_power", ["--sizes", "100", "--trials", "4", "--out", "power.csv"]),
+])
+def test_out_of_memory_is_reported_as_the_cli_does(tmp_path, monkeypatch, capsys, name, argv):
+    script = load_script(name)
+    monkeypatch.setattr(script.mc, "simulate", out_of_memory)
+    monkeypatch.chdir(tmp_path)
+    assert script.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
