@@ -11,13 +11,10 @@ writes neither file; so does running out of memory, with 2.
 import argparse
 import sys
 
-import numpy as np
-
 from firstphoton import analytic as an
 from firstphoton import estimation as es
 from firstphoton import montecarlo as mc
 from firstphoton.cli import run_entry_point
-from firstphoton.errors import InvalidParameterError
 from firstphoton.series import write_table
 
 
@@ -37,22 +34,14 @@ def parse_args(argv):
 def run(args):
     rates = an.RatePair(args.gamma_a, args.gamma_b)
     window = an.WindowConfig(tau=args.tau)
-    if args.n_points < 2:
-        raise InvalidParameterError(f"--n-points must be at least 2, got {args.n_points}")
-    if not (np.isfinite(args.t_max) and args.t_max > 0.0):
-        raise InvalidParameterError(f"--t-max must be positive and finite, got {args.t_max!r}")
     ent_config = mc.SimConfig(n_pairs=args.n_pairs, rates=rates, kind=mc.KIND_ENTANGLED,
                               window=window, seed=args.seed)
     prod_config = mc.SimConfig(n_pairs=args.n_pairs, rates=rates, kind=mc.KIND_PRODUCT,
                                window=window, seed=args.seed + 1)
 
     # every column is computed before either file is written
-    t = np.linspace(0.0, args.t_max, args.n_points)
-    analytic = [t,
-                an.first_emission_cdf_entangled(t, rates),
-                an.product_first_cdf(t, rates, window, an.VARIANT_EXACT),
-                an.single_type_cdf(t, rates.gamma_a),
-                an.single_type_cdf(t, rates.gamma_b)]
+    analytic = an.curve_table(rates, window, args.t_max, args.n_points, an.VARIANT_EXACT)
+    t = analytic["t"]
     ent = mc.simulate(ent_config)
     kept, summary = mc.postselect(mc.simulate(prod_config), window)
     empirical = [t,
@@ -60,8 +49,7 @@ def run(args):
                  mc.empirical_cdf(mc.one_photon_window_times(kept), t)]
     fit = es.mle_exponential(ent["t_first"])
 
-    write_table(f"{args.prefix}_analytic.csv",
-                ["t", "nf_entangled", "nf_product", "n_a", "n_b"], analytic)
+    write_table(f"{args.prefix}_analytic.csv", list(analytic), list(analytic.values()))
     write_table(f"{args.prefix}_empirical.csv",
                 ["t", "ecdf_entangled", "ecdf_product_kept"], empirical)
     print(f"entangled combined rate: {fit.rate_estimate:.6f} "

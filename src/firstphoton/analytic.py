@@ -49,10 +49,22 @@ where c = ``coincidence_probability`` is the discarded fraction of
 pairs.  Its CDF is a finite sum of exponentials in either mode.  It
 needs no alpha, so it holds beyond the taylor bound; it is evaluated
 while post-selection keeps at least MIN_KEPT_FRACTION of the pairs.
+
+``curve_table`` tabulates the five curves of ``CURVE_COLUMNS`` for the
+CLI's ``analytic`` and the decay-curves script.  It and every layer
+that allocates an array sized by a parameter (``montecarlo.simulate``'s
+records, ``kinetics.integrate``'s trajectory, a ``wavefunction.Grid1D``'s
+n x n amplitude) first call ``_require_array_size``, which refuses an
+array larger than physical memory or the cgroup memory limit (v2
+``memory.max``, else v1 ``memory.limit_in_bytes``, read once per
+process) with an InvalidParameterError naming the parameter.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +90,12 @@ MIN_KEPT_FRACTION = 1e-8
 VARIANT_TAYLOR = "taylor"
 VARIANT_EXACT = "exact"
 WINDOW_VARIANTS = (VARIANT_TAYLOR, VARIANT_EXACT)
+
+CURVE_COLUMNS = ("t", "nf_entangled", "nf_product", "n_a", "n_b")
+
+# the memory limit of the process's cgroup: v2, then v1
+_CGROUP_MEMORY_FILES = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 class ApproximationBreakdownWarning(UserWarning):
@@ -295,6 +313,30 @@ def _require_exponent(rate: float, latest: float) -> None:
             "the exponent rate * t overflows")
 
 
+@functools.cache
+def _cgroup_memory_limit() -> float:
+    """Bytes of the first cgroup memory limit file that can be read, read
+    once per process; inf where it says ``max`` or none can be read."""
+    for path in _CGROUP_MEMORY_FILES:
+        with contextlib.suppress(OSError), open(path) as fh:
+            text = fh.read().strip()
+            return int(text) if text.isdecimal() else math.inf
+    return math.inf
+
+
+def _require_array_size(name: str, n_items: int, itemsize: int) -> None:
+    """InvalidParameterError naming ``name``, before anything is allocated,
+    when n_items items of ``itemsize`` bytes exceed physical memory or the
+    cgroup's memory limit; past numpy's largest array numpy would raise a
+    bare ValueError."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    bound = min(physical, _cgroup_memory_limit())
+    if int(n_items) * int(itemsize) > bound:
+        where = "of physical memory" if bound == physical else "the cgroup memory limit allows"
+        raise InvalidParameterError(
+            f"{name} asks for an array larger than the {bound / 2**30:.3g} GiB {where}")
+
+
 def _bin_index(t, tau: float):
     """floor(t / tau), the grid bin of each time, once ``_require_bin_index``
     has checked that the largest stays in the float range."""
@@ -404,3 +446,19 @@ def coincidence_probability(rates: RatePair, window: WindowConfig) -> float:
         den = -np.expm1(-(g_a + g_b) * tau)
         return float(num / den)
     return float(1.0 - (g_b * np.exp(-g_a * tau) + g_a * np.exp(-g_b * tau)) / (g_a + g_b))
+
+
+def curve_table(rates: RatePair, window: WindowConfig, t_max: float, n_points: int,
+                variant: str) -> dict[str, np.ndarray]:
+    """The closed-form curves on n_points times from 0 to t_max, by
+    ``CURVE_COLUMNS`` name: the entangled first-photon CDF, the product
+    window law's ``variant``, and each atom's own CDF."""
+    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise InvalidParameterError(f"n_points must be an integer of at least 2, got {n_points!r}")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise InvalidParameterError(f"t_max must be positive and finite, got {t_max!r}")
+    _require_array_size(f"n_points = {n_points}", n_points, 8 * len(CURVE_COLUMNS))
+    t = np.linspace(0.0, t_max, n_points)
+    return dict(zip(CURVE_COLUMNS, (
+        t, first_emission_cdf_entangled(t, rates), product_first_cdf(t, rates, window, variant),
+        single_type_cdf(t, rates.gamma_a), single_type_cdf(t, rates.gamma_b))))

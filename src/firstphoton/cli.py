@@ -14,6 +14,10 @@ stored argv reproduces every output byte for byte.
 
 Exit codes: 0 success, else the error's ``exit_code`` (``errors``):
 2 invalid parameters or out of memory, 3 invalid data, 4 model inapplicable.
+The CLI knows no layer's array layout: each layer refuses an array too
+large for memory where it makes it (``analytic._require_array_size``),
+naming the parameter, so the scripts and library callers get the same
+exit-2 refusal.
 
 A ``--config`` file supplies defaults as ``key = value`` lines (long
 flag names, ``-`` or ``_`` spelling).  Its lines become flag tokens
@@ -25,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -179,17 +182,6 @@ def load_config(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _require_array_size(flag: str, n_items: int, itemsize: int) -> None:
-    """InvalidParameterError naming ``flag``, before anything is allocated,
-    when an array of n_items items of ``itemsize`` bytes exceeds physical
-    memory; past numpy's largest array numpy would raise a bare ValueError."""
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if n_items * itemsize > physical:
-        raise InvalidParameterError(
-            f"{flag} asks for an array larger than the {physical / 2**30:.3g} GiB "
-            "of physical memory")
-
-
 def _write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON; a file that cannot be written
     is an invalid ``--out``."""
@@ -213,22 +205,10 @@ def _write_manifest(args, argv, outputs: list[str]) -> None:
 
 
 def cmd_analytic(args) -> tuple[None, list[str]]:
-    rates = RatePair(args.gamma_a, args.gamma_b)
-    window = WindowConfig(args.tau, args.mode)
-    if args.n_points < 2:
-        raise InvalidParameterError("need at least 2 grid points")
-    if not (np.isfinite(args.t_max) and args.t_max > 0.0):
-        raise InvalidParameterError(f"t-max must be positive and finite, got {args.t_max!r}")
-    _require_array_size(f"--n-points {args.n_points}", args.n_points, 8)
-    t = np.linspace(0.0, args.t_max, args.n_points)
-    columns = [
-        t,
-        analytic.first_emission_cdf_entangled(t, rates),
-        analytic.product_first_cdf(t, rates, window, variant=args.window_variant),
-        analytic.single_type_cdf(t, rates.gamma_a),
-        analytic.single_type_cdf(t, rates.gamma_b),
-    ]
-    write_table(args.out, ["t", "nf_entangled", "nf_product", "n_a", "n_b"], columns)
+    table = analytic.curve_table(RatePair(args.gamma_a, args.gamma_b),
+                                 WindowConfig(args.tau, args.mode),
+                                 args.t_max, args.n_points, args.window_variant)
+    write_table(args.out, list(table), list(table.values()))
     return None, [args.out]
 
 
@@ -237,8 +217,6 @@ def cmd_simulate(args) -> tuple[None, list[str]]:
     window = WindowConfig(args.tau, args.mode)
     config = montecarlo.SimConfig(n_pairs=args.n_pairs, rates=rates,
                                   kind=args.kind, window=window, seed=args.seed)
-    _require_array_size(f"--n-pairs {args.n_pairs}", args.n_pairs,
-                        montecarlo.RECORD_DTYPE.itemsize)
     records = montecarlo.simulate(config, n_workers=args.workers)
     montecarlo.write_records_csv(args.out, records, n_workers=args.workers)
 
@@ -321,8 +299,6 @@ def cmd_discriminate(args) -> tuple[dict, list[str]]:
 def cmd_kinetics(args) -> tuple[None, list[str]]:
     rates = RatePair(args.gamma_a, args.gamma_b)
     config = kinetics.IntegratorConfig(step=args.step, t_end=args.t_end)
-    _require_array_size(f"--t-end / --step = {args.t_end!r} / {args.step!r}",
-                        (config.n_steps + 1) * len(kinetics.STATE_FIELDS), 8)
     traj = kinetics.integrate(kinetics.initial_state(args.n_0), rates, config,
                               first_emission_scale=args.rate_scale)
     write_table(args.out, ["t", *kinetics.STATE_FIELDS],
@@ -337,8 +313,6 @@ def cmd_wavefunction(args) -> tuple[dict, list[str]]:
     grid = wavefunction.Grid1D(x_min=-args.x_max, x_max=args.x_max, n=args.n)
     report = {"check": args.check, "n": int(args.n), "x_max": float(args.x_max),
               "t": float(args.t), "passed": False, "error": None, "metrics": {}}
-    # every check holds one n x n complex array
-    _require_array_size(f"--n {args.n}", grid.n ** 2, 16)
     mode0 = wavefunction.oscillator_mode(grid, 0)
     mode1 = wavefunction.oscillator_mode(grid, 1)
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import RatePair, solve_compatibility
+from .analytic import RatePair, _require_array_size, solve_compatibility
 from .errors import IntegrationBlowupError, InvalidParameterError
 
 STATE_FIELDS = ("n_e", "n_a", "n_b", "cap_n_a", "cap_n_b", "cap_n_f")
@@ -122,7 +122,8 @@ def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,
 
     Returns an (n_steps + 1, 6) array in ``STATE_FIELDS`` order whose
     row k is the state at t = k * step, row 0 being ``initial``, which
-    must hold six finite numbers.  Raises IntegrationBlowupError, at
+    must hold six finite numbers.  A trajectory larger than memory is
+    refused before it is allocated.  Raises IntegrationBlowupError, at
     most ``CHECK_STEPS`` steps after some component stops being finite,
     naming the first such t (the scheme is conditionally stable, so
     absurd steps diverge).
@@ -133,6 +134,8 @@ def integrate(initial: np.ndarray, rates: RatePair, config: IntegratorConfig,
             f"initial state must be {len(STATE_FIELDS)} finite numbers, got {initial!r}")
     eye = np.eye(len(STATE_FIELDS))
     n_steps = config.n_steps
+    _require_array_size(f"t_end / step = {config.t_end!r} / {config.step!r}",
+                        (n_steps + 1) * len(STATE_FIELDS), 8)
     block = min(CHECK_STEPS, n_steps)
     # Overflow, in D, in the table or in the steps, is caught by the
     # finiteness check below, not warned about: a non-finite entry of

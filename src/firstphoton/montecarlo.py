@@ -48,7 +48,7 @@ import numpy as np
 
 from .analytic import (CHANNEL_A, CHANNEL_B, KIND_ENTANGLED, KIND_PRODUCT,
                        MODE_GRID_BIN, PAIR_KINDS, RatePair, WindowConfig,
-                       _require_bin_index, solve_compatibility)
+                       _require_array_size, _require_bin_index, solve_compatibility)
 from .errors import InvalidDataError, InvalidParameterError
 from .series import (CHUNK_ROWS, _keep_heap_pages, processes, read_columns,
                      write_table)
@@ -150,10 +150,12 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     chunk, sampling draws the next blocks of one Philox generator keyed
     by the seed, in the calling thread whatever n_workers is; the
     parameter is only validated, and goes once the benchmark's counters
-    stop reading it (ROADMAP item 2).
+    stop reading it (ROADMAP item 2).  Records larger than memory are
+    refused before any is allocated (``analytic._require_array_size``).
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
+    _require_array_size(f"n_pairs = {config.n_pairs}", config.n_pairs, RECORD_DTYPE.itemsize)
     # a chunk's words are its largest buffer
     _keep_heap_pages(2 * min(config.n_pairs, CHUNK_ROWS) * DRAWS_PER_PAIR * 8)
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)

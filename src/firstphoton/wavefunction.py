@@ -30,7 +30,7 @@ which is spectrally accurate for amplitudes that decay inside the box;
 norms are real weighted sums of squares.
 
 Memory.  An amplitude on n points per axis is an n x n complex array of
-16 n^2 bytes.  The exchange map Psi(x, y) -> Psi(y, x) is applied in
+16 n^2 bytes, and ``Grid1D`` refuses an n whose array exceeds memory.  The exchange map Psi(x, y) -> Psi(y, x) is applied in
 one blocking, the tile pairs of ``_tiles``: a block and its mirror block,
 at most TILE x TILE each, so transposed reads stay in cache.  The
 exchange overlap, the odd-part projection and the antisymmetry defect
@@ -71,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import series
-from .analytic import _require_exponent
+from .analytic import _require_array_size, _require_exponent
 from .errors import (DegenerateSymmetryError, GridTooSmallError,
                      InvalidDataError, InvalidParameterError)
 
@@ -94,6 +94,8 @@ class Grid1D:
         if not isinstance(self.n, (int, np.integer)) or self.n < MIN_GRID_POINTS:
             raise InvalidParameterError(
                 f"n must be an integer >= {MIN_GRID_POINTS}, got {self.n!r}")
+        # an amplitude on the grid is one n x n complex array
+        _require_array_size(f"n = {self.n}", int(self.n) ** 2, 16)
         # in Python floats, where a width beyond the float range is inf, not a warning
         width = float(self.x_max) - float(self.x_min)
         if not (math.isfinite(width) and width / (self.n - 1) > 0.0):

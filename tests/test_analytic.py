@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from firstphoton import analytic as an
+from firstphoton import kinetics, montecarlo, wavefunction
 from firstphoton.analytic import (ApproximationBreakdownWarning, RatePair,
                                   WindowConfig)
 from firstphoton.errors import InvalidParameterError, WindowTooWideError
@@ -498,3 +500,96 @@ class TestCoincidenceProbability:
         pair = an.coincidence_probability(rates_ref, WindowConfig(tau=tau, mode="pairwise"))
         assert grid == pytest.approx(lead, rel=1e-4)
         assert pair == pytest.approx(2.0 * lead, rel=1e-4)
+
+
+class TestCurveTable:
+    def test_columns_are_the_laws(self, rates_ref):
+        window = WindowConfig(tau=0.5, mode="pairwise")
+        table = an.curve_table(rates_ref, window, 4.0, 9, an.VARIANT_EXACT)
+        assert tuple(table) == an.CURVE_COLUMNS
+        t = table["t"]
+        assert np.array_equal(t, np.linspace(0.0, 4.0, 9))
+        assert np.array_equal(table["nf_entangled"], an.first_emission_cdf_entangled(t, rates_ref))
+        assert np.array_equal(table["nf_product"],
+                              an.product_first_cdf(t, rates_ref, window, an.VARIANT_EXACT))
+        assert np.array_equal(table["n_a"], an.single_type_cdf(t, 1.0))
+        assert np.array_equal(table["n_b"], an.single_type_cdf(t, 1.5))
+
+    @pytest.mark.parametrize("t_max, n_points, message", [
+        (4.0, 1, "n_points must be an integer of at least 2"),
+        (4.0, 2.5, "n_points must be an integer of at least 2"),
+        (0.0, 5, "t_max must be positive and finite"),
+        (math.inf, 5, "t_max must be positive and finite"),
+        (math.nan, 5, "t_max must be positive and finite"),
+        # beyond physical memory and numpy's largest array
+        (4.0, 10**19, "n_points = 10000000000000000000 asks for an array larger"),
+    ])
+    def test_bad_grid_is_parameter_error(self, rates_ref, window_ref, t_max, n_points,
+                                         message):
+        with pytest.raises(InvalidParameterError, match=message):
+            an.curve_table(rates_ref, window_ref, t_max, n_points, an.VARIANT_TAYLOR)
+
+
+PHYSICAL = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+MIB = 1 << 20
+
+
+@pytest.fixture
+def cgroup(tmp_path, monkeypatch):
+    """The cgroup v2 and v1 memory limit files, pointed at tmp_path and
+    read afresh."""
+    files = tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"
+    monkeypatch.setattr(an, "_CGROUP_MEMORY_FILES", tuple(map(str, files)))
+    an._cgroup_memory_limit.cache_clear()
+    yield files
+    an._cgroup_memory_limit.cache_clear()
+
+
+class TestArraySize:
+    @pytest.mark.parametrize("version", ["v2", "v1"])
+    def test_cgroup_limit_bounds(self, cgroup, version):
+        cgroup[version == "v1"].write_text(f"{MIB}\n")
+        an._require_array_size("n = 1", MIB // 8, 8)
+        with pytest.raises(InvalidParameterError,
+                           match="n = 2 asks for an array larger than the 0.000977 GiB "
+                                 "the cgroup memory limit allows"):
+            an._require_array_size("n = 2", MIB // 8 + 1, 8)
+
+    # v2's unlimited "max", no file, or v1's unlimited value, which is
+    # above physical memory
+    @pytest.mark.parametrize("v2, v1", [("max\n", None), (None, None),
+                                        (None, "9223372036854771712\n")],
+                             ids=["v2-max", "no-file", "v1-unlimited"])
+    def test_no_cgroup_limit_leaves_physical_memory(self, cgroup, v2, v1):
+        for path, text in zip(cgroup, (v2, v1)):
+            if text is not None:
+                path.write_text(text)
+        an._require_array_size("n = 1", PHYSICAL, 1)
+        with pytest.raises(InvalidParameterError, match="GiB of physical memory"):
+            an._require_array_size("n = 2", PHYSICAL + 1, 1)
+
+    def test_cgroup_limit_is_read_once(self, cgroup):
+        cgroup[0].write_text(f"{MIB}\n")
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError, match="cgroup memory limit"):
+                an._require_array_size("n = 2", MIB + 1, 1)
+            cgroup[0].unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda rates, window: montecarlo.simulate(montecarlo.SimConfig(
+            n_pairs=1 << 16, rates=rates, kind=montecarlo.KIND_PRODUCT, window=window,
+            seed=0)), "n_pairs = 65536"),
+        (lambda rates, window: kinetics.integrate(
+            kinetics.initial_state(), rates, kinetics.IntegratorConfig(step=1e-4, t_end=4.0)),
+         "t_end / step = 4.0 / 0.0001"),
+        (lambda rates, window: wavefunction.Grid1D(x_min=-12.0, x_max=12.0, n=256),
+         "n = 256"),
+        (lambda rates, window: an.curve_table(rates, window, 4.0, 1 << 15, an.VARIANT_EXACT),
+         "n_points = 32768"),
+    ], ids=["records", "trajectory", "amplitude", "curve-table"])
+    def test_each_layer_checks_its_array(self, cgroup, rates_ref, window_ref, make, name):
+        # each array is about 1 MiB: refused under a half-MiB limit
+        cgroup[0].write_text(f"{MIB // 2}\n")
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} asks for an array larger than .* cgroup"):
+            make(rates_ref, window_ref)

@@ -123,16 +123,33 @@ class TestAnalytic:
             assert main(["analytic", "--n-points", str(n_points),
                          "--out", str(tmp_path / "x.csv")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "--n-points" in err
+            assert err.startswith("error:") and f"n_points = {n_points}" in err
             assert len(err.splitlines()) == 1
+
+    def test_size_check_counts_all_five_columns(self, tmp_path, capsys, monkeypatch):
+        # the table holds five columns of 4096 floats, 8 pages each: with
+        # physical memory of three columns it is refused before anything
+        # is allocated, and with six it runs
+        sysconf = os.sysconf
+        out = tmp_path / "curves.csv"
+        for pages, code in ((3 * 8, 2), (6 * 8, 0)):
+            monkeypatch.setattr(os, "sysconf", lambda name: {
+                "SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}.get(name) or sysconf(name))
+            assert main(["analytic", "--n-points", "4096", "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code == 2:
+                assert err.startswith("error:") and "n_points = 4096" in err
+                assert len(err.splitlines()) == 1 and not out.exists()
+            else:
+                assert err == "" and out.exists()
 
 
     def test_allocation_failure_is_parameter_error(self, tmp_path):
-        # 1.6 GB of grid under a 1 GiB address-space limit: numpy raises
-        # MemoryError, which main reports in one line
+        # 0.8 GB a column, 4 GB of table, under a 1 GiB address-space
+        # limit: numpy raises MemoryError, which main reports in one line
         code = ("import resource, sys; from firstphoton.cli import main; "
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-                "sys.exit(main(['analytic', '--n-points', '200000000', "
+                "sys.exit(main(['analytic', '--n-points', '100000000', "
                 "'--out', 'unwritten.csv']))")
         src = os.path.dirname(os.path.dirname(firstphoton.__file__))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -235,7 +252,7 @@ class TestSimulate:
             assert main(["simulate", "--n-pairs", str(n_pairs),
                          "--out", str(tmp_path / "x.csv")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "--n-pairs" in err
+            assert err.startswith("error:") and f"n_pairs = {n_pairs}" in err
             assert len(err.splitlines()) == 1
 
     def test_manifest_replays_byte_identically(self, tmp_path):
@@ -570,7 +587,7 @@ class TestKinetics:
                      ["--step", "1e-308", "--t-end", "1"]):
             assert main(["kinetics", *plan, "--out", str(tmp_path / "kin.csv")]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "--step" in err
+            assert err.startswith("error:") and "t_end / step = " in err
             assert len(err.splitlines()) == 1
 
 
@@ -913,7 +930,7 @@ class TestWavefunction:
         for n in (10**8, 4 * 10**9):
             assert main(["wavefunction", "--check", check, "--n", str(n)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error:") and "--n" in err
+            assert err.startswith("error:") and f"n = {n}" in err
             assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("check", ["antisymmetry-preservation",
@@ -953,7 +970,7 @@ class TestWavefunction:
             if code == 0:
                 assert json.loads(out)["check"] == check and err == ""
             else:
-                assert err.startswith("error:") and "--n 64" in err
+                assert err.startswith("error:") and "n = 64" in err
                 assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("check", ["antisymmetry-preservation",

@@ -54,13 +54,17 @@ def test_discrimination_power(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code, message", [
     (["--n-pairs", "10", "--seed", "-1"], 2, "seed must be an integer"),
     (["--n-pairs", "0"], 2, "n_pairs must be a positive integer"),
-    (["--t-max", "-1"], 2, "--t-max must be positive"),
-    (["--n-points", "1"], 2, "--n-points must be at least 2"),
+    (["--t-max", "-1"], 2, "t_max must be positive"),
+    (["--n-points", "1"], 2, "n_points must be an integer of at least 2"),
     (["--tau", "0"], 2, "tau must be a positive"),
     # the one product pair of seed 1 falls in the window, so its ECDF has no sample
     (["--n-pairs", "1", "--tau", "5", "--seed", "0"], 3, "zero samples"),
+    # beyond physical memory and numpy's largest array: refused before
+    # anything is allocated, where numpy would raise ValueError
+    (["--n-pairs", "10000000000000000000"], 2, "n_pairs = 10000000000000000000"),
+    (["--n-points", "10000000000000000000"], 2, "n_points = 10000000000000000000"),
 ], ids=["seed-negative", "no-pairs", "t-max-negative", "one-point", "no-window",
-        "none-kept"])
+        "none-kept", "oversized-run", "oversized-grid"])
 def test_run_decay_curves_bad_input_writes_nothing(tmp_path, capsys, argv, code, message):
     script = load_script("run_decay_curves")
     assert script.main(["--n-pairs", "50", *argv, "--prefix", str(tmp_path / "decay")]) == code
@@ -79,8 +83,9 @@ def test_run_decay_curves_bad_input_writes_nothing(tmp_path, capsys, argv, code,
     (["--sizes", "100", "10", "--seed", "-10050"], 2, "seed must be an integer"),
     # the one product pair of the second trial falls in the window
     (["--sizes", "1", "--trials", "2", "--tau", "5"], 3, "no samples"),
+    (["--sizes", "10000000000000000000"], 2, "n_pairs = 10000000000000000000"),
 ], ids=["no-pairs", "no-window", "no-trials", "negative-trials", "late-negative-seed",
-        "none-kept"])
+        "none-kept", "oversized-run"])
 def test_discrimination_power_bad_input_writes_nothing(tmp_path, capsys, argv, code, message):
     script = load_script("discrimination_power")
     out = tmp_path / "power.csv"
