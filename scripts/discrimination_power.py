@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Estimate discrimination power as a function of sample size.
 
-For each N in the sweep, runs seeded trials split evenly between the
-two preparations, classifies each sample with the likelihood-ratio
-test, and reports the fraction identified correctly. Writes one CSV
-row per N so the power curve can be plotted directly. Bad input exits
-as the CLI does, 2, 3 or 4 with one error line, and writes nothing;
-so does running out of memory, with 2.
+For each N in the sweep, runs seeded trials that alternate between
+the two preparations, entangled first (so an even --trials splits them
+evenly), classifies each sample with the likelihood-ratio test, and
+reports the fraction identified correctly. Writes one CSV row per N so
+the power curve can be plotted directly. Bad input exits as the CLI
+does, 2, 3 or 4 with one error line, and writes nothing; so does
+running out of memory, with 2.
 """
 import argparse
 import sys
@@ -59,7 +60,8 @@ def run(args):
                             seed=args.seed + 1000 * n_pairs + trial)
 
     # a size's seeds run from its first trial's to its last's, so building
-    # those two checks every trial before the first one runs
+    # those two configs checks every trial, its record size included,
+    # before the first one runs
     for n_pairs in args.sizes:
         for trial in (0, args.trials - 1):
             config(n_pairs, trial)

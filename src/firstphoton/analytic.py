@@ -52,10 +52,12 @@ while post-selection keeps at least MIN_KEPT_FRACTION of the pairs.
 
 ``curve_table`` tabulates the five curves of ``CURVE_COLUMNS`` for the
 CLI's ``analytic`` and the decay-curves script.  It and every layer
-that allocates an array sized by a parameter (``montecarlo.simulate``'s
-records, ``kinetics.integrate``'s trajectory, a ``wavefunction.Grid1D``'s
-n x n amplitude) first call ``_require_array_size``, which refuses an
-array larger than physical memory or the cgroup memory limit (v2
+that allocates an array sized by a parameter first call
+``_require_array_size``: ``kinetics.integrate`` for its trajectory, a
+``wavefunction.Grid1D`` for its n x n amplitude, and a
+``montecarlo.SimConfig``, when it is built, for the records
+``montecarlo.simulate`` makes of it.  The check refuses an array
+larger than physical memory or the cgroup memory limit (v2
 ``memory.max``, else v1 ``memory.limit_in_bytes``, read once per
 process) with an InvalidParameterError naming the parameter.
 """
@@ -103,7 +105,7 @@ class ApproximationBreakdownWarning(UserWarning):
     law is not trustworthy at these parameters."""
 
 
-def _require_positive_rate(name: str, value: float) -> float:
+def _require_rate(name: str, value: float) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
         raise InvalidParameterError(f"{name} must be a positive finite rate, got {value!r}")
@@ -133,8 +135,8 @@ class RatePair:
     gamma_b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_a", _require_positive_rate("gamma_a", self.gamma_a))
-        object.__setattr__(self, "gamma_b", _require_positive_rate("gamma_b", self.gamma_b))
+        object.__setattr__(self, "gamma_a", _require_rate("gamma_a", self.gamma_a))
+        object.__setattr__(self, "gamma_b", _require_rate("gamma_b", self.gamma_b))
         if not np.isfinite(self.gamma_a + self.gamma_b):
             raise InvalidParameterError(
                 f"gamma_a + gamma_b overflows: {self.gamma_a!r} + {self.gamma_b!r}")
@@ -198,7 +200,7 @@ def first_emission_cdf_entangled(t, rates: RatePair):
 
 def single_type_cdf(t, gamma_i: float):
     """Cumulative emission fraction of an isolated atom with rate gamma_i."""
-    gamma_i = _require_positive_rate("gamma_i", gamma_i)
+    gamma_i = _require_rate("gamma_i", gamma_i)
     t = _check_times(t, gamma_i)
     return -np.expm1(-gamma_i * t)
 
@@ -240,7 +242,7 @@ def emission_derivative_ordered(t, rates: RatePair, channel: str):
 
 def emission_derivative_direct(t, gamma_i: float):
     """dN_i/dt if the channel simply decayed at its single-atom rate."""
-    gamma_i = _require_positive_rate("gamma_i", gamma_i)
+    gamma_i = _require_rate("gamma_i", gamma_i)
     t = _check_times(t, gamma_i)
     return gamma_i * np.exp(-gamma_i * t)
 
@@ -252,7 +254,7 @@ def window_prob_taylor(t, tau: float, gamma_i: float):
     Emits ApproximationBreakdownWarning when the linearized value
     exceeds 1, which happens once tau * gamma_i > 1.
     """
-    gamma_i = _require_positive_rate("gamma_i", gamma_i)
+    gamma_i = _require_rate("gamma_i", gamma_i)
     tau = WindowConfig(tau=tau).tau
     t = _check_times(t, gamma_i)
     p = tau * gamma_i * np.exp(-gamma_i * t)

@@ -16,8 +16,9 @@ Exit codes: 0 success, else the error's ``exit_code`` (``errors``):
 2 invalid parameters or out of memory, 3 invalid data, 4 model inapplicable.
 The CLI knows no layer's array layout: each layer refuses an array too
 large for memory where it makes it (``analytic._require_array_size``),
-naming the parameter, so the scripts and library callers get the same
-exit-2 refusal.
+and ``simulate``'s records where their ``SimConfig`` is built, naming
+the parameter, so the scripts and library callers get the same exit-2
+refusal.
 
 A ``--config`` file supplies defaults as ``key = value`` lines (long
 flag names, ``-`` or ``_`` spelling).  Its lines become flag tokens

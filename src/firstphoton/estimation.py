@@ -9,6 +9,11 @@ density of the kept photons for the window's mode
 keeps pairs; the narrow-window ``taylor`` law is never scored.  The
 discrimination uses known parameters on both sides; nothing is fitted
 before comparing.
+
+Every function here takes photon waiting times, which the exponential
+laws put on t > 0 only, and refuses with the same InvalidDataError a
+sample that is empty, not finite or not strictly positive
+(``_clean_times``), so no sample is scored where its law has no density.
 """
 from __future__ import annotations
 
@@ -39,13 +44,15 @@ class ModelComparison:
     preferred: str
 
 
-def _clean_times(times, *, require_positive: bool = True) -> np.ndarray:
+def _clean_times(times) -> np.ndarray:
+    """The times as a flat float array; InvalidDataError where the sample
+    is empty, or a time is not finite or not strictly positive."""
     t = np.asarray(times, dtype=float).ravel()
     if t.size == 0:
         raise InvalidDataError("no samples provided")
     if not np.all(np.isfinite(t)):
         raise InvalidDataError("samples must be finite")
-    if require_positive and np.any(t <= 0.0):
+    if np.any(t <= 0.0):
         raise InvalidDataError("samples must be strictly positive waiting times")
     return t
 
@@ -84,7 +91,7 @@ def ks_distance(times, cdf) -> float:
 
     ``cdf`` must be a vectorized callable mapping times to [0, 1].
     """
-    t = np.sort(_clean_times(times, require_positive=False))
+    t = np.sort(_clean_times(times))
     f = np.asarray(cdf(t), dtype=float)
     if f.shape != t.shape:
         raise InvalidDataError("model cdf must return one value per sample")
@@ -104,7 +111,7 @@ def ks_critical_value(n_samples: int, significance: float = 0.01) -> float:
 
 def log_likelihood_entangled(times, rates: RatePair) -> float:
     """Log-likelihood of the single-exponential first-photon law."""
-    return _ll_entangled(_clean_times(times, require_positive=False), rates)
+    return _ll_entangled(_clean_times(times), rates)
 
 
 def _ll_entangled(t: np.ndarray, rates: RatePair) -> float:
@@ -127,7 +134,7 @@ def log_likelihood_product(times, rates: RatePair, window: WindowConfig) -> floa
     which is summed once, so the result has the bits of
     ``np.sum(np.log(pdf))`` over all samples at once.
     """
-    return _ll_product(_clean_times(times, require_positive=False), rates, window)
+    return _ll_product(_clean_times(times), rates, window)
 
 
 def _ll_product(t: np.ndarray, rates: RatePair, window: WindowConfig) -> float:

@@ -83,7 +83,13 @@ def latest_time(rates: RatePair, window: WindowConfig) -> float:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything needed to reproduce one simulation run."""
+    """Everything needed to reproduce one simulation run.
+
+    Building one checks every field, and last refuses a run whose
+    records ``simulate`` could not hold in memory
+    (``analytic._require_array_size``), so a caller that builds its
+    configs first refuses an oversized run before any runs.
+    """
 
     n_pairs: int
     rates: RatePair
@@ -100,6 +106,7 @@ class SimConfig:
             raise InvalidParameterError(
                 f"seed must be an integer in [0, 2**128), got {self.seed!r}")
         latest_time(self.rates, self.window)
+        _require_array_size(f"n_pairs = {self.n_pairs}", self.n_pairs, RECORD_DTYPE.itemsize)
 
 
 @dataclass(frozen=True)
@@ -150,12 +157,11 @@ def simulate(config: SimConfig, n_workers: int = 1) -> np.ndarray:
     chunk, sampling draws the next blocks of one Philox generator keyed
     by the seed, in the calling thread whatever n_workers is; the
     parameter is only validated, and goes once the benchmark's counters
-    stop reading it (ROADMAP item 2).  Records larger than memory are
-    refused before any is allocated (``analytic._require_array_size``).
+    stop reading it (ROADMAP item 2).  A config whose records would not
+    fit in memory was refused when it was built (``SimConfig``).
     """
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise InvalidParameterError(f"n_workers must be a positive integer, got {n_workers!r}")
-    _require_array_size(f"n_pairs = {config.n_pairs}", config.n_pairs, RECORD_DTYPE.itemsize)
     # a chunk's words are its largest buffer
     _keep_heap_pages(2 * min(config.n_pairs, CHUNK_ROWS) * DRAWS_PER_PAIR * 8)
     records = np.empty(config.n_pairs, dtype=RECORD_DTYPE)

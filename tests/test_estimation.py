@@ -82,6 +82,18 @@ class TestMleExponential:
         assert result.std_error == pytest.approx(2.5 / math.sqrt(50_000), rel=0.02)
 
 
+# every entry point refuses a time to which the laws give no density
+@pytest.mark.parametrize("score", [
+    lambda t: es.log_likelihood_entangled(t, RATES),
+    lambda t: es.log_likelihood_product(t, RATES, WindowConfig(tau=0.2)),
+    lambda t: es.ks_distance(t, lambda u: an.first_emission_cdf_entangled(u, RATES)),
+], ids=["entangled", "product", "ks"])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0])
+def test_non_positive_time_is_data_error(score, bad):
+    with pytest.raises(InvalidDataError, match="strictly positive"):
+        score([bad, 0.5])
+
+
 class TestKsDistance:
     def test_single_sample_at_median(self):
         assert es.ks_distance([math.log(2.0)], lambda t: 1.0 - np.exp(-t)) == pytest.approx(0.5)

@@ -58,6 +58,13 @@ class TestRecordTypes:
         with pytest.raises(InvalidParameterError):
             mc.SimConfig(**base)
 
+    def test_oversized_run_is_refused_when_built(self):
+        # the config refuses the records simulate would make of it
+        with pytest.raises(InvalidParameterError,
+                           match="^n_pairs = 10000000000000000000 asks for an array larger"):
+            mc.SimConfig(n_pairs=10 ** 19, rates=RatePair(1.0, 1.5), kind="product",
+                         window=WindowConfig(tau=0.1), seed=0)
+
 
 class TestSamplingStatistics:
     def test_entangled_first_time_mean(self, entangled_100k):

@@ -84,15 +84,17 @@ def test_run_decay_curves_bad_input_writes_nothing(tmp_path, capsys, argv, code,
     # the one product pair of the second trial falls in the window
     (["--sizes", "1", "--trials", "2", "--tau", "5"], 3, "no samples"),
     (["--sizes", "10000000000000000000"], 2, "n_pairs = 10000000000000000000"),
+    # an oversized second size stops the script before the first size's row
+    (["--sizes", "100", "10000000000000000000"], 2, "n_pairs = 10000000000000000000"),
 ], ids=["no-pairs", "no-window", "no-trials", "negative-trials", "late-negative-seed",
-        "none-kept", "oversized-run"])
+        "none-kept", "oversized-run", "late-oversized-run"])
 def test_discrimination_power_bad_input_writes_nothing(tmp_path, capsys, argv, code, message):
     script = load_script("discrimination_power")
     out = tmp_path / "power.csv"
     assert script.main(["--sizes", "100", "--trials", "4", *argv, "--out", str(out)]) == code
     printed, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
+    assert printed == "" and list(tmp_path.iterdir()) == []
 
 
 def out_of_memory(*args, **kwargs):
